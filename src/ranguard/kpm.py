@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -73,6 +74,9 @@ class KpmSample:
     ul_pkts_nok: int
 
     def __post_init__(self) -> None:
+        for name in ("pusch_sinr_db", "pucch_sinr_db", "dl_brate_bps", "ul_brate_bps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.timestamp_ms < 0:
             raise ValueError(f"timestamp_ms must be >= 0, got {self.timestamp_ms}")
         if self.bs_id < 0 or self.ue_id < 0:

@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ranguard.ml.ensemble import TreeEnsemble, TreeModel
 from ranguard.ml.tree import DecisionTree, TreeConfig, _validate_training_data
 
 _STUMP = TreeConfig(max_depth=1, min_samples_split=2, min_samples_leaf=1)
@@ -22,7 +23,7 @@ class BoostConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
 
 
-class AdaBoost:
+class AdaBoost(TreeModel):
     """Weighted vote of stumps; round weight alpha = ln((1-err)/err) + ln(K-1).
 
     Stops early on a perfect stump or once a stump is no better than chance.
@@ -33,12 +34,11 @@ class AdaBoost:
     def __init__(
         self, stumps: Sequence[DecisionTree], alphas: Sequence[float], n_features: int, n_classes: int
     ) -> None:
-        if not stumps or len(stumps) != len(alphas):
-            raise ValueError("need one alpha per stump, at least one stump")
         self.stumps = list(stumps)
         self.alphas = [float(a) for a in alphas]
         self.n_features = n_features
         self.n_classes = n_classes
+        self.engine = TreeEnsemble(self.stumps, self.alphas, n_features, n_classes)
 
     @classmethod
     def train(
@@ -69,25 +69,6 @@ class AdaBoost:
             w = w * np.exp(alpha * miss)
             w = w / w.sum()
         return cls(stumps, alphas, d, n_classes)
-
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((X.shape[0], self.n_classes))
-        rows = np.arange(X.shape[0])
-        for stump, alpha in zip(self.stumps, self.alphas):
-            scores[rows, stump.predict_batch(X)] += alpha
-        return scores
-
-    def predict(self, x: Sequence[float]) -> int:
-        scores = np.zeros(self.n_classes)
-        for stump, alpha in zip(self.stumps, self.alphas):
-            scores[stump.predict(x)] += alpha
-        return int(np.argmax(scores))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected (n, {self.n_features}) matrix, got shape {X.shape}")
-        return np.argmax(self._scores(X), axis=1)
 
     def to_dict(self) -> dict:
         return {

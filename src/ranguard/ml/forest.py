@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ranguard.ml.ensemble import TreeEnsemble, TreeModel
 from ranguard.ml.tree import DecisionTree, TreeConfig, _validate_training_data
 
 
@@ -30,17 +31,16 @@ class ForestConfig:
         return TreeConfig(self.max_depth, self.min_samples_split, self.min_samples_leaf)
 
 
-class RandomForest:
+class RandomForest(TreeModel):
     """Majority vote over bootstrap-trained trees; vote ties -> lowest class index."""
 
     algo_name = "random_forest"
 
     def __init__(self, trees: Sequence[DecisionTree], n_features: int, n_classes: int) -> None:
-        if not trees:
-            raise ValueError("forest needs at least one tree")
         self.trees = list(trees)
         self.n_features = n_features
         self.n_classes = n_classes
+        self.engine = TreeEnsemble(self.trees, [1.0] * len(self.trees), n_features, n_classes)
 
     @classmethod
     def train(
@@ -66,20 +66,6 @@ class RandomForest:
                 )
             )
         return cls(trees, d, n_classes)
-
-    def predict(self, x: Sequence[float]) -> int:
-        votes = np.zeros(self.n_classes, dtype=np.int64)
-        for tree in self.trees:
-            votes[tree.predict(x)] += 1
-        return int(np.argmax(votes))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        votes = np.zeros((X.shape[0], self.n_classes), dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        for tree in self.trees:
-            votes[rows, tree.predict_batch(X)] += 1
-        return np.argmax(votes, axis=1)
 
     def to_dict(self) -> dict:
         return {

@@ -75,7 +75,7 @@ def load_model(path: str | Path) -> LoadedModel:
     try:
         model = _ALGOS[algo].from_dict(envelope["payload"])
         labels = tuple(str(l) for l in envelope["class_labels"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed {algo} payload: {exc}") from None
     if len(labels) != model.n_classes:
         raise ModelFormatError(

@@ -8,9 +8,12 @@ function of the (data order, config, rng) triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from ranguard.ml.ensemble import TreeEnsemble, TreeModel, check_tree
 
 
 def gini(class_counts: Sequence[float] | np.ndarray) -> float:
@@ -110,7 +113,7 @@ def _best_split(
     return best
 
 
-class DecisionTree:
+class DecisionTree(TreeModel):
     """Flat-array binary tree. feature[i] == -1 marks node i as a leaf."""
 
     algo_name = "decision_tree"
@@ -132,7 +135,12 @@ class DecisionTree:
         self.left = left
         self.right = right
         self.counts = counts  # weighted class counts seen at each node during training
+        check_tree(self)
         self.klass = np.argmax(counts, axis=1).astype(np.int32)  # ties -> lowest class index
+
+    @cached_property
+    def engine(self) -> TreeEnsemble:
+        return TreeEnsemble([self], [1.0], self.n_features, self.n_classes)
 
     @classmethod
     def train(
@@ -210,53 +218,7 @@ class DecisionTree:
         return len(self.feature)
 
     def depth(self) -> int:
-        depths = {0: 0}
-        best = 0
-        for i in range(self.node_count):
-            if self.feature[i] >= 0:
-                depths[int(self.left[i])] = depths[i] + 1
-                depths[int(self.right[i])] = depths[i] + 1
-                best = max(best, depths[i] + 1)
-        return best
-
-    def predict(self, x: Sequence[float]) -> int:
-        if len(x) != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {len(x)}")
-        node = 0
-        feature = self.feature
-        while feature[node] >= 0:
-            if x[feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return int(self.klass[node])
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected (n, {self.n_features}) matrix, got shape {X.shape}")
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            fi = self.feature[node]
-            rows = np.nonzero(fi >= 0)[0]
-            if rows.size == 0:
-                break
-            cur = node[rows]
-            go_left = X[rows, fi[rows]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.klass[node].astype(np.int64)
-
-    def decision_path(self, x: Sequence[float]) -> list[tuple[int, float, bool]]:
-        """(feature, threshold, went_left) for every internal node on x's path."""
-        path = []
-        node = 0
-        while self.feature[node] >= 0:
-            f = int(self.feature[node])
-            thr = float(self.threshold[node])
-            went_left = x[f] <= thr
-            path.append((f, thr, went_left))
-            node = int(self.left[node]) if went_left else int(self.right[node])
-        return path
+        return self.engine.depth
 
     def to_dict(self) -> dict:
         return {

@@ -114,6 +114,13 @@ def test_out_of_range_fields_rejected(field, value):
         make_sample(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["pusch_sinr_db", "pucch_sinr_db", "dl_brate_bps", "ul_brate_bps"])
+def test_non_finite_float_fields_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_sample(**{field: value})
+
+
 def test_payload_round_trip_ignores_transport_keys():
     s = make_sample()
     payload = s.to_payload()

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranguard.ml import (
     AdaBoost,
@@ -134,3 +136,47 @@ def test_thresholds_round_trip_exactly(models, tmp_path):
     loaded = load_model(path).model
     assert loaded.threshold.tolist() == model.threshold.tolist()
     assert loaded.counts.tolist() == model.counts.tolist()
+
+
+def save_mutated(model, path, mutate) -> None:
+    """Save model, then apply mutate to the payload dict in the file."""
+    save_model(model, path, LABELS[: model.n_classes])
+    doc = json.loads(path.read_text())
+    mutate(doc["payload"])
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("dt", lambda p: p["left"].__setitem__(0, 0)),  # predict would loop forever
+        ("dt", lambda p: p["feature"].__setitem__(0, p["n_features"])),  # failed only when served
+        ("dt", lambda p: p["right"].__setitem__(0, 2**40)),  # does not fit the index arrays
+        ("rf", lambda p: p["trees"][1].__setitem__("n_features", p["n_features"] + 1)),
+        ("ada", lambda p: p["alphas"].__setitem__(0, float("inf"))),
+    ],
+)
+def test_structurally_broken_model_rejected_at_load(models, name, mutate, tmp_path):
+    path = tmp_path / "m.json"
+    save_mutated(models[name], path, mutate)
+    with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_load_rejects_or_serves_any_index_corruption(tmp_path_factory, data):
+    # one corrupted child or feature index: the load fails cleanly or predict terminates
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0], [4.0, 0.0], [5.0, 2.0]])
+    tree = DecisionTree.train(X, np.array([0, 1, 2, 0, 1, 2]), 3, TreeConfig(4, 2, 1))
+    key = data.draw(st.sampled_from(["feature", "left", "right"]))
+    node = data.draw(st.integers(0, tree.node_count - 1))
+    value = data.draw(st.integers(-3, tree.node_count + 2))
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    save_mutated(tree, path, lambda p: p[key].__setitem__(node, value))
+    try:
+        model = load_model(path).model
+    except ModelFormatError:
+        return
+    x = data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2))
+    assert 0 <= model.predict(x) < 3

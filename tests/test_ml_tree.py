@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranguard.ml.tree import DecisionTree, TreeConfig, gini
+from tree_oracle import decision_path
 
 SMALL = TreeConfig(max_depth=15, min_samples_split=2, min_samples_leaf=1)
 
@@ -184,7 +185,7 @@ def test_piecewise_constant_between_thresholds(random_tree):
     tree, X, _, rng = random_tree
     for x in X[:50]:
         base = tree.predict(x)
-        path = tree.decision_path(x)
+        path = decision_path(tree, x)
         x2 = x.copy()
         for f, thr, went_left in path:
             # nudge toward the threshold but never across it

@@ -333,6 +333,17 @@ def test_malformed_payload_is_counted_and_skipped():
     assert xapp.on_measurement(frame_for(1, 0, WEB)) is not None
 
 
+@pytest.mark.parametrize("field", ["pusch_sinr_db", "pucch_sinr_db", "dl_brate_bps", "ul_brate_bps"])
+def test_non_finite_kpm_value_is_malformed(field):
+    xapp = modeled_xapp()
+    frame = frame_for(1, 0, WEB)
+    frame.payload[field] = float("nan")
+    assert xapp.on_measurement(frame) is None
+    frame.payload[field] = -inf
+    assert xapp.on_measurement(frame) is None
+    assert xapp.malformed == 2
+
+
 def test_out_of_range_prediction_is_an_error():
     xapp = OnlineClassifier(IndexModel(), CLASS_ORDER[:2], delay_model=DelayModel())
     with pytest.raises(ValueError, match="labels are mapped"):
