@@ -3,7 +3,10 @@
 Every walk goes left on x <= threshold, so a NaN feature goes right, and adds
 each tree's weight to its leaf class in tree order; the argmax breaks ties
 toward the lowest class index. The layout follows QuickScorer (Lucchese et
-al., SIGIR 2015) and Asadi et al. (TKDE 2014).
+al., SIGIR 2015) and Asadi et al. (TKDE 2014). When every weight is 1 (a tree,
+a forest), the one-row walk stops as soon as one class holds a strict majority
+of the trees, the early exit of Cambazoglu et al. (WSDM 2010); the label is
+the one the full vote gives.
 """
 
 from __future__ import annotations
@@ -86,31 +89,39 @@ class TreeEnsemble:
             reached[left[level]] = reached[right[level]] = True
             level = np.flatnonzero(reached)
         self._feature = np.where(leaf, 0, self.feature)  # the matrix walk reads column 0 at leaves
-        self._trees = list(zip(self.roots.tolist(), weights.tolist()))
+        self._weights = weights.tolist()
+        # sums of unit weights are exact, so a class past half the total has won: stop there
+        self._majority = len(trees) / 2 if (weights == 1.0).all() else float("inf")
 
     @cached_property
-    def _lists(self) -> list[list]:
-        """The table as plain lists for the one-row walk; they index far faster than numpy scalars.
+    def _nested(self) -> list:
+        """One object per tree root for the one-row walk: an internal node is a
+        (feature, threshold, left, right) tuple, a leaf its class index.
 
-        Built on first use, so a model that is only trained, saved or batched
-        never holds them.
+        Built from the last node back, since children come after their parent,
+        and on first use, so a model that is only trained, saved or batched
+        never holds it.
         """
-        left, right = self.child[:, 1], self.child[:, 0]
-        return [a.tolist() for a in (self.feature, self.threshold, left, right, self.klass)]
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        right, left = self.child.T.tolist()
+        nodes = self.klass.tolist()  # leaves stay their class index
+        for i in np.flatnonzero(self.feature >= 0)[::-1].tolist():
+            nodes[i] = (feature[i], threshold[i], nodes[left[i]], nodes[right[i]])
+        return [nodes[root] for root in self.roots.tolist()]
 
     def predict(self, x: Sequence[float]) -> int:
         """Class index for one feature row."""
         if len(x) != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {len(x)}")
         x = x.tolist() if isinstance(x, np.ndarray) else list(x)
-        feature, threshold, left, right, klass = self._lists
         scores = [0.0] * self.n_classes
-        for node, weight in self._trees:
-            f = feature[node]
-            while f >= 0:
-                node = left[node] if x[f] <= threshold[node] else right[node]
-                f = feature[node]
-            scores[klass[node]] += weight
+        for node, weight in zip(self._nested, self._weights):
+            while type(node) is tuple:
+                f, t, left, right = node
+                node = left if x[f] <= t else right
+            scores[node] += weight
+            if scores[node] > self._majority:  # a strict majority can be neither overtaken nor tied
+                return node
         return scores.index(max(scores))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:

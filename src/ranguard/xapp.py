@@ -372,7 +372,7 @@ class OnlineClassifier:
         self.policy = policy if policy is not None else PolicyMap.default()
         self.delay_model = delay_model
         self.dropped = 0  # frames skipped because no model was loaded
-        self.malformed = 0  # frames skipped because the payload was not a measurement
+        self.malformed = 0  # frames skipped: not a measurement, or bad bus stamps
         self._tracks: dict[int, _UeTrack] = {}
         self._next_cmd_id = 1
 
@@ -403,8 +403,12 @@ class OnlineClassifier:
             t_send = frame.t_sent_us
             bus = frame.payload.get("bus")
             bus = bus if isinstance(bus, Mapping) else {}
-            t_bus_in = int(bus.get("in_us", t_send))
-            t_bus_out = int(bus.get("out_us", t_bus_in))
+            t_bus_in = bus.get("in_us", t_send)
+            t_bus_out = bus.get("out_us", t_bus_in)
+            # a bad stamp, or one from a clock other than the sender's, is skipped, not fatal
+            if not (type(t_bus_in) is int and type(t_bus_out) is int and t_send <= t_bus_in <= t_bus_out):
+                self.malformed += 1
+                return None
             # clamps keep the trace monotone against sub-us cross-thread jitter
             t_recv = max(now_us() if recv_us is None else recv_us, t_bus_out)
             t_infer_start = max(now_us(), t_recv)

@@ -48,6 +48,14 @@ def random_trees(draw, n_features: int, n_classes: int, max_splits: int = 7) -> 
     )
 
 
+def leaf_tree(n_features: int, n_classes: int, label: int) -> DecisionTree:
+    """A tree of one leaf that votes for label whatever the row."""
+    counts = np.zeros((1, n_classes))
+    counts[0, label] = 1.0
+    no_child = np.array([-1], dtype=np.int32)
+    return DecisionTree(n_features, n_classes, no_child, np.zeros(1), no_child, no_child, counts)
+
+
 def queries(n_features: int):
     return st.lists(
         st.lists(st.sampled_from(QUERY_VALUES), min_size=n_features, max_size=n_features),
@@ -71,11 +79,14 @@ def test_tree_matches_oracle(data, n_features, n_classes):
     assert tree.depth() == tree_depth(tree)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(2, 3), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(2, 3), st.integers(1, 9))
 def test_forest_matches_oracle(data, n_features, n_classes, n_trees):
-    # two trees and two classes tie on every query the trees disagree on
-    trees = [data.draw(random_trees(n_features, n_classes)) for _ in range(n_trees)]
+    # one-leaf trees for one class let it reach a majority before the last tree;
+    # an even number of trees over two classes ties on many queries
+    favourite = leaf_tree(n_features, n_classes, data.draw(st.integers(0, n_classes - 1)))
+    tree_or_favourite = random_trees(n_features, n_classes) | st.just(favourite)
+    trees = [data.draw(tree_or_favourite) for _ in range(n_trees)]
     forest = RandomForest(trees, n_features, n_classes)
     assert_engine_matches_oracle(forest, data.draw(queries(n_features)))
 
@@ -118,6 +129,28 @@ def test_adaboost_adds_alphas_in_stump_order():
         return DecisionTree.from_dict(one_split_tree(**node))
 
     model = AdaBoost([leaf(1), leaf(1), leaf(1), leaf(0)], [0.1, 0.2, 0.3, 0.6], 2, 2)
+    x = np.zeros(2)
+    assert model.predict(x) == model.predict_batch(x[None])[0] == oracle_predict(model, x) == 1
+
+
+@pytest.mark.parametrize("votes", [[1, 0], [1, 1, 0, 0], [0, 1, 1, 0, 1, 0], [2, 1, 1, 2, 0, 0]])
+def test_forest_tie_goes_to_lowest_class(votes):
+    # the first class to reach half the trees has not won: it ties at the end
+    forest = RandomForest([leaf_tree(2, 3, v) for v in votes], 2, 3)
+    x = np.zeros(2)
+    assert forest.predict(x) == forest.predict_batch(x[None])[0] == oracle_predict(forest, x) == min(votes)
+
+
+def test_forest_vote_stops_at_strict_majority():
+    forest = RandomForest([leaf_tree(2, 2, 1)] * 3 + [DecisionTree.from_dict(one_split_tree())] * 2, 2, 2)
+    forest.engine._nested[3:] = [None, None]  # walking either tree would fail
+    assert forest.predict(np.zeros(2)) == 1
+
+
+def test_adaboost_with_a_negative_alpha_sums_every_stump():
+    # class 0 holds 1.0 of the total 1.0 after the first stump, yet the full sum is 3.0 to -2.0 for class 1
+    stumps = [leaf_tree(2, 2, label).to_dict() for label in (0, 1, 0)]
+    model = AdaBoost.from_dict({"n_features": 2, "n_classes": 2, "alphas": [1.0, 3.0, -3.0], "stumps": stumps})
     x = np.zeros(2)
     assert model.predict(x) == model.predict_batch(x[None])[0] == oracle_predict(model, x) == 1
 

@@ -381,6 +381,47 @@ def test_wall_mode_uses_bus_stamps():
     assert done.loop_us == done.t_cmd_applied_us - 50_000
 
 
+def bus_frame(bus, *, t_sent_us: int = 50_000) -> DatabusFrame:
+    payload = dict(frame_for(1, 50, HULK).payload, bus=bus)
+    return DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", t_sent_us, payload)
+
+
+@pytest.mark.parametrize(
+    "bus, t_sent_us",
+    [
+        ({"in_us": "soon"}, 50_000),
+        ({"in_us": None}, 50_000),
+        ({"in_us": inf}, 50_000),
+        ({"in_us": 60_000.0}, 50_000),
+        ({"in_us": True}, 0),
+        ({"in_us": -1}, 0),
+        ({"in_us": 10}, 1000),  # the sender's clock is ahead of the broker's
+        ({"in_us": 5, "out_us": 3}, 0),  # left the broker before it arrived
+    ],
+    ids=["text", "null", "inf", "float", "bool", "negative", "sender_ahead", "out_before_in"],
+)
+def test_bad_bus_stamp_is_malformed(bus, t_sent_us):
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+    assert xapp.on_measurement(bus_frame(bus, t_sent_us=t_sent_us)) is None
+    assert xapp.malformed == 1
+    assert xapp.on_measurement(bus_frame({"in_us": 60_000, "out_us": 61_000})) is not None
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON | st.fixed_dictionaries({}, optional={"in_us": JSON, "out_us": JSON}), st.integers(0, 10**7))
+def test_wall_mode_never_raises_on_any_bus_value(bus, t_sent_us):
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+    decision = xapp.on_measurement(bus_frame(bus, t_sent_us=t_sent_us))
+    assert (decision is None) == (xapp.malformed == 1)
+
+
 # -- time to correct --
 
 
