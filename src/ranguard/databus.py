@@ -301,6 +301,8 @@ class Broker:
             sub = _Subscriber(sock, self._max_queue)
             with self._lock:
                 self._subscribers.append(sub)
+            # forget the threads of connections already closed, so the list tracks open ones
+            self._threads[:] = [t for t in self._threads if t.is_alive()]
             for target, name in ((self._reader_loop, "bus-read"), (self._writer_loop, "bus-write")):
                 t = threading.Thread(target=target, args=(sub,), name=name, daemon=True)
                 t.start()

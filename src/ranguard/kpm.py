@@ -137,6 +137,8 @@ class KpmSample:
             )
         except KeyError as exc:
             raise ValueError(f"measurement payload missing field {exc.args[0]!r}") from None
+        except OverflowError as exc:  # int(inf), float(10**400)
+            raise ValueError(f"measurement payload value out of range: {exc}") from None
 
 
 FEATURE_NAMES: tuple[str, ...] = (

@@ -2,11 +2,12 @@
 
 Every walk goes left on x <= threshold, so a NaN feature goes right, and adds
 each tree's weight to its leaf class in tree order; the argmax breaks ties
-toward the lowest class index. The layout follows QuickScorer (Lucchese et
-al., SIGIR 2015) and Asadi et al. (TKDE 2014). When every weight is 1 (a tree,
-a forest), the one-row walk stops as soon as one class holds a strict majority
-of the trees, the early exit of Cambazoglu et al. (WSDM 2010); the label is
-the one the full vote gives.
+toward the lowest class index. The matrix walk follows QuickScorer (Lucchese
+et al., SIGIR 2015). One row runs the trees as generated Python code, nested
+if/else blocks per tree, as in Asadi et al. (TKDE 2014). When every weight is
+1 (a tree, a forest), that vote stops as soon as one class holds a strict
+majority of the trees, the early exit of Cambazoglu et al. (WSDM 2010); the
+label is the one the full vote gives.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ if TYPE_CHECKING:
     from ranguard.ml.tree import DecisionTree
 
 _WALK_PAIRS = 1 << 15  # (row, tree) pairs per step of the matrix walk
+# Tree nodes per generated vote function, which bounds the memory compile()
+# takes (a whole forest as one function takes tens of MB); a larger tree
+# continues in further functions.
+_FUNC_NODES = 512
+# Nesting levels per generated function: Python's tokenizer stops at 100, and
+# a subtree below this depth continues in a further function.
+_FUNC_DEPTH = 40
 
 
 def check_tree(tree: DecisionTree) -> None:
@@ -89,40 +97,101 @@ class TreeEnsemble:
             reached[left[level]] = reached[right[level]] = True
             level = np.flatnonzero(reached)
         self._feature = np.where(leaf, 0, self.feature)  # the matrix walk reads column 0 at leaves
-        self._weights = weights.tolist()
-        # sums of unit weights are exact, so a class past half the total has won: stop there
-        self._majority = len(trees) / 2 if (weights == 1.0).all() else float("inf")
 
     @cached_property
-    def _nested(self) -> list:
-        """One object per tree root for the one-row walk: an internal node is a
-        (feature, threshold, left, right) tuple, a leaf its class index.
+    def _vote(self) -> list:
+        """The one-row vote as generated functions, compiled on first use, so a
+        model that is only trained, saved or batched never holds them; each
+        function is compiled as soon as it is complete, and its source dropped.
 
-        Built from the last node back, since children come after their parent,
-        and on first use, so a model that is only trained, saved or batched
-        never holds it.
+        Each function takes the score list and the row, which it unpacks into
+        the locals x0..x{d-1}. It runs its trees as nested if/else blocks, in
+        tree order, and returns the index of the function to run next, or
+        ~class once the vote is decided. A tree over _FUNC_NODES nodes or
+        _FUNC_DEPTH levels deep is cut into several functions: a cut returns
+        the index of the function that holds the subtree, and every function
+        of that tree ends by returning the index of the next tree's function,
+        so no call nests in another. The source holds only numbers that the
+        load checks passed: feature and class indices as int, thresholds and
+        weights as repr(float).
         """
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        feature, threshold, klass = self.feature.tolist(), self.threshold.tolist(), self.klass.tolist()
         right, left = self.child.T.tolist()
-        nodes = self.klass.tolist()  # leaves stay their class index
-        for i in np.flatnonzero(self.feature >= 0)[::-1].tolist():
-            nodes[i] = (feature[i], threshold[i], nodes[left[i]], nodes[right[i]])
-        return [nodes[root] for root in self.roots.tolist()]
+        roots = self.roots.tolist()
+        ends = roots[1:] + [len(feature)]
+        weights = self.weights.tolist()
+        # sums of unit weights are exact, so a class past half the total has won: stop there
+        majority = len(roots) / 2 if all(w == 1.0 for w in weights) else None
+        funcs: list = [[]]  # body lines of each function, until it is compiled
+        used = [0]  # nodes in each function
+        head = "def vote(s, x):\n [" + ", ".join(f"x{i}" for i in range(self.n_features)) + "] = x\n"
+
+        def new_function() -> int:
+            funcs.append([])
+            used.append(0)
+            return len(funcs) - 1
+
+        def emit(k: int, root: int) -> list[tuple[int, int]]:
+            """Append root's subtree to function k; (function, node) of each subtree cut off."""
+            lines, cuts = funcs[k], []
+            stack = [(root, 1)]  # (node, level); node -1 is the else of its level
+            while stack:
+                node, level = stack.pop()
+                pad = " " * level
+                if node < 0:
+                    lines.append(f"{pad}else:")
+                elif feature[node] < 0:
+                    lines.append(f"{pad}c = {klass[node]}")
+                    used[k] += 1
+                elif used[k] >= _FUNC_NODES or level > _FUNC_DEPTH:
+                    cuts.append((new_function(), node))
+                    lines.append(f"{pad}return {cuts[-1][0]}")
+                else:
+                    lines.append(f"{pad}if x{feature[node]} <= {threshold[node]!r}:")
+                    used[k] += 1
+                    stack += [(right[node], level + 1), (-1, level), (left[node], level + 1)]
+            return cuts
+
+        def close(k: int, last_line: str) -> None:
+            """Compile function k, ending in last_line, in place of its source lines."""
+            namespace: dict = {}
+            exec(compile(head + "\n".join(funcs[k] + [last_line]), f"<tree vote {k}>", "exec"), namespace)
+            funcs[k] = namespace["vote"]
+
+        last = len(roots) - 1
+        for t, (root, end) in enumerate(zip(roots, ends)):
+            k = len(funcs) - 1
+            if used[k] and used[k] + end - root > _FUNC_NODES:  # a tree that fits one function gets one
+                close(k, f" return {new_function()}")
+                k += 1
+            tail = [f" s[c] += {weights[t]!r}"]
+            if majority is not None:
+                tail.append(f" if s[c] > {majority!r}: return ~c")
+            work, touched = [(k, root)], []
+            while work:
+                j, node = work.pop()
+                touched.append(j)
+                work += emit(j, node)
+            for j in touched:
+                funcs[j] += tail
+            if t == last or len(touched) > 1:  # each function of a cut tree hands over to the next tree
+                nxt = " return ~s.index(max(s))" if t == last else f" return {new_function()}"
+                for j in touched:
+                    close(j, nxt)
+        return funcs
 
     def predict(self, x: Sequence[float]) -> int:
         """Class index for one feature row."""
         if len(x) != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {len(x)}")
-        x = x.tolist() if isinstance(x, np.ndarray) else list(x)
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
         scores = [0.0] * self.n_classes
-        for node, weight in zip(self._nested, self._weights):
-            while type(node) is tuple:
-                f, t, left, right = node
-                node = left if x[f] <= t else right
-            scores[node] += weight
-            if scores[node] > self._majority:  # a strict majority can be neither overtaken nor tied
-                return node
-        return scores.index(max(scores))
+        vote = self._vote
+        i = 0
+        while i >= 0:
+            i = vote[i](scores, x)
+        return ~i
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Class index per row of an (n, n_features) matrix."""

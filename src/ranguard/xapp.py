@@ -236,18 +236,6 @@ def window_majority(labels: Sequence[TrafficClass]) -> TrafficClass:
     return min(counts, key=lambda cls: (-counts[cls], CLASS_ORDER.index(cls)))
 
 
-def smooth(labels: Iterable[TrafficClass], window: int) -> list[TrafficClass]:
-    """Sliding-window majority over the last `window` labels, step by step."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    buf: deque[TrafficClass] = deque(maxlen=window)
-    out = []
-    for label in labels:
-        buf.append(label)
-        out.append(window_majority(buf))
-    return out
-
-
 DEFAULT_WINDOW = 5
 DEFAULT_DWELL = 3
 
@@ -390,10 +378,10 @@ class OnlineClassifier:
             return None
         try:
             sample = KpmSample.from_payload(frame.payload)
-        except (ValueError, TypeError):
+            features = feature_vector(sample)  # OverflowError: a counter past the float range
+        except (ValueError, TypeError, OverflowError):
             self.malformed += 1
             return None
-        features = np.asarray(feature_vector(sample), dtype=np.float64)
 
         modeled = self.delay_model
         if modeled is not None:

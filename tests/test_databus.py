@@ -308,3 +308,16 @@ def test_loopback_delay_median_under_1ms(broker):
     deltas = sorted(broker.stats().delta_d_us)
     median = deltas[len(deltas) // 2]
     assert median < 1000  # microseconds
+
+
+def test_connection_churn_keeps_the_thread_list_small(broker):
+    for _ in range(30):
+        with client(broker) as c:
+            c.subscribe("kpm.1")  # acknowledged: the broker has accepted this connection
+    deadline = time.monotonic() + 5.0
+    while sum(t.is_alive() for t in broker._threads) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)  # the closed connections' reader and writer threads exit
+    with client(broker) as c:
+        c.subscribe("kpm.1")
+        # the accept thread and this connection's reader and writer, not 2 per connection ever made
+        assert len(broker._threads) <= 3

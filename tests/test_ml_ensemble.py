@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,8 +145,108 @@ def test_forest_tie_goes_to_lowest_class(votes):
 
 def test_forest_vote_stops_at_strict_majority():
     forest = RandomForest([leaf_tree(2, 2, 1)] * 3 + [DecisionTree.from_dict(one_split_tree())] * 2, 2, 2)
-    forest.engine._nested[3:] = [None, None]  # walking either tree would fail
-    assert forest.predict(np.zeros(2)) == 1
+    assert len(forest.engine._vote) == 1  # all five trees in one generated function
+    # the last two trees compare x1 with a float: reaching either would raise TypeError
+    assert forest.predict([0.0, "never compared"]) == 1
+
+
+def chain_tree(thresholds: list[float], left_classes: list[int], last_class: int, n_classes: int) -> DecisionTree:
+    """Split i at node 2i goes left on x0 <= thresholds[i] to a leaf for left_classes[i], right
+    to split i + 1; past the last split, a leaf for last_class."""
+    depth = len(thresholds)
+    n = 2 * depth + 1
+    counts = np.zeros((n, n_classes))
+    counts[np.arange(1, n, 2), left_classes] = 1.0
+    counts[n - 1, last_class] = 1.0
+    feature, left, right = [-1] * n, [-1] * n, [-1] * n
+    feature[0 : n - 1 : 2] = [0] * depth
+    left[0 : n - 1 : 2] = range(1, n, 2)
+    right[0 : n - 1 : 2] = range(2, n + 1, 2)
+    threshold = [0.0] * n
+    threshold[0 : n - 1 : 2] = thresholds
+    return DecisionTree.from_dict(
+        dict(n_features=2, n_classes=n_classes, feature=feature, threshold=threshold, left=left, right=right,
+             counts=counts.tolist())
+    )
+
+
+def chain_vote(label: int) -> DecisionTree:
+    """Three splits that a row with x0 = 0 passes on the right, ending in a leaf for label."""
+    return chain_tree([-3.0, -2.0, -1.0], [(label + 1) % 3] * 3, label, 3)
+
+
+def cut_small(monkeypatch) -> None:
+    """Generated functions of one split each, so trees span functions."""
+    monkeypatch.setattr(ensemble, "_FUNC_NODES", 1)
+    monkeypatch.setattr(ensemble, "_FUNC_DEPTH", 1)
+
+
+def fail(*_args):
+    raise AssertionError("the vote ran a function after its outcome was fixed")
+
+
+@pytest.mark.parametrize(
+    "votes, expected, decided_in",
+    [
+        ([2, 2, 0, 2, 1], 2, 4),  # a strict majority after the fourth tree
+        ([2, 1, 0, 1, 2, 1], 1, None),  # 3 of 6: no strict majority, the plain argmax
+        ([1, 0, 2, 0, 1, 2], 0, None),  # a three-way tie goes to the lowest class
+    ],
+    ids=["majority", "no_majority", "tie"],
+)
+def test_forest_vote_across_function_boundaries(monkeypatch, votes, expected, decided_in):
+    cut_small(monkeypatch)
+    forest = RandomForest([chain_vote(v) for v in votes], 2, 3)
+    vote = forest.engine._vote
+    assert len(vote) == 3 * len(votes)  # one split per function, three per tree
+    if decided_in is not None:
+        vote[3 * decided_in :] = [fail] * (len(vote) - 3 * decided_in)
+    x = np.zeros(2)
+    assert forest.predict(x) == oracle_predict(forest, x) == expected
+    assert forest.predict_batch(x[None])[0] == expected
+
+
+@pytest.mark.parametrize(
+    "depth, nodes, functions",
+    [(1, 10**6, 18), (10**6, 1, 18), (10**6, 7, 6), (10**6, 10**6, 1)],
+    ids=["depth_cut", "node_cut", "stump_each", "one_function"],
+)
+def test_adaboost_vote_across_function_boundaries(monkeypatch, depth, nodes, functions):
+    monkeypatch.setattr(ensemble, "_FUNC_DEPTH", depth)
+    monkeypatch.setattr(ensemble, "_FUNC_NODES", nodes)
+    # (0.1 + 0.2) + 0.3 beats 0.6 only when alphas are added in stump order;
+    # 3.0 then -3.0 must both be added, never stopped early
+    stumps = [chain_vote(label) for label in (1, 1, 1, 0, 2, 2)]
+    model = AdaBoost(stumps, [0.1, 0.2, 0.3, 0.6, 3.0, -3.0], 2, 3)
+    assert len(model.engine._vote) == functions
+    x = np.zeros(2)
+    assert model.predict(x) == model.predict_batch(x[None])[0] == oracle_predict(model, x) == 1
+
+
+def test_chain_deeper_than_any_generated_function():
+    depth = 5000
+    thresholds = [float(i) for i in range(depth)]
+    tree = chain_tree(thresholds, [i % 3 for i in range(depth)], 2, 3)
+    assert tree.depth() == depth
+    assert len(tree.engine._vote) >= depth // ensemble._FUNC_DEPTH
+    x0 = [-1.0, 0.0, 0.5, 39.5, 40.0, 2499.5, 4998.0, 4999.0, 4999.5, 1e9, np.nan, np.inf, -np.inf]
+    expected = [next((i % 3 for i in range(depth) if v <= i), 2) for v in x0]
+    X = np.array([[v, 0.0] for v in x0])
+    assert [tree.predict(x) for x in X] == tree.predict_batch(X).tolist() == expected
+    assert expected == [oracle_predict(tree, x) for x in X]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(2, 3), st.integers(1, 6), st.integers(1, 3), st.integers(1, 8))
+def test_vote_cut_into_small_functions_matches_oracle(data, n_features, n_classes, n_trees, depth, nodes):
+    trees = [data.draw(random_trees(n_features, n_classes)) for _ in range(n_trees)]
+    if data.draw(st.booleans()):
+        model = RandomForest(trees, n_features, n_classes)
+    else:
+        alphas = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, -1.0]), min_size=n_trees, max_size=n_trees))
+        model = AdaBoost(trees, alphas, n_features, n_classes)
+    with mock.patch.object(ensemble, "_FUNC_DEPTH", depth), mock.patch.object(ensemble, "_FUNC_NODES", nodes):
+        assert_engine_matches_oracle(model, data.draw(queries(n_features)))
 
 
 def test_adaboost_with_a_negative_alpha_sums_every_stump():

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from collections import deque
 from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ranguard.databus import DatabusFrame, FrameKind
+from ranguard.databus import DatabusFrame, FrameKind, decode_frame, encode_frame
 from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficClass
+from ranguard.ml import DecisionTree
 from ranguard.ransim import (
     CommandAction,
     ScenarioConfig,
@@ -32,7 +34,6 @@ from ranguard.xapp import (
     ground_truth_segments,
     latency_report,
     parse_policy,
-    smooth,
     time_to_correct,
     window_majority,
 )
@@ -193,6 +194,16 @@ def test_latency_report_needs_traces():
 # -- smoothing --
 
 
+def smooth(labels: list[TrafficClass], window: int) -> list[TrafficClass]:
+    """Oracle: sliding-window majority over the last `window` labels, step by step."""
+    buf: deque[TrafficClass] = deque(maxlen=window)
+    out = []
+    for label in labels:
+        buf.append(label)
+        out.append(window_majority(buf))
+    return out
+
+
 def test_window_majority_hand_cases():
     assert window_majority([WEB]) is WEB
     assert window_majority([WEB, VOIP]) is WEB  # tie: lowest class index
@@ -344,6 +355,38 @@ def test_non_finite_kpm_value_is_malformed(field):
     assert xapp.malformed == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timestamp_ms", inf),  # int(inf)
+        ("cqi", -inf),
+        ("ul_pkts_nok", inf),
+        ("pusch_sinr_db", 10**400),  # float(10**400)
+        ("ul_pkts_ok", 10**400),  # a counter the feature row cannot hold as a float
+    ],
+    ids=["timestamp_inf", "cqi_minus_inf", "ul_pkts_nok_inf", "pusch_sinr_huge_int", "ul_pkts_ok_huge_int"],
+)
+def test_value_past_the_number_range_is_malformed(field, value):
+    xapp = modeled_xapp()
+    frame = frame_for(1, 0, WEB)
+    frame.payload[field] = value
+    assert xapp.on_measurement(frame) is None
+    assert xapp.malformed == 1
+    assert xapp.on_measurement(frame_for(1, 0, WEB)) is not None
+
+
+@pytest.mark.parametrize("number", [b"Infinity", b"1e400"])
+def test_infinite_timestamp_from_the_wire_is_malformed(number):
+    body = encode_frame(frame_for(1, 0, WEB))[4:].replace(b'"timestamp_ms":0', b'"timestamp_ms":' + number)
+    frame = decode_frame(body)
+    assert frame.payload["timestamp_ms"] == inf
+    with pytest.raises(ValueError, match="out of range"):
+        KpmSample.from_payload(frame.payload)
+    xapp = modeled_xapp()
+    assert xapp.on_measurement(frame) is None
+    assert xapp.malformed == 1
+
+
 def test_out_of_range_prediction_is_an_error():
     xapp = OnlineClassifier(IndexModel(), CLASS_ORDER[:2], delay_model=DelayModel())
     with pytest.raises(ValueError, match="labels are mapped"):
@@ -419,6 +462,34 @@ JSON = st.recursive(
 def test_wall_mode_never_raises_on_any_bus_value(bus, t_sent_us):
     xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
     decision = xapp.on_measurement(bus_frame(bus, t_sent_us=t_sent_us))
+    assert (decision is None) == (xapp.malformed == 1)
+
+
+KPM_FIELDS = list(frame_for(1, 0, WEB).payload)
+EXTREMES = st.sampled_from([inf, -inf, float("nan"), 10**400, -(10**400), 1e308, 2**63, -1, True, "7"])
+
+
+def vote_tree() -> DecisionTree:
+    """A served-style tree over the ten features: splits on ul_pkts_ok, then on the drop ratio."""
+    return DecisionTree.from_dict(
+        dict(n_features=10, n_classes=5, feature=[7, -1, 9, -1, -1], threshold=[2.5, 0.0, 0.1, 0.0, 0.0],
+             left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1], counts=np.eye(5).tolist())
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@example(changes={"timestamp_ms": inf}, keep=True, modeled=True)
+@example(changes={"ul_pkts_ok": 10**400}, keep=True, modeled=False)
+@given(
+    changes=st.dictionaries(st.sampled_from(KPM_FIELDS + ["bus"]) | st.text(max_size=4), JSON | EXTREMES, max_size=14),
+    keep=st.booleans(),
+    modeled=st.booleans(),
+)
+def test_on_measurement_never_raises_on_any_payload(changes, keep, modeled):
+    # keep: change some fields of a valid payload; otherwise the payload is changes alone
+    payload = {**(frame_for(1, 50, WEB).payload if keep else {}), **changes}
+    xapp = OnlineClassifier(vote_tree(), CLASS_ORDER, delay_model=DelayModel() if modeled else None)
+    decision = xapp.on_measurement(DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 50_000, payload))
     assert (decision is None) == (xapp.malformed == 1)
 
 
