@@ -6,6 +6,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -119,26 +120,26 @@ class KpmSample:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "KpmSample":
+        """Sample from a measurement frame's payload. Types are checked, not coerced:
+        an integer field takes exactly an int (not a bool), a float field an int or a
+        float, so a frame from a broken sender is rejected rather than misread."""
         # Transport layers may attach extra bookkeeping keys; take only ours.
         try:
-            return cls(
-                timestamp_ms=int(payload["timestamp_ms"]),
-                bs_id=int(payload["bs_id"]),
-                ue_id=int(payload["ue_id"]),
-                cqi=int(payload["cqi"]),
-                dl_mcs=int(payload["dl_mcs"]),
-                ul_mcs=int(payload["ul_mcs"]),
-                pusch_sinr_db=float(payload["pusch_sinr_db"]),
-                pucch_sinr_db=float(payload["pucch_sinr_db"]),
-                dl_brate_bps=float(payload["dl_brate_bps"]),
-                ul_brate_bps=float(payload["ul_brate_bps"]),
-                ul_pkts_ok=int(payload["ul_pkts_ok"]),
-                ul_pkts_nok=int(payload["ul_pkts_nok"]),
-            )
+            ints, floats = _int_values(payload), _float_values(payload)
         except KeyError as exc:
             raise ValueError(f"measurement payload missing field {exc.args[0]!r}") from None
-        except OverflowError as exc:  # int(inf), float(10**400)
+        if not (_INTEGER.issuperset(map(type, ints)) and _NUMBER.issuperset(map(type, floats))):
+            for name, value in zip(_INT_COLS + _FLOAT_COLS, ints + floats):
+                if name in _INT_COLS and type(value) not in _INTEGER:
+                    raise ValueError(f"measurement field {name} must be an int, got {value!r}")
+                if type(value) not in _NUMBER:
+                    raise ValueError(f"measurement field {name} must be a number, got {value!r}")
+        try:
+            pusch, pucch, dl_brate, ul_brate = map(float, floats)
+        except OverflowError as exc:  # float(10**400)
             raise ValueError(f"measurement payload value out of range: {exc}") from None
+        timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, ok, nok = ints
+        return cls(timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, pusch, pucch, dl_brate, ul_brate, ok, nok)
 
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -235,6 +236,8 @@ def write_dataset(path: str | Path, items: Iterable[LabeledSample]) -> int:
 
 _INT_COLS = ("timestamp_ms", "bs_id", "ue_id", "cqi", "dl_mcs", "ul_mcs", "ul_pkts_ok", "ul_pkts_nok")
 _FLOAT_COLS = ("pusch_sinr_db", "pucch_sinr_db", "dl_brate_bps", "ul_brate_bps")
+_int_values, _float_values = itemgetter(*_INT_COLS), itemgetter(*_FLOAT_COLS)
+_INTEGER, _NUMBER = {int}, {int, float}  # the exact types from_payload accepts
 
 
 def read_dataset(path: str | Path) -> list[LabeledSample]:

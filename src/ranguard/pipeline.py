@@ -221,6 +221,8 @@ def train(dataset_path: str | Path, model_path: str | Path, options: TrainOption
 def load_online_model(model_path: str | Path):
     """(model, class list) from a model file, labels mapped back to traffic classes."""
     loaded = load_model(model_path)
+    # the first predict builds the tree models' compiled vote: pay for it here, not on the first frame
+    loaded.model.predict(np.zeros(loaded.model.n_features))
     return loaded.model, tuple(class_from_label(s) for s in loaded.class_labels)
 
 
@@ -301,16 +303,6 @@ def evaluate(
         binary_f1=binary.f1(TrafficCategory.ATTACK.value),
         delta_i_median_us=med_us,
         delta_i_p99_us=p99_us,
-    )
-
-
-def evaluate_files(
-    model_path: str | Path, dataset_path: str | Path, *, delta_i_samples: int = 10_000, seed: int = 0
-) -> EvalReport:
-    loaded = load_model(model_path)
-    rows = read_dataset(dataset_path)
-    return evaluate(
-        loaded.model, loaded.class_labels, rows, delta_i_samples=delta_i_samples, seed=seed
     )
 
 

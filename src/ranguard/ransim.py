@@ -474,13 +474,6 @@ def labeled_stream(config: ScenarioConfig) -> Iterator[LabeledSample]:
         yield from bs.tick_samples(t)
 
 
-def frame_stream(config: ScenarioConfig) -> Iterator[DatabusFrame]:
-    """Virtual-time measurement frames for a whole scenario; no bus involved."""
-    bs = build_station(config)
-    for t in range(0, config.duration_ms, config.period_ms):
-        yield from bs.tick(t)
-
-
 def connect_with_retry(
     host: str, port: int, *, attempts: int = 6, base_delay_s: float = 0.05
 ) -> BusClient:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,12 +40,6 @@ class ChannelState:
     @property
     def sinr_db(self) -> float:
         return self.sinr_base_db + self.sinr_walk_db
-
-
-def step_channel(state: ChannelState, rng: np.random.Generator) -> ChannelState:
-    walk = state.sinr_walk_db + rng.uniform(-state.walk_step_db, state.walk_step_db)
-    walk = min(state.walk_cap_db, max(-state.walk_cap_db, walk))
-    return replace(state, sinr_walk_db=walk)
 
 
 def cqi_from_sinr(sinr_db: float) -> int:
@@ -165,12 +159,12 @@ class TrafficProfile:
         merged = dict(defaults)
         merged.update(self.params)
         for key, value in merged.items():
-            if not key.endswith("_db") and value < 0:
-                raise ValueError(f"{self.traffic_class.value}.{key} must be >= 0, got {value}")
+            if not math.isfinite(value) or (not key.endswith("_db") and value < 0):
+                raise ValueError(f"{self.traffic_class.value}.{key} must be finite and >= 0, got {value}")
+            high = key.replace("_low", "_high")
+            if high != key and merged.get(high, value) < value:
+                raise ValueError(f"{self.traffic_class.value}.{key} {value} exceeds {high} {merged[high]}")
         object.__setattr__(self, "params", merged)
-
-    def __getitem__(self, key: str) -> float:
-        return self.params[key]
 
 
 # --- the generator -------------------------------------------------------------
@@ -180,7 +174,10 @@ class TrafficStream:
 
     Draw order per interval is fixed (channel step, SINR noise, class load,
     loss realization) so a stream is fully determined by profile, channel
-    start state, and RNG seed.
+    start state, and RNG seed. A uniform draw is written out as
+    lo + (hi - lo) * rng.random(), which is how numpy computes
+    rng.uniform(lo, hi), so it takes the same value from the same bits at a
+    third of the call cost.
     """
 
     def __init__(
@@ -192,114 +189,118 @@ class TrafficStream:
     ) -> None:
         if period_ms <= 0:
             raise ValueError(f"period_ms must be > 0, got {period_ms}")
-        self.profile = profile
-        self.channel = channel if channel is not None else ChannelState()
+        self._channel = channel if channel is not None else ChannelState()
+        self._walk = self._channel.sinr_walk_db
+        step = float(self._channel.walk_step_db)
+        self._step_lo, self._step_span = -step, step - -step  # rng.uniform(-step, step)
         self.period_ms = period_ms
+        self._seconds = period_ms / 1000.0
         self._rng = rng
-        self._t_rel_ms = 0
-        self._cqi = cqi_from_sinr(self.channel.sinr_db)
-        self._class_state: dict[str, float] = {}
-        self._init_class_state()
+        self._cqi = cqi_from_sinr(self._channel.sinr_db)
+        self.switch_profile(profile)
 
-    def _init_class_state(self) -> None:
-        self._class_state.clear()
-        if self.profile.traffic_class is TrafficClass.WEB:
-            self._class_state["backlog_bytes"] = 0.0
-        elif self.profile.traffic_class is TrafficClass.VOIP:
-            self._class_state["call_rate_bps"] = self._rng.uniform(
-                self.profile["rate_low_bps"], self.profile["rate_high_bps"]
-            )
+    @property
+    def channel(self) -> ChannelState:
+        """The channel as it stands after the last sample."""
+        return replace(self._channel, sinr_walk_db=self._walk)
 
     def switch_profile(self, profile: TrafficProfile) -> None:
         """Start a new flow: per-class state and the ramp restart, channel persists."""
         self.profile = profile
         self._t_rel_ms = 0
-        self._init_class_state()
-
-    @property
-    def t_rel_ms(self) -> int:
-        return self._t_rel_ms
-
-    def _scale(self) -> float:
-        t = self.profile.transient_ms
-        if t <= 0:
-            return 1.0
-        return min(1.0, self._t_rel_ms / t)
-
-    def _class_loads(self, scale: float) -> tuple[float, float, int]:
-        """Offered (ul_bits, dl_bits, ul_pkts) for one interval, ramp applied."""
-        rng = self._rng
-        p = self.profile
-        seconds = self.period_ms / 1000.0
-        cls = p.traffic_class
-
-        if cls is TrafficClass.WEB:
-            request_bits = 0.0
-            req_pkts = 0
-            if rng.random() < p["page_rate_per_s"] * seconds:
-                size = rng.lognormal(math.log(p["page_size_mean_bytes"]), p["page_size_sigma"])
-                self._class_state["backlog_bytes"] += size
-                request_bits = p["request_bits"]
-                req_pkts = int(rng.integers(3, 7))
-            drain_frac = rng.uniform(p["drain_frac_low"], p["drain_frac_high"])
-            base_mcs = min(28, max(0, round(self._cqi * 28 / 15)))
-            drain_bytes = drain_frac * dl_capacity_bps(base_mcs) * seconds / 8.0 * scale
-            drained = min(self._class_state["backlog_bytes"], drain_bytes)
-            self._class_state["backlog_bytes"] -= drained
-            bg_dl = rng.uniform(p["bg_dl_low_bps"], p["bg_dl_high_bps"]) * seconds
-            bg_ul = rng.uniform(p["bg_ul_low_bps"], p["bg_ul_high_bps"]) * seconds
-            bg_pkts = int(rng.integers(1, 4))
-            dl_bits = drained * 8.0 + bg_dl * scale
-            ul_bits = p["ul_fraction"] * drained * 8.0 + (bg_ul + request_bits) * scale
-            acks = dl_bits / p["ack_every_bits"]
-            pkts = int(round((acks + bg_pkts + req_pkts) * scale))
-            return ul_bits, dl_bits, pkts
-
+        # as floats, the way rng.uniform reads its bounds
+        self._p = p = {key: float(value) for key, value in profile.params.items()}
+        cls = profile.traffic_class
+        # a plain function, called as self._loads(self, scale): a bound method here would be a cycle
+        self._loads = _CLASS_LOADS[cls]
+        self._backlog_bytes = 0.0
         if cls is TrafficClass.VOIP:
-            lo, hi = p["clamp_low_bps"], p["clamp_high_bps"]
-            rate = self._class_state["call_rate_bps"]
-            jit_ul = rng.uniform(-p["jitter_bps"], p["jitter_bps"])
-            jit_dl = rng.uniform(-p["jitter_bps"], p["jitter_bps"])
-            ul = min(hi, max(lo, rate + jit_ul)) * seconds * scale
-            dl = min(hi, max(lo, rate + jit_dl)) * seconds * scale
-            pkts = int(round(p["pkts_per_interval"] * scale))
-            return ul, dl, pkts
+            lo = p["rate_low_bps"]
+            self._call_rate_bps = lo + (p["rate_high_bps"] - lo) * self._rng.random()
 
-        if cls in (TrafficClass.DDOS_RIPPER, TrafficClass.DOS_HULK):
-            pkts_full = max(1.0, rng.normal(p["pkts_mean"], p["pkts_sd"]))
-            pkt_bytes = rng.uniform(p["pkt_bytes_low"], p["pkt_bytes_high"])
-            dl = rng.uniform(p["dl_low_bps"], p["dl_high_bps"]) * seconds * scale
-            pkts = int(round(pkts_full * scale))
-            ul = pkts * pkt_bytes * 8.0
-            return ul, dl, pkts
+    # Each _*_loads gives the offered (ul_bits, dl_bits, ul_pkts) of one
+    # interval, ramp applied.
 
-        # Slowloris: a trickle of tiny keep-alive writes, near-silent downlink
-        pkts_full = 1.0 + (1.0 if rng.random() < p["extra_pkt_prob"] else 0.0)
-        pkt_bytes = rng.uniform(p["pkt_bytes_low"], p["pkt_bytes_high"])
-        dl = rng.uniform(0.0, p["dl_high_bps"]) * seconds * scale
+    def _web_loads(self, scale: float) -> tuple[float, float, int]:
+        random, p, seconds = self._rng.random, self._p, self._seconds
+        request_bits = 0.0
+        req_pkts = 0
+        if random() < p["page_rate_per_s"] * seconds:
+            size = self._rng.lognormal(math.log(p["page_size_mean_bytes"]), p["page_size_sigma"])
+            self._backlog_bytes += size
+            request_bits = p["request_bits"]
+            req_pkts = int(self._rng.integers(3, 7))
+        lo = p["drain_frac_low"]
+        drain_frac = lo + (p["drain_frac_high"] - lo) * random()
+        base_mcs = min(28, max(0, round(self._cqi * 28 / 15)))
+        drain_bytes = drain_frac * dl_capacity_bps(base_mcs) * seconds / 8.0 * scale
+        drained = min(self._backlog_bytes, drain_bytes)
+        self._backlog_bytes -= drained
+        lo = p["bg_dl_low_bps"]
+        bg_dl = (lo + (p["bg_dl_high_bps"] - lo) * random()) * seconds
+        lo = p["bg_ul_low_bps"]
+        bg_ul = (lo + (p["bg_ul_high_bps"] - lo) * random()) * seconds
+        bg_pkts = int(self._rng.integers(1, 4))
+        dl_bits = drained * 8.0 + bg_dl * scale
+        ul_bits = p["ul_fraction"] * drained * 8.0 + (bg_ul + request_bits) * scale
+        acks = dl_bits / p["ack_every_bits"]
+        pkts = int(round((acks + bg_pkts + req_pkts) * scale))
+        return ul_bits, dl_bits, pkts
+
+    def _voip_loads(self, scale: float) -> tuple[float, float, int]:
+        random, p, seconds = self._rng.random, self._p, self._seconds
+        lo, hi = p["clamp_low_bps"], p["clamp_high_bps"]
+        rate = self._call_rate_bps
+        jitter = p["jitter_bps"]
+        jit_ul = -jitter + (jitter - -jitter) * random()
+        jit_dl = -jitter + (jitter - -jitter) * random()
+        ul = min(hi, max(lo, rate + jit_ul)) * seconds * scale
+        dl = min(hi, max(lo, rate + jit_dl)) * seconds * scale
+        pkts = int(round(p["pkts_per_interval"] * scale))
+        return ul, dl, pkts
+
+    def _flood_loads(self, scale: float) -> tuple[float, float, int]:
+        random, p = self._rng.random, self._p
+        pkts_full = max(1.0, self._rng.normal(p["pkts_mean"], p["pkts_sd"]))
+        lo = p["pkt_bytes_low"]
+        pkt_bytes = lo + (p["pkt_bytes_high"] - lo) * random()
+        lo = p["dl_low_bps"]
+        dl = (lo + (p["dl_high_bps"] - lo) * random()) * self._seconds * scale
+        pkts = int(round(pkts_full * scale))
+        ul = pkts * pkt_bytes * 8.0
+        return ul, dl, pkts
+
+    def _slowloris_loads(self, scale: float) -> tuple[float, float, int]:
+        """A trickle of tiny keep-alive writes, near-silent downlink."""
+        random, p = self._rng.random, self._p
+        pkts_full = 1.0 + (1.0 if random() < p["extra_pkt_prob"] else 0.0)
+        lo = p["pkt_bytes_low"]
+        pkt_bytes = lo + (p["pkt_bytes_high"] - lo) * random()
+        dl = (0.0 + p["dl_high_bps"] * random()) * self._seconds * scale  # rng.uniform(0.0, high)
         pkts = int(round(pkts_full * scale))
         ul = pkts * pkt_bytes * 8.0
         return ul, dl, pkts
 
     def next_sample(self, timestamp_ms: int, bs_id: int, ue_id: int) -> KpmSample:
         """Generate the measurement for the interval ending now, then advance."""
-        self.channel = step_channel(self.channel, self._rng)
-        sinr = self.channel.sinr_db
-        pusch = sinr + self._rng.normal(0.0, 0.3)
-        pucch = sinr - 1.5 + self._rng.normal(0.0, 0.4)
+        rng, cap = self._rng, self._channel.walk_cap_db
+        self._walk = min(cap, max(-cap, self._walk + (self._step_lo + self._step_span * rng.random())))
+        sinr = self._channel.sinr_base_db + self._walk
+        pusch = sinr + rng.normal(0.0, 0.3)
+        pucch = sinr - 1.5 + rng.normal(0.0, 0.4)
         self._cqi = cqi_from_sinr(pusch)
 
-        scale = self._scale()
-        ul_bits, dl_bits, ul_pkts = self._class_loads(scale)
-        seconds = self.period_ms / 1000.0
-        offered_ul_bps = ul_bits / seconds
-        offered_dl_bps = dl_bits / seconds
+        t = self.profile.transient_ms
+        scale = 1.0 if t <= 0 else min(1.0, self._t_rel_ms / t)
+        ul_bits, dl_bits, ul_pkts = self._loads(self, scale)
+        offered_ul_bps = ul_bits / self._seconds
+        offered_dl_bps = dl_bits / self._seconds
 
         ul_mcs = mcs_for_load(self._cqi, offered_ul_bps, ul_capacity_bps)
         dl_mcs = mcs_for_load(self._cqi, offered_dl_bps, dl_capacity_bps)
 
         p_drop = _drop_prob(sinr, offered_ul_bps, ul_capacity_bps(ul_mcs))
-        nok = int(self._rng.binomial(ul_pkts, p_drop)) if ul_pkts > 0 else 0
+        nok = int(rng.binomial(ul_pkts, p_drop)) if ul_pkts > 0 else 0
         ok = ul_pkts - nok
         ul_brate = offered_ul_bps * (1.0 - p_drop)
 
@@ -318,6 +319,15 @@ class TrafficStream:
             ul_pkts_ok=ok,
             ul_pkts_nok=nok,
         )
+
+
+_CLASS_LOADS = {  # chosen once per flow
+    TrafficClass.WEB: TrafficStream._web_loads,
+    TrafficClass.VOIP: TrafficStream._voip_loads,
+    TrafficClass.DDOS_RIPPER: TrafficStream._flood_loads,
+    TrafficClass.DOS_HULK: TrafficStream._flood_loads,
+    TrafficClass.SLOWLORIS: TrafficStream._slowloris_loads,
+}
 
 
 # --- scripts -------------------------------------------------------------------
@@ -384,27 +394,6 @@ class ScriptedStream:
         self._left_ms -= self.period_ms
         sample = self._stream.next_sample(timestamp_ms, bs_id, ue_id)
         return LabeledSample(sample, self.label)
-
-
-def schedule_execution(
-    script: Sequence[ScriptSegment],
-    seed: int,
-    *,
-    bs_id: int = 1,
-    ue_id: int = 0,
-    period_ms: int = DEFAULT_PERIOD_MS,
-    transient_ms: int = DEFAULT_TRANSIENT_MS,
-    start_ms: int = 0,
-    channel: ChannelState | None = None,
-    params: Mapping[TrafficClass, Mapping[str, float]] | None = None,
-) -> Iterator[LabeledSample]:
-    """Labeled measurement stream for a whole script, one sample per period."""
-    stream = ScriptedStream(
-        script, seed, period_ms=period_ms, transient_ms=transient_ms, channel=channel, params=params
-    )
-    total_ms = sum(seg.duration_ms for seg in script)
-    for t in range(start_ms, start_ms + total_ms, period_ms):
-        yield stream.next_sample(t, bs_id, ue_id)
 
 
 def build_random_script(

@@ -9,7 +9,7 @@ or from a DelayModel (deterministic virtual runs).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field, replace
 from math import inf
 from typing import Iterable, Mapping, Sequence
@@ -232,8 +232,7 @@ def window_majority(labels: Sequence[TrafficClass]) -> TrafficClass:
     """Most frequent label; ties go to the lowest class index."""
     if not labels:
         raise ValueError("window_majority needs at least one label")
-    counts = Counter(labels)
-    return min(counts, key=lambda cls: (-counts[cls], CLASS_ORDER.index(cls)))
+    return max(CLASS_ORDER, key=labels.count)  # max keeps the first of equal counts
 
 
 DEFAULT_WINDOW = 5

@@ -128,6 +128,32 @@ def test_payload_round_trip_ignores_transport_keys():
     assert KpmSample.from_payload(payload) == s
 
 
+BAD_TYPES = [
+    ("ue_id", 3.9),  # not UE 3
+    ("ul_pkts_ok", 5.0),  # an integral float is still a float
+    ("cqi", True),
+    ("timestamp_ms", "12"),
+    ("dl_brate_bps", False),
+    ("pusch_sinr_db", "1.5"),
+]
+BAD_TYPE_IDS = ["float_ue_id", "integral_float_count", "bool_int", "text_int", "bool_float", "text_float"]
+
+
+@pytest.mark.parametrize("field, value", BAD_TYPES, ids=BAD_TYPE_IDS)
+def test_payload_of_the_wrong_type_is_rejected_not_coerced(field, value):
+    payload = make_sample().to_payload()
+    payload[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        KpmSample.from_payload(payload)
+
+
+def test_payload_int_in_a_float_field_is_read_as_float():
+    payload = make_sample().to_payload()
+    payload["dl_brate_bps"] = 420000
+    sample = KpmSample.from_payload(payload)
+    assert sample == make_sample() and type(sample.dl_brate_bps) is float
+
+
 def test_payload_missing_field():
     payload = make_sample().to_payload()
     del payload["cqi"]

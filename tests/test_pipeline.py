@@ -21,7 +21,7 @@ from ranguard.kpm import (
     category_of,
     read_dataset,
 )
-from ranguard.ml import DecisionTree, TreeConfig
+from ranguard.ml import DecisionTree, TreeConfig, load_model, save_model
 from ranguard.ransim import CommandAction, TimeMode, UeSpec, build_station
 from ranguard.xapp import DelayModel, PolicyMap
 
@@ -186,6 +186,16 @@ def test_train_file_round_trip(tmp_path, train_rows):
     assert 0 <= int(model.predict(X[0])) < len(CLASS_ORDER)
 
 
+@pytest.mark.parametrize("algo", ["rf", "dt", "ada"])
+def test_load_online_model_compiles_the_vote_before_the_first_frame(tmp_path, train_rows, algo):
+    model, _ = pipeline.train_model(train_rows, pipeline.TrainOptions(algo=algo, trees=5, rounds=5))
+    model_path = tmp_path / "model.json"
+    save_model(model, model_path, [c.value for c in CLASS_ORDER])
+    assert "_vote" not in load_model(model_path).model.engine.__dict__  # built on first use
+    served, _ = pipeline.load_online_model(model_path)
+    assert "_vote" in served.engine.__dict__
+
+
 # -- evaluation --
 
 
@@ -242,12 +252,20 @@ def test_inference_quantiles_orders_and_validates(dt_model, train_rows):
         pipeline.inference_quantiles(dt_model, X, n=0)
 
 
+def evaluate_files(model_path: Path, dataset_path: Path, *, delta_i_samples: int) -> pipeline.EvalReport:
+    """evaluate() on a model file and a dataset CSV."""
+    loaded = load_model(model_path)
+    return pipeline.evaluate(
+        loaded.model, loaded.class_labels, read_dataset(dataset_path), delta_i_samples=delta_i_samples
+    )
+
+
 def test_evaluate_files_round_trip(tmp_path):
     dataset = tmp_path / "ds.csv"
     pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=20_000), dataset)
     model_path = tmp_path / "model.json"
     pipeline.train(dataset, model_path, pipeline.TrainOptions(algo="dt"))
-    report = pipeline.evaluate_files(model_path, dataset, delta_i_samples=50)
+    report = evaluate_files(model_path, dataset, delta_i_samples=50)
     assert report.n_samples == 200
     assert report.accuracy > 0.9
     assert report.delta_i_median_us > 0

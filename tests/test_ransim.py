@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import threading
 import time
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranguard.databus import Broker, BusClient, FrameKind
+from ranguard.databus import Broker, BusClient, DatabusFrame, FrameKind
 from ranguard.kpm import KpmSample, TrafficClass
 from ranguard.ransim import (
     BaseStation,
@@ -24,7 +25,6 @@ from ranguard.ransim import (
     build_station,
     connect_with_retry,
     format_scenario,
-    frame_stream,
     labeled_stream,
     parse_scenario,
     run_scenario,
@@ -180,6 +180,14 @@ def test_duplicate_ue_id_rejected():
 
 
 # -- virtual-time streams --
+
+
+def frame_stream(config: ScenarioConfig) -> Iterator[DatabusFrame]:
+    """Virtual-time measurement frames for a whole scenario, no bus: the station's
+    ticks at every period, as run_scenario publishes them in virtual mode."""
+    bs = build_station(config)
+    for t in range(0, config.duration_ms, config.period_ms):
+        yield from bs.tick(t)
 
 
 def one_ue_config(seed: int = 0, duration_ms: int = 60_000) -> ScenarioConfig:

@@ -2,25 +2,40 @@
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranguard.kpm import TrafficClass
+from ranguard.kpm import LabeledSample, TrafficClass
 from ranguard.traffic import (
+    DEFAULT_PERIOD_MS,
+    DEFAULT_TRANSIENT_MS,
     ChannelState,
+    ScriptedStream,
     ScriptSegment,
     TrafficProfile,
     TrafficStream,
+    _CLASS_DEFAULTS,
     build_random_script,
     cqi_from_sinr,
     dl_capacity_bps,
     mcs_for_load,
-    schedule_execution,
-    step_channel,
     ul_capacity_bps,
 )
+from traffic_oracle import scripted_samples
+
+
+def schedule_execution(
+    script: Sequence[ScriptSegment], seed: int, *, period_ms: int = DEFAULT_PERIOD_MS
+) -> Iterator[LabeledSample]:
+    """Labeled measurement stream for a whole script, one sample per period from t = 0."""
+    stream = ScriptedStream(script, seed, period_ms=period_ms, transient_ms=DEFAULT_TRANSIENT_MS)
+    total_ms = sum(seg.duration_ms for seg in script)
+    for t in range(0, total_ms, period_ms):
+        yield stream.next_sample(t, 1, 0)
 
 
 def steady_stream(cls: TrafficClass, seed: int, n: int, **profile_kw):
@@ -77,10 +92,11 @@ def test_mcs_load_dependent_not_bijective():
 @settings(max_examples=40, deadline=None)
 def test_channel_walk_stays_bounded(cap, step, seed):
     rng = np.random.default_rng(seed)
-    ch = ChannelState(18.0, 0.0, cap, step)
-    for _ in range(300):
-        ch = step_channel(ch, rng)
-        assert abs(ch.sinr_walk_db) <= cap + 1e-12
+    stream = TrafficStream(TrafficProfile(TrafficClass.SLOWLORIS), rng, ChannelState(18.0, 0.0, cap, step))
+    for i in range(300):
+        stream.next_sample(i * 100, 1, 0)
+        assert abs(stream.channel.sinr_walk_db) <= cap + 1e-12
+        assert stream.channel.sinr_base_db == 18.0
 
 
 # --- steady-state class behaviour ----------------------------------------------
@@ -183,9 +199,89 @@ def test_profile_rejects_negative_transient():
         TrafficProfile(TrafficClass.WEB, transient_ms=-1)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_profile_rejects_non_finite_parameter(value):
+    with pytest.raises(ValueError, match="jitter_bps must be finite"):
+        TrafficProfile(TrafficClass.VOIP, params={"jitter_bps": value})
+
+
+@pytest.mark.parametrize(
+    "cls, params",
+    [
+        (TrafficClass.VOIP, {"rate_low_bps": 200e3}),  # above the default rate_high_bps
+        (TrafficClass.WEB, {"drain_frac_low": 0.5, "drain_frac_high": 0.4}),
+        (TrafficClass.DOS_HULK, {"pkt_bytes_high": 100.0}),
+    ],
+)
+def test_profile_rejects_a_band_whose_low_end_exceeds_its_high_end(cls, params):
+    # a uniform draw over such a band has no value; numpy refuses it at the draw
+    with pytest.raises(ValueError, match="exceeds"):
+        TrafficProfile(cls, params=params)
+
+
 def test_profile_override_applies():
     rows = steady_stream(TrafficClass.VOIP, 4, 50, params={"rate_low_bps": 150e3, "rate_high_bps": 160e3})
     assert np.mean([s.ul_brate_bps for s in rows]) > 120e3
+
+
+# --- the generator against its oracle ---------------------------------------------
+
+BOUNDED_BELOW = {"ack_every_bits": 1.0, "page_size_mean_bytes": 1.0}  # divided by / logged
+
+
+@st.composite
+def class_params(draw, cls: TrafficClass) -> dict[str, float]:
+    """Valid overrides for cls: finite, >= 0, within three times the defaults, bands in order."""
+    defaults = _CLASS_DEFAULTS[cls]
+    params: dict[str, float] = {}
+    for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True)):
+        lo, hi = BOUNDED_BELOW.get(key, 0.0), max(3.0 * defaults[key], 1.0)
+        params[key] = draw(st.floats(lo, hi) | st.integers(int(lo), int(hi)))
+    merged = {**defaults, **params}
+    for key in defaults:
+        high = key.replace("_low", "_high")
+        if high != key and merged[high] < merged[key]:
+            params[key], params[high] = merged[high], merged[key]
+    return params
+
+
+@st.composite
+def channels(draw) -> ChannelState | None:
+    if draw(st.booleans()):
+        return None
+    cap = draw(st.floats(0.0, 12.0))
+    return ChannelState(
+        draw(st.floats(-20.0, 40.0)), draw(st.floats(-cap, cap)), cap, draw(st.floats(0.0, 3.0))
+    )
+
+
+@st.composite
+def scripted_setups(draw) -> tuple[list[ScriptSegment], dict]:
+    """(script, ScriptedStream keyword options) over all five classes."""
+    period = draw(st.sampled_from([50, 100, 200]))
+    legs = draw(st.lists(st.tuples(st.sampled_from(list(TrafficClass)), st.integers(1, 8)), min_size=1, max_size=4))
+    options = dict(
+        period_ms=period,
+        transient_ms=draw(st.integers(0, 1000)),
+        channel=draw(channels()),
+        params={cls: draw(class_params(cls)) for cls, _ in legs},
+    )
+    return [ScriptSegment(cls, n * period) for cls, n in legs], options
+
+
+@given(setup=scripted_setups(), seed=st.integers(0, 2**64 - 1), extra=st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_generator_draws_exactly_as_the_oracle(setup, seed, extra):
+    script, options = setup
+    period = options["period_ms"]
+    n = sum(seg.duration_ms for seg in script) // period + extra  # extra: past the script's end
+    served_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = ScriptedStream(script, served_rng, **options)
+    served = [stream.next_sample(k * period, 1, 0) for k in range(n)]
+    oracle = scripted_samples(script, oracle_rng, n, **options)
+    # repr tells 0.0 from -0.0 and 5 from 5.0, which the dataset CSV would also tell apart
+    assert [repr(x) for x in served] == [repr(x) for x in oracle]
+    assert served_rng.bit_generator.state == oracle_rng.bit_generator.state  # same number of draws
 
 
 # --- scripts --------------------------------------------------------------------

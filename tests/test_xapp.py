@@ -375,12 +375,27 @@ def test_value_past_the_number_range_is_malformed(field, value):
     assert xapp.on_measurement(frame_for(1, 0, WEB)) is not None
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("ue_id", 3.9), ("ul_pkts_ok", 5.0), ("cqi", True), ("timestamp_ms", "12"), ("dl_brate_bps", False), ("pusch_sinr_db", "1.5")],
+    ids=["float_ue_id", "integral_float_count", "bool_int", "text_int", "bool_float", "text_float"],
+)
+def test_kpm_value_of_the_wrong_type_is_malformed(field, value):
+    xapp = modeled_xapp()
+    frame = frame_for(1, 0, WEB)
+    frame.payload[field] = value
+    assert xapp.on_measurement(frame) is None
+    assert xapp.malformed == 1
+    assert xapp._tracks == {}  # no UE's window took the frame
+    assert xapp.on_measurement(frame_for(1, 0, WEB)) is not None
+
+
 @pytest.mark.parametrize("number", [b"Infinity", b"1e400"])
 def test_infinite_timestamp_from_the_wire_is_malformed(number):
     body = encode_frame(frame_for(1, 0, WEB))[4:].replace(b'"timestamp_ms":0', b'"timestamp_ms":' + number)
     frame = decode_frame(body)
     assert frame.payload["timestamp_ms"] == inf
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="timestamp_ms must be an int"):
         KpmSample.from_payload(frame.payload)
     xapp = modeled_xapp()
     assert xapp.on_measurement(frame) is None
