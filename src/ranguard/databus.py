@@ -427,6 +427,7 @@ class BusClient:
         self._subs: list[Subscription] = []
         self._acks: deque = deque()
         self._ack_cond = threading.Condition()
+        self.error_acks = 0  # acks that name no pattern (an unknown frame kind): counted, not kept
         self._connected = True
         self._reader = threading.Thread(target=self._reader_loop, name="bus-client-read", daemon=True)
         self._reader.start()
@@ -470,6 +471,9 @@ class BusClient:
             while self._connected:
                 frame = read_frame(self._sock)
                 if frame.kind is FrameKind.ACK:
+                    if "pattern" not in frame.payload:  # no subscribe would ever claim it
+                        self.error_acks += 1
+                        continue
                     with self._ack_cond:
                         self._acks.append(frame)
                         self._ack_cond.notify_all()

@@ -134,11 +134,12 @@ class KpmSample:
                     raise ValueError(f"measurement field {name} must be an int, got {value!r}")
                 if type(value) not in _NUMBER:
                     raise ValueError(f"measurement field {name} must be a number, got {value!r}")
+        timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, ok, nok = ints
         try:
             pusch, pucch, dl_brate, ul_brate = map(float, floats)
+            float(ok), float(nok)  # feature_vector holds the counters as floats
         except OverflowError as exc:  # float(10**400)
             raise ValueError(f"measurement payload value out of range: {exc}") from None
-        timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, ok, nok = ints
         return cls(timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, pusch, pucch, dl_brate, ul_brate, ok, nok)
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .databus import Broker, BusClient, BusDisconnected, DatabusFrame, FrameKind, now_us
+from .databus import Broker, BusClient, BusDisconnected, FrameKind, now_us
 from .kpm import (
     CLASS_ORDER,
     CSV_HEADER,
@@ -377,12 +377,15 @@ def closed_loop(
 ) -> ClosedLoopResult:
     """Station, bus semantics, and classifier composed synchronously in virtual time.
 
-    Each tick's measurements are classified immediately and any command is
-    applied at its modeled arrival time, so the released UE disappears from
-    the next tick exactly as it would on a live bus.
+    Each tick's samples go straight to OnlineClassifier.on_sample, stamped by
+    the delay model as if they had crossed the bus, and any command is applied
+    at its modeled arrival time, so the released UE disappears from the next
+    tick exactly as it would on a live bus.
     """
     if config.time_mode is not TimeMode.VIRTUAL:
         raise ValueError("closed_loop is a virtual-time harness; use run_scenario for real time")
+    if not hasattr(model, "predict"):
+        raise ValueError("closed_loop needs a model with predict(features) -> class index")
     delay_model = delay_model if delay_model is not None else DelayModel()
     bs = build_station(config)
     segments = tuple(ground_truth_segments(bs, config.duration_ms))
@@ -394,12 +397,7 @@ def closed_loop(
     false_releases: list[int] = []
     for t in range(0, config.duration_ms, config.period_ms):
         for labeled in bs.tick_samples(t):
-            frame = DatabusFrame(
-                FrameKind.MEASUREMENT, bs.kpm_topic, t * 1000, labeled.sample.to_payload()
-            )
-            decision = xapp.on_measurement(frame)
-            if decision is None:
-                raise RuntimeError("classifier rejected a frame the station produced")
+            decision = xapp.on_sample(labeled.sample, t * 1000)
             decisions.append(decision)
             truths.append(labeled.label)
             if decision.command is not None:

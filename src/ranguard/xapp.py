@@ -1,10 +1,11 @@
 """Online traffic classifier: per-UE smoothed verdicts, policy-driven commands, latency traces.
 
-Every measurement frame becomes one Decision: the raw model prediction, the
-window-majority smoothed verdict, an optional mitigation command (emitted once
-per sustained attack episode), and a LatencyTrace capturing where the control
-loop spent its time. Trace stamps come either from the wall clock (real runs)
-or from a DelayModel (deterministic virtual runs).
+Every measurement, a bus frame or a sample the program made itself, becomes
+one Decision: the raw model prediction, the window-majority smoothed verdict,
+an optional mitigation command (emitted once per sustained attack episode),
+and a LatencyTrace capturing where the control loop spent its time. Trace
+stamps come either from the wall clock (real runs) or from a DelayModel
+(deterministic virtual runs).
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ def latency_report(traces: Sequence[LatencyTrace], *, budget_us: int = BUDGET_US
         raise ValueError("latency_report needs at least one trace")
 
     def quantiles(values: list[int]) -> QuantilePair:
-        arr = np.asarray(values, dtype=np.float64)
-        return QuantilePair(float(np.percentile(arr, 50)), float(np.percentile(arr, 99)))
+        median, p99 = np.percentile(np.asarray(values, dtype=np.float64), (50, 99))
+        return QuantilePair(float(median), float(p99))
 
     t_d = [t.t_d_us for t in traces]
     return LatencyReport(
@@ -342,7 +343,11 @@ class _UeTrack:
 
 
 class OnlineClassifier:
-    """Consumes measurement frames, emits at most one command per attack episode."""
+    """Consumes measurements, emits at most one command per attack episode.
+
+    on_measurement takes bus frames and checks them; on_sample takes samples
+    the program made itself. Both end in the same decision step.
+    """
 
     def __init__(
         self,
@@ -371,44 +376,59 @@ class OnlineClassifier:
         return track
 
     def on_measurement(self, frame: DatabusFrame, *, recv_us: int | None = None) -> Decision | None:
-        """Classify one frame; None when it was dropped (no model / bad payload)."""
+        """Classify one bus frame; None when it was dropped (no model / bad payload).
+
+        The trust boundary for measurements from outside: the payload and the
+        bus stamps are checked here, and a bad frame is counted, not raised.
+        """
         if self.model is None:
             self.dropped += 1
             return None
         try:
             sample = KpmSample.from_payload(frame.payload)
-            features = feature_vector(sample)  # OverflowError: a counter past the float range
-        except (ValueError, TypeError, OverflowError):
+        except (ValueError, TypeError):
             self.malformed += 1
             return None
+        if self.delay_model is not None:
+            return self.on_sample(sample, frame.t_sent_us)
 
-        modeled = self.delay_model
-        if modeled is not None:
-            raw_idx = int(self.model.predict(features))
-            base = modeled.trace(frame.t_sent_us, command=False)
-        else:
-            t_send = frame.t_sent_us
-            bus = frame.payload.get("bus")
-            bus = bus if isinstance(bus, Mapping) else {}
-            t_bus_in = bus.get("in_us", t_send)
-            t_bus_out = bus.get("out_us", t_bus_in)
-            # a bad stamp, or one from a clock other than the sender's, is skipped, not fatal
-            if not (type(t_bus_in) is int and type(t_bus_out) is int and t_send <= t_bus_in <= t_bus_out):
-                self.malformed += 1
-                return None
-            # clamps keep the trace monotone against sub-us cross-thread jitter
-            t_recv = max(now_us() if recv_us is None else recv_us, t_bus_out)
-            t_infer_start = max(now_us(), t_recv)
-            raw_idx = int(self.model.predict(features))
-            t_infer_end = max(now_us(), t_infer_start)
-            base = LatencyTrace(
-                t_bs_send_us=t_send,
-                t_bus_in_us=t_bus_in,
-                t_bus_out_us=t_bus_out,
-                t_xapp_recv_us=t_recv,
-                t_infer_start_us=t_infer_start,
-                t_infer_end_us=t_infer_end,
-            )
+        features = feature_vector(sample)
+        t_send = frame.t_sent_us
+        bus = frame.payload.get("bus")
+        bus = bus if isinstance(bus, Mapping) else {}
+        t_bus_in = bus.get("in_us", t_send)
+        t_bus_out = bus.get("out_us", t_bus_in)
+        # a bad stamp, or one from a clock other than the sender's, is skipped, not fatal
+        if not (type(t_bus_in) is int and type(t_bus_out) is int and t_send <= t_bus_in <= t_bus_out):
+            self.malformed += 1
+            return None
+        # clamps keep the trace monotone against sub-us cross-thread jitter
+        t_recv = max(now_us() if recv_us is None else recv_us, t_bus_out)
+        t_infer_start = max(now_us(), t_recv)
+        raw_idx = int(self.model.predict(features))
+        t_infer_end = max(now_us(), t_infer_start)
+        base = LatencyTrace(
+            t_bs_send_us=t_send,
+            t_bus_in_us=t_bus_in,
+            t_bus_out_us=t_bus_out,
+            t_xapp_recv_us=t_recv,
+            t_infer_start_us=t_infer_start,
+            t_infer_end_us=t_infer_end,
+        )
+        return self._decide(sample, raw_idx, base)
+
+    def on_sample(self, sample: KpmSample, t_sent_us: int) -> Decision:
+        """Classify one sample this program made itself, stamped by the delay model.
+
+        The virtual loop's entry: the sample was checked when it was made, so
+        no bus frame is built and the payload is not checked a second time.
+        Needs a model and a delay model.
+        """
+        raw_idx = int(self.model.predict(feature_vector(sample)))
+        return self._decide(sample, raw_idx, self.delay_model.trace(t_sent_us, command=False))
+
+    def _decide(self, sample: KpmSample, raw_idx: int, base: LatencyTrace) -> Decision:
+        """Smooth the raw label into the UE's window, and command once per sustained episode."""
         if not 0 <= raw_idx < len(self.class_labels):
             raise ValueError(
                 f"model predicted index {raw_idx}, but only {len(self.class_labels)} labels are mapped"
@@ -425,16 +445,14 @@ class OnlineClassifier:
         trace = base
         if attack and track.attack_run >= self.policy.dwell and not track.engaged:
             track.engaged = True
-            if modeled is not None:
-                trace = modeled.trace(frame.t_sent_us, command=True)
-                sent_us = trace.t_cmd_sent_us
+            if self.delay_model is not None:
+                trace = self.delay_model.trace(base.t_bs_send_us, command=True)
             else:
-                sent_us = max(now_us(), base.t_infer_end_us)
-                trace = replace(base, t_cmd_sent_us=sent_us)
+                trace = replace(base, t_cmd_sent_us=max(now_us(), base.t_infer_end_us))
             command = RicCommand(
                 ue_id=sample.ue_id,
                 action=self.policy.actions[smoothed],
-                issued_at_us=int(sent_us),
+                issued_at_us=trace.t_cmd_sent_us,
                 cmd_id=self._next_cmd_id,
             )
             self._next_cmd_id += 1

@@ -286,6 +286,20 @@ def test_unknown_kind_gets_error_ack(broker):
         raw.close()
 
 
+def test_error_acks_are_counted_not_kept(broker):
+    body = b'{"version":1,"kind":"mystery","topic":"kpm.1","t_sent_us":0,"payload":{}}'
+    with client(broker) as c:
+        with c._send_lock:
+            c._sock.sendall((len(body).to_bytes(4, "big") + body) * 500)
+        deadline = time.monotonic() + 5.0
+        while c.error_acks < 500 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert c.error_acks == 500
+        assert len(c._acks) == 0  # no subscribe would ever claim them
+        c.subscribe("kpm.1")
+        assert len(c._acks) == 0
+
+
 def test_subscribe_rejects_bad_pattern(broker):
     with client(broker) as recv:
         with pytest.raises(ValueError, match="pattern"):

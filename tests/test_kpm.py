@@ -154,6 +154,15 @@ def test_payload_int_in_a_float_field_is_read_as_float():
     assert sample == make_sample() and type(sample.dl_brate_bps) is float
 
 
+@pytest.mark.parametrize("field", ["ul_pkts_ok", "ul_pkts_nok", "pusch_sinr_db"])
+def test_payload_value_past_the_float_range_is_rejected(field):
+    # the counters become floats in the feature row, so the boundary refuses what no float holds
+    payload = make_sample().to_payload()
+    payload[field] = 10**400
+    with pytest.raises(ValueError, match="out of range"):
+        KpmSample.from_payload(payload)
+
+
 def test_payload_missing_field():
     payload = make_sample().to_payload()
     del payload["cqi"]

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranguard import pipeline
-from ranguard.databus import Broker, BusClient, FrameKind, now_us
+from ranguard.databus import Broker, BusClient, DatabusFrame, FrameKind, now_us
 from ranguard.kpm import (
     CLASS_ORDER,
     CSV_HEADER,
+    KpmSample,
     TrafficCategory,
     TrafficClass,
     category_of,
@@ -24,6 +27,7 @@ from ranguard.kpm import (
 from ranguard.ml import DecisionTree, TreeConfig, load_model, save_model
 from ranguard.ransim import CommandAction, TimeMode, UeSpec, build_station
 from ranguard.xapp import DelayModel, PolicyMap
+from xapp_oracle import frame_route_decisions
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +348,61 @@ def test_closed_loop_rejects_real_time_config(dt_model):
     config = replace(pipeline.attack_demo_scenario(0), time_mode=TimeMode.REAL)
     with pytest.raises(ValueError, match="virtual-time"):
         pipeline.closed_loop(config, dt_model, CLASS_ORDER)
+
+
+def test_closed_loop_rejects_a_model_without_predict_before_the_station(monkeypatch):
+    def no_station(config):
+        raise AssertionError("the station was built")
+
+    monkeypatch.setattr(pipeline, "build_station", no_station)
+    for model in (None, object()):
+        with pytest.raises(ValueError, match="predict"):
+            pipeline.closed_loop(pipeline.attack_demo_scenario(0), model, CLASS_ORDER)
+
+
+def test_closed_loop_builds_no_measurement_frame(dt_model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the virtual loop went through the bus route")
+
+    check_frame = DatabusFrame.__post_init__
+
+    def refuse_measurements(frame):
+        if frame.kind is FrameKind.MEASUREMENT:
+            refuse()
+        check_frame(frame)  # apply_command still returns its event frame
+
+    monkeypatch.setattr(KpmSample, "to_payload", refuse)
+    monkeypatch.setattr(KpmSample, "from_payload", classmethod(refuse))
+    monkeypatch.setattr(DatabusFrame, "__post_init__", refuse_measurements)
+    result = pipeline.closed_loop(pipeline.attack_demo_scenario(3), dt_model, CLASS_ORDER)
+    assert result.commands
+
+
+@pytest.fixture(scope="module")
+def tree_models(train_rows):
+    options = {"dt": {}, "rf": {"trees": 15}, "ada": {"rounds": 10}}
+    return {
+        algo: pipeline.train_model(train_rows, pipeline.TrainOptions(algo=algo, max_depth=10, **kw))[0]
+        for algo, kw in options.items()
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    algo=st.sampled_from(["dt", "rf", "ada"]),
+    window=st.integers(1, 8),
+    dwell=st.integers(1, 6),
+    actions=st.lists(st.sampled_from(list(CommandAction)), min_size=len(TrafficClass), max_size=len(TrafficClass)),
+    legs=st.lists(st.integers(0, 5000), min_size=4, max_size=4),
+)
+def test_closed_loop_decides_as_the_frame_route(tree_models, seed, algo, window, dwell, actions, legs):
+    config = pipeline.attack_demo_scenario(seed)
+    policy = PolicyMap(dict(zip(TrafficClass, actions)), window=window, dwell=dwell)
+    delay_model = DelayModel(*legs)
+    model = tree_models[algo]
+    result = pipeline.closed_loop(config, model, CLASS_ORDER, policy=policy, delay_model=delay_model)
+    assert list(result.decisions) == frame_route_decisions(config, model, CLASS_ORDER, policy, delay_model)
 
 
 def test_attack_spans_merge_adjacent_segments():

@@ -160,6 +160,29 @@ def test_drop_zeroes_uplink_counters_for_ten_ticks():
     assert frames[2]["ul_pkts_ok"] > 100
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    classes=st.permutations(list(TrafficClass)),
+    seed=st.integers(0, 2**32 - 1),
+    segment_ms=st.integers(3, 15).map(lambda n: n * 100),  # 500 ms ramp at each segment start
+    drop_at=st.integers(0, 14),  # a tick inside the shortest run
+)
+def test_every_station_sample_crosses_the_trust_boundary_unchanged(classes, seed, segment_ms, drop_at):
+    # the virtual loop hands samples to the classifier without the bus frame's second check
+    script = tuple(ScriptSegment(cls, segment_ms) for cls in classes)
+    config = ScenarioConfig(duration_ms=5 * segment_ms, seed=seed, ues=(UeSpec(1, script), UeSpec(2, script)))
+    bs = build_station(config)
+    for k, t in enumerate(range(0, config.duration_ms, config.period_ms)):
+        if k == drop_at:
+            bs.apply_command(RicCommand(2, CommandAction.DROP, t * 1000), applied_at_us=t * 1000)
+        for labeled in bs.tick_samples(t):
+            sample = labeled.sample
+            crossed = KpmSample.from_payload(sample.to_payload())
+            assert crossed == sample
+            assert repr(crossed) == repr(sample)  # same types too: 0 against 0.0 would show
+    assert bs.ue(2).policy is UePolicy.DROP
+
+
 def test_tick_must_align_to_period():
     bs = two_ue_station()
     with pytest.raises(ValueError, match="aligned"):

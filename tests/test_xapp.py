@@ -37,6 +37,7 @@ from ranguard.xapp import (
     time_to_correct,
     window_majority,
 )
+from xapp_oracle import FrameRouteClassifier
 
 IDX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 
@@ -503,9 +504,16 @@ def vote_tree() -> DecisionTree:
 def test_on_measurement_never_raises_on_any_payload(changes, keep, modeled):
     # keep: change some fields of a valid payload; otherwise the payload is changes alone
     payload = {**(frame_for(1, 50, WEB).payload if keep else {}), **changes}
-    xapp = OnlineClassifier(vote_tree(), CLASS_ORDER, delay_model=DelayModel() if modeled else None)
-    decision = xapp.on_measurement(DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 50_000, payload))
+    delay_model = DelayModel() if modeled else None
+    frame = DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 50_000, payload)
+    xapp = OnlineClassifier(vote_tree(), CLASS_ORDER, delay_model=delay_model)
+    decision = xapp.on_measurement(frame)
     assert (decision is None) == (xapp.malformed == 1)
+    # the trust boundary takes and refuses exactly what the inline route did
+    expected = FrameRouteClassifier(vote_tree(), CLASS_ORDER, delay_model=delay_model).on_measurement(frame)
+    assert (decision is None) == (expected is None)
+    if modeled:
+        assert decision == expected
 
 
 # -- time to correct --

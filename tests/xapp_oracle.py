@@ -1,0 +1,117 @@
+"""Reference frame route of the virtual closed loop, as the tests' oracle.
+
+This is the route that `OnlineClassifier.on_sample` replaced inside
+`pipeline.closed_loop`: each station sample becomes a measurement frame, and
+the classifier parses and checks it again, then predicts, smooths and
+commands in one method. `FrameRouteClassifier.on_measurement` is that method
+as it was, with its own copy of the decision step, so a fault in the served
+decision step shows as a difference against it.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from dataclasses import replace
+
+from ranguard.databus import DatabusFrame, FrameKind, now_us
+from ranguard.kpm import KpmSample, TrafficCategory, category_of, feature_vector
+from ranguard.ransim import RicCommand, build_station
+from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, window_majority
+
+
+class FrameRouteClassifier(OnlineClassifier):
+    """OnlineClassifier whose on_measurement decides inline, as before on_sample existed."""
+
+    def on_measurement(self, frame: DatabusFrame, *, recv_us: int | None = None) -> Decision | None:
+        if self.model is None:
+            self.dropped += 1
+            return None
+        try:
+            sample = KpmSample.from_payload(frame.payload)
+            features = feature_vector(sample)
+        except (ValueError, TypeError, OverflowError):
+            self.malformed += 1
+            return None
+
+        modeled = self.delay_model
+        if modeled is not None:
+            raw_idx = int(self.model.predict(features))
+            base = modeled.trace(frame.t_sent_us, command=False)
+        else:
+            t_send = frame.t_sent_us
+            bus = frame.payload.get("bus")
+            bus = bus if isinstance(bus, Mapping) else {}
+            t_bus_in = bus.get("in_us", t_send)
+            t_bus_out = bus.get("out_us", t_bus_in)
+            if not (type(t_bus_in) is int and type(t_bus_out) is int and t_send <= t_bus_in <= t_bus_out):
+                self.malformed += 1
+                return None
+            t_recv = max(now_us() if recv_us is None else recv_us, t_bus_out)
+            t_infer_start = max(now_us(), t_recv)
+            raw_idx = int(self.model.predict(features))
+            t_infer_end = max(now_us(), t_infer_start)
+            base = LatencyTrace(
+                t_bs_send_us=t_send,
+                t_bus_in_us=t_bus_in,
+                t_bus_out_us=t_bus_out,
+                t_xapp_recv_us=t_recv,
+                t_infer_start_us=t_infer_start,
+                t_infer_end_us=t_infer_end,
+            )
+        if not 0 <= raw_idx < len(self.class_labels):
+            raise ValueError(
+                f"model predicted index {raw_idx}, but only {len(self.class_labels)} labels are mapped"
+            )
+        raw = self.class_labels[raw_idx]
+
+        track = self._track(sample.ue_id)
+        track.window.append(raw)
+        smoothed = window_majority(track.window)
+        attack = category_of(smoothed) is TrafficCategory.ATTACK
+        track.attack_run = track.attack_run + 1 if attack else 0
+
+        command = None
+        trace = base
+        if attack and track.attack_run >= self.policy.dwell and not track.engaged:
+            track.engaged = True
+            if modeled is not None:
+                trace = modeled.trace(frame.t_sent_us, command=True)
+                sent_us = trace.t_cmd_sent_us
+            else:
+                sent_us = max(now_us(), base.t_infer_end_us)
+                trace = replace(base, t_cmd_sent_us=sent_us)
+            command = RicCommand(
+                ue_id=sample.ue_id,
+                action=self.policy.actions[smoothed],
+                issued_at_us=int(sent_us),
+                cmd_id=self._next_cmd_id,
+            )
+            self._next_cmd_id += 1
+        elif not attack:
+            track.engaged = False
+
+        return Decision(
+            ue_id=sample.ue_id,
+            timestamp_ms=sample.timestamp_ms,
+            raw=raw,
+            smoothed=smoothed,
+            command=command,
+            trace=trace,
+        )
+
+
+def frame_route_decisions(config, model, class_labels, policy, delay_model) -> list[Decision]:
+    """Decisions of the virtual loop run over the frame route; commands applied as closed_loop does."""
+    bs = build_station(config)
+    xapp = FrameRouteClassifier(model, class_labels, policy, delay_model=delay_model)
+    decisions = []
+    for t in range(0, config.duration_ms, config.period_ms):
+        for labeled in bs.tick_samples(t):
+            frame = DatabusFrame(FrameKind.MEASUREMENT, bs.kpm_topic, t * 1000, labeled.sample.to_payload())
+            decision = xapp.on_measurement(frame)
+            if decision is None:
+                raise RuntimeError("classifier rejected a frame the station produced")
+            decisions.append(decision)
+            if decision.command is not None:
+                bs.apply_command(decision.command, applied_at_us=decision.trace.t_cmd_applied_us)
+    return decisions
