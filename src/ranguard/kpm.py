@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -52,127 +52,147 @@ def class_from_label(label: str) -> TrafficClass:
         raise ValueError(f"unknown traffic label {label!r} (expected one of: {valid})") from None
 
 
+def _kpm_field(lo: int | None = None, hi: int | None = None, *, feature: bool = True):
+    """One row of the KPM field table: an inclusive range (no bound, a lower
+    bound, or both) and whether the model sees the field as a feature."""
+    return field(metadata={"range": (lo, hi), "feature": feature})
+
+
 @dataclass(frozen=True)
 class KpmSample:
     """One measurement-period snapshot of a UE's radio and MAC counters.
 
-    timestamp_ms is milliseconds since the scenario epoch in virtual time, or
-    since an arbitrary monotonic origin in real time. Rates are averaged over
-    the measurement period; packet counters are totals within the period.
+    The field list below is the KPM schema, written once: each field's name,
+    type and range, and whether the model sees it. Every value is checked
+    against its range at construction, and a float must also be finite. The
+    payload codec, the dataset CSV columns and the model features are derived
+    from this table after the class.
+
+    Rates are averaged over the measurement period; packet counters are totals
+    within the period.
     """
 
-    timestamp_ms: int
-    bs_id: int
-    ue_id: int
-    cqi: int  # wideband CQI, 0..15
-    dl_mcs: int  # 0..28
-    ul_mcs: int  # 0..28
-    pusch_sinr_db: float
-    pucch_sinr_db: float
-    dl_brate_bps: float
-    ul_brate_bps: float
-    ul_pkts_ok: int
-    ul_pkts_nok: int
+    timestamp_ms: int = _kpm_field(0, feature=False)  # from the scenario epoch, or a monotonic origin
+    bs_id: int = _kpm_field(0, feature=False)
+    ue_id: int = _kpm_field(0, feature=False)
+    cqi: int = _kpm_field(0, 15)  # wideband CQI
+    dl_mcs: int = _kpm_field(0, 28)
+    ul_mcs: int = _kpm_field(0, 28)
+    pusch_sinr_db: float = _kpm_field()
+    pucch_sinr_db: float = _kpm_field()
+    dl_brate_bps: float = _kpm_field(0)
+    ul_brate_bps: float = _kpm_field(0)
+    ul_pkts_ok: int = _kpm_field(0)
+    ul_pkts_nok: int = _kpm_field(0)
 
     def __post_init__(self) -> None:
-        for name in ("pusch_sinr_db", "pucch_sinr_db", "dl_brate_bps", "ul_brate_bps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.timestamp_ms < 0:
-            raise ValueError(f"timestamp_ms must be >= 0, got {self.timestamp_ms}")
-        if self.bs_id < 0 or self.ue_id < 0:
-            raise ValueError(f"bs_id and ue_id must be >= 0, got {self.bs_id}, {self.ue_id}")
-        if not 0 <= self.cqi <= 15:
-            raise ValueError(f"cqi must be in [0, 15], got {self.cqi}")
-        if not 0 <= self.dl_mcs <= 28:
-            raise ValueError(f"dl_mcs must be in [0, 28], got {self.dl_mcs}")
-        if not 0 <= self.ul_mcs <= 28:
-            raise ValueError(f"ul_mcs must be in [0, 28], got {self.ul_mcs}")
-        if self.dl_brate_bps < 0:
-            raise ValueError(f"dl_brate_bps must be >= 0, got {self.dl_brate_bps}")
-        if self.ul_brate_bps < 0:
-            raise ValueError(f"ul_brate_bps must be >= 0, got {self.ul_brate_bps}")
-        if self.ul_pkts_ok < 0:
-            raise ValueError(f"ul_pkts_ok must be >= 0, got {self.ul_pkts_ok}")
-        if self.ul_pkts_nok < 0:
-            raise ValueError(f"ul_pkts_nok must be >= 0, got {self.ul_pkts_nok}")
+        # @dataclass calls __post_init__ from __init__ only if the class body defines it
+        _check(self)
 
     @property
     def ul_drop_ratio(self) -> float:
         return self.ul_pkts_nok / max(1, self.ul_pkts_ok + self.ul_pkts_nok)
 
-    def to_payload(self) -> dict:
-        """Serializable field dict for databus measurement frames."""
-        return {
-            "timestamp_ms": self.timestamp_ms,
-            "bs_id": self.bs_id,
-            "ue_id": self.ue_id,
-            "cqi": self.cqi,
-            "dl_mcs": self.dl_mcs,
-            "ul_mcs": self.ul_mcs,
-            "pusch_sinr_db": self.pusch_sinr_db,
-            "pucch_sinr_db": self.pucch_sinr_db,
-            "dl_brate_bps": self.dl_brate_bps,
-            "ul_brate_bps": self.ul_brate_bps,
-            "ul_pkts_ok": self.ul_pkts_ok,
-            "ul_pkts_nok": self.ul_pkts_nok,
-        }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "KpmSample":
-        """Sample from a measurement frame's payload. Types are checked, not coerced:
-        an integer field takes exactly an int (not a bool), a float field an int or a
-        float, so a frame from a broken sender is rejected rather than misread."""
-        # Transport layers may attach extra bookkeeping keys; take only ours.
-        try:
-            ints, floats = _int_values(payload), _float_values(payload)
-        except KeyError as exc:
-            raise ValueError(f"measurement payload missing field {exc.args[0]!r}") from None
-        if not (_INTEGER.issuperset(map(type, ints)) and _NUMBER.issuperset(map(type, floats))):
-            for name, value in zip(_INT_COLS + _FLOAT_COLS, ints + floats):
-                if name in _INT_COLS and type(value) not in _INTEGER:
-                    raise ValueError(f"measurement field {name} must be an int, got {value!r}")
-                if type(value) not in _NUMBER:
-                    raise ValueError(f"measurement field {name} must be a number, got {value!r}")
-        timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, ok, nok = ints
-        try:
-            pusch, pucch, dl_brate, ul_brate = map(float, floats)
-            float(ok), float(nok)  # feature_vector holds the counters as floats
-        except OverflowError as exc:  # float(10**400)
-            raise ValueError(f"measurement payload value out of range: {exc}") from None
-        return cls(timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, pusch, pucch, dl_brate, ul_brate, ok, nok)
-
+_FIELDS = fields(KpmSample)
+_NAMES = tuple(f.name for f in _FIELDS)
+_IS_INT = {f.name: f.type == "int" for f in _FIELDS}  # the annotations are strings here
 
 FEATURE_NAMES: tuple[str, ...] = (
-    "cqi",
-    "dl_mcs",
-    "ul_mcs",
-    "pusch_sinr_db",
-    "pucch_sinr_db",
-    "dl_brate_bps",
-    "ul_brate_bps",
-    "ul_pkts_ok",
-    "ul_pkts_nok",
+    *(f.name for f in _FIELDS if f.metadata["feature"]),
     "ul_drop_ratio",
 )
-
 FEATURE_COUNT = len(FEATURE_NAMES)
 
 
-def feature_vector(sample: KpmSample) -> list[float]:
-    """Model input features, in FEATURE_NAMES order."""
-    return [
-        float(sample.cqi),
-        float(sample.dl_mcs),
-        float(sample.ul_mcs),
-        sample.pusch_sinr_db,
-        sample.pucch_sinr_db,
-        sample.dl_brate_bps,
-        sample.ul_brate_bps,
-        float(sample.ul_pkts_ok),
-        float(sample.ul_pkts_nok),
-        sample.ul_drop_ratio,
-    ]
+# The per-frame functions are generated once from the table, in the style of the
+# compiled tree vote: a generated line per field costs what a hand-written one
+# would, where a loop over the table costs about twice as much a call.
+
+
+def _define(name: str, params: str, doc: str, body: list[str]):
+    """Function name(params) compiled from its docstring and body lines."""
+    source = f"def {name}({params}):\n    {doc!r}\n" + "".join(f"    {line}\n" for line in body)
+    namespace: dict = {"_isfinite": math.isfinite, "_fit": _fit}
+    exec(compile(source, f"<kpm {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _fit(name: str, value: int) -> float:
+    """value as a float, refused if no float holds it (float(10**400))."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"measurement field {name} is out of range for a float") from None
+
+
+def _check_body() -> list[str]:
+    """Each field in turn: finite if a float, then inside its range."""
+    body = []
+    for f in _FIELDS:
+        lo, hi = f.metadata["range"]
+        rules = [] if _IS_INT[f.name] else [("_isfinite(v)", "finite")]
+        if hi is not None:
+            rules.append((f"{lo} <= v <= {hi}", f"in [{lo}, {hi}]"))
+        elif lo is not None:
+            rules.append((f"{lo} <= v", f">= {lo}"))
+        body.append(f"v = s.{f.name}")
+        for test, must in rules:
+            body.append(f'if not {test}: raise ValueError(f"{f.name} must be {must}, got {{v}}")')
+    return body
+
+
+def _from_payload_body() -> list[str]:
+    """Each field looked up (extra transport keys are ignored), then type-checked:
+    an int field takes exactly an int, a float field a float or an int."""
+    body = ["try:", *(f"    {n} = payload[{n!r}]" for n in _NAMES), "except KeyError as exc:"]
+    body.append("    raise ValueError(f'measurement payload missing field {exc.args[0]!r}') from None")
+    for f in _FIELDS:
+        n = f.name
+        refuse = f"raise ValueError(f'measurement field {n} must be %s, got {{{n}!r}}')"
+        if _IS_INT[n]:
+            body.append(f"if type({n}) is not int: {refuse % 'an int'}")
+            # feature_vector holds an int feature as a float; its range check refuses a bounded one
+            if f.metadata["feature"] and f.metadata["range"][1] is None:
+                body.append(f"_fit({n!r}, {n})")
+        else:
+            body.append(f"if type({n}) is not float:")
+            body.append(f"    if type({n}) is not int: {refuse % 'a number'}")
+            body.append(f"    {n} = _fit({n!r}, {n})")
+    return body + [f"return cls({', '.join(_NAMES)})"]
+
+
+_check = _define(
+    "check", "s", "Raise ValueError naming the first field of s out of range.", _check_body()
+)
+
+KpmSample.to_payload = _define(  # type: ignore[attr-defined]
+    "to_payload",
+    "self",
+    "Serializable field dict for databus measurement frames.",
+    ["return {" + ", ".join(f"{n!r}: self.{n}" for n in _NAMES) + "}"],
+)
+
+KpmSample.from_payload = classmethod(  # type: ignore[attr-defined]
+    _define(
+        "from_payload",
+        "cls, payload",
+        "Sample from a measurement frame's payload. Types are checked, not coerced, "
+        "so a frame from a broken sender is rejected rather than misread.",
+        _from_payload_body(),
+    )
+)
+
+feature_vector = _define(
+    "feature_vector",
+    "sample",
+    "Model input features, in FEATURE_NAMES order.",
+    [
+        "return ["
+        + ", ".join(f"float(sample.{n})" if _IS_INT.get(n) else f"sample.{n}" for n in FEATURE_NAMES)
+        + "]"
+    ],
+)
 
 
 @dataclass(frozen=True)
@@ -181,50 +201,20 @@ class LabeledSample:
     label: TrafficClass
 
 
-CSV_HEADER: tuple[str, ...] = (
-    "timestamp_ms",
-    "bs_id",
-    "ue_id",
-    "cqi",
-    "dl_mcs",
-    "ul_mcs",
-    "pusch_sinr_db",
-    "pucch_sinr_db",
-    "dl_brate_bps",
-    "ul_brate_bps",
-    "ul_pkts_ok",
-    "ul_pkts_nok",
-    "label",
-)
+CSV_HEADER: tuple[str, ...] = _NAMES + ("label",)
 
 
 class DatasetFormatError(ValueError):
     """Raised on malformed dataset files; names the offending line and column."""
 
 
-def _row_of(item: LabeledSample) -> list[str]:
-    s = item.sample
-    # repr() keeps full float precision so read(write(x)) round-trips exactly.
-    return [
-        str(s.timestamp_ms),
-        str(s.bs_id),
-        str(s.ue_id),
-        str(s.cqi),
-        str(s.dl_mcs),
-        str(s.ul_mcs),
-        repr(s.pusch_sinr_db),
-        repr(s.pucch_sinr_db),
-        repr(s.dl_brate_bps),
-        repr(s.ul_brate_bps),
-        str(s.ul_pkts_ok),
-        str(s.ul_pkts_nok),
-        item.label.value,
-    ]
+_values = attrgetter(*_NAMES)
 
 
 def write_dataset(path: str | Path, items: Iterable[LabeledSample]) -> int:
     """Write labeled samples as CSV. Returns the row count; refuses empty input."""
-    rows = [_row_of(item) for item in items]
+    # str() of a float is its shortest round-trip repr, so read(write(x)) is exact.
+    rows = [[*map(str, _values(item.sample)), item.label.value] for item in items]
     if not rows:
         raise ValueError("refusing to write an empty dataset")
     path = Path(path)
@@ -235,10 +225,7 @@ def write_dataset(path: str | Path, items: Iterable[LabeledSample]) -> int:
     return len(rows)
 
 
-_INT_COLS = ("timestamp_ms", "bs_id", "ue_id", "cqi", "dl_mcs", "ul_mcs", "ul_pkts_ok", "ul_pkts_nok")
-_FLOAT_COLS = ("pusch_sinr_db", "pucch_sinr_db", "dl_brate_bps", "ul_brate_bps")
-_int_values, _float_values = itemgetter(*_INT_COLS), itemgetter(*_FLOAT_COLS)
-_INTEGER, _NUMBER = {int}, {int, float}  # the exact types from_payload accepts
+_PARSERS = [(n, int, "an integer") if _IS_INT[n] else (n, float, "a number") for n in _NAMES]
 
 
 def read_dataset(path: str | Path) -> list[LabeledSample]:
@@ -260,28 +247,20 @@ def read_dataset(path: str | Path) -> list[LabeledSample]:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}"
                 )
-            rec = dict(zip(CSV_HEADER, row))
-            values: dict[str, int | float] = {}
-            for col in _INT_COLS:
+            values = []
+            for (col, parse, kind), text in zip(_PARSERS, row):
                 try:
-                    values[col] = int(rec[col])
+                    values.append(parse(text))
                 except ValueError:
                     raise DatasetFormatError(
-                        f"{path}: line {lineno}: column {col!r}: not an integer: {rec[col]!r}"
-                    ) from None
-            for col in _FLOAT_COLS:
-                try:
-                    values[col] = float(rec[col])
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: column {col!r}: not a number: {rec[col]!r}"
+                        f"{path}: line {lineno}: column {col!r}: not {kind}: {text!r}"
                     ) from None
             try:
-                label = class_from_label(rec["label"])
+                label = class_from_label(row[-1])
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: column 'label': {exc}") from None
             try:
-                sample = KpmSample(**values)  # type: ignore[arg-type]
+                sample = KpmSample(*values)
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
             items.append(LabeledSample(sample, label))

@@ -81,6 +81,12 @@ PREDICTION_LOG_HEADER = (
 )
 
 
+def prediction_log_row(d: Decision, true_label: str) -> list:
+    """One PREDICTION_LOG_HEADER row: the decision, with its ground truth if known."""
+    command = d.command.action.value if d.command is not None else ""
+    return [d.timestamp_ms, d.ue_id, true_label, d.raw.value, d.smoothed.value, command, d.trace.t_d_us]
+
+
 # -- scenario presets --
 
 
@@ -270,7 +276,8 @@ def inference_quantiles(model, X: np.ndarray, *, n: int = 10_000, seed: int = 0)
         t0 = time.perf_counter_ns()
         model.predict(x)
         times[j] = time.perf_counter_ns() - t0
-    return float(np.percentile(times, 50)) / 1000.0, float(np.percentile(times, 99)) / 1000.0
+    median, p99 = np.percentile(times, (50, 99))
+    return float(median) / 1000.0, float(p99) / 1000.0
 
 
 def evaluate(
@@ -462,17 +469,7 @@ def write_closed_loop_report(result: ClosedLoopResult, out_dir: str | Path) -> d
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_LOG_HEADER)
         for d, truth in zip(result.decisions, result.truths):
-            writer.writerow(
-                [
-                    d.timestamp_ms,
-                    d.ue_id,
-                    truth.value,
-                    d.raw.value,
-                    d.smoothed.value,
-                    d.command.action.value if d.command is not None else "",
-                    d.trace.t_d_us,
-                ]
-            )
+            writer.writerow(prediction_log_row(d, truth.value))
     with paths["cdf"].open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("time_ms", "fraction"))
@@ -613,18 +610,8 @@ def run_xapp(
                     n_commands += 1
                 except BusDisconnected:
                     break
-            if writer is not None:
-                writer.writerow(
-                    [
-                        decision.timestamp_ms,
-                        decision.ue_id,
-                        "",  # ground truth is not observable online
-                        decision.raw.value,
-                        decision.smoothed.value,
-                        decision.command.action.value if decision.command is not None else "",
-                        decision.trace.t_d_us,
-                    ]
-                )
+            if writer is not None:  # ground truth is not observable online
+                writer.writerow(prediction_log_row(decision, ""))
         return XappRunStats(frames, n_decisions, n_commands, xapp.malformed)
     finally:
         if log_fh is not None:

@@ -83,13 +83,15 @@ class RicCommand:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "RicCommand":
+        """Command from a control frame's payload. As in a measurement payload, an
+        integer field takes exactly an int: not a bool, a float or a string."""
         try:
-            return cls(
-                ue_id=int(payload["ue_id"]),
-                action=CommandAction(payload["action"]),
-                issued_at_us=int(payload["issued_at_us"]),
-                cmd_id=int(payload.get("cmd_id", 0)),
-            )
+            ints = {"ue_id": payload["ue_id"], "issued_at_us": payload["issued_at_us"]}
+            ints["cmd_id"] = payload.get("cmd_id", 0)
+            for name, value in ints.items():
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an int, got {value!r}")
+            return cls(action=CommandAction(payload["action"]), **ints)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad command payload: {exc!r}") from None
 
@@ -324,8 +326,12 @@ def _parse_span(value: str, line_no: int) -> tuple[int, int]:
     )
 
 
-def parse_scenario(text: str) -> ScenarioConfig:
-    """Scenario from key = value text; '#' starts a comment, blank lines are skipped."""
+def read_key_values(text: str, error: type[ValueError]) -> dict[str, tuple[int, str]]:
+    """key -> (line number, value), in line order, from key = value text.
+
+    '#' starts a comment and blank lines are skipped. A line that is not
+    key = value, or a key given twice, raises error naming the line.
+    """
     entries: dict[str, tuple[int, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -334,11 +340,16 @@ def parse_scenario(text: str) -> ScenarioConfig:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
-            raise ScenarioError(f"line {line_no}: expected key = value, got {raw.strip()!r}")
+            raise error(f"line {line_no}: expected key = value, got {raw.strip()!r}")
         if key in entries:
-            raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
+            raise error(f"line {line_no}: duplicate key {key!r}")
         entries[key] = (line_no, value)
+    return entries
 
+
+def parse_scenario(text: str) -> ScenarioConfig:
+    """Scenario from key = value text; '#' starts a comment, blank lines are skipped."""
+    entries = read_key_values(text, ScenarioError)
     fields: dict = {}
     for key in _SCALAR_KEYS:
         if key in entries:

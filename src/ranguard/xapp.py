@@ -26,7 +26,7 @@ from .kpm import (
     category_of,
     feature_vector,
 )
-from .ransim import BaseStation, CommandAction, RicCommand
+from .ransim import BaseStation, CommandAction, RicCommand, read_key_values
 
 BUDGET_US = 1_000_000  # near-real-time control loop bound
 
@@ -280,18 +280,7 @@ def parse_policy(text: str) -> PolicyMap:
     actions: dict[TrafficClass, CommandAction] = {}
     knobs = {"window": DEFAULT_WINDOW, "dwell": DEFAULT_DWELL}
     class_by_label = {cls.value: cls for cls in TrafficClass}
-    seen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise PolicyError(f"line {line_no}: expected key = value, got {raw.strip()!r}")
-        if key in seen:
-            raise PolicyError(f"line {line_no}: duplicate key {key!r}")
-        seen.add(key)
+    for key, (line_no, value) in read_key_values(text, PolicyError).items():
         if key in knobs:
             try:
                 knobs[key] = int(value)

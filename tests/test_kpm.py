@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +116,72 @@ def test_unknown_label_rejected():
 def test_out_of_range_fields_rejected(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):
         make_sample(**{field: value})
+
+
+# Every edge of the KPM schema, written out independently of the field table:
+# (field, just inside, just outside). A float field's outer edge is infinity.
+MAX_FLOAT = sys.float_info.max
+BELOW_ZERO = math.nextafter(0.0, -1.0)
+EDGES = [
+    ("timestamp_ms", 0, -1),
+    ("bs_id", 0, -1),
+    ("ue_id", 0, -1),
+    ("cqi", 0, -1),
+    ("cqi", 15, 16),
+    ("dl_mcs", 0, -1),
+    ("dl_mcs", 28, 29),
+    ("ul_mcs", 0, -1),
+    ("ul_mcs", 28, 29),
+    ("pusch_sinr_db", -MAX_FLOAT, -math.inf),
+    ("pusch_sinr_db", MAX_FLOAT, math.inf),
+    ("pucch_sinr_db", -MAX_FLOAT, -math.inf),
+    ("pucch_sinr_db", MAX_FLOAT, math.inf),
+    ("dl_brate_bps", 0.0, BELOW_ZERO),
+    ("dl_brate_bps", MAX_FLOAT, math.inf),
+    ("ul_brate_bps", 0.0, BELOW_ZERO),
+    ("ul_brate_bps", MAX_FLOAT, math.inf),
+    ("ul_pkts_ok", 0, -1),
+    ("ul_pkts_nok", 0, -1),
+]
+EDGE_IDS = [f"{name}={outside}" for name, _, outside in EDGES]
+
+
+def test_edges_cover_every_field():
+    assert {name for name, _, _ in EDGES} == set(CSV_HEADER[:-1])
+
+
+def _dataset_with(tmp_path, field, value) -> Path:
+    row = make_sample().to_payload()
+    row[field] = value
+    path = tmp_path / "edge.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + ",".join([*map(str, row.values()), "web"]) + "\n")
+    return path
+
+
+# The constructor cases fail if KpmSample.__init__ does not run the generated check.
+@pytest.mark.parametrize("field, inside, outside", EDGES, ids=EDGE_IDS)
+def test_constructor_edges(field, inside, outside):
+    assert getattr(make_sample(**{field: inside}), field) == inside
+    with pytest.raises(ValueError, match=field):
+        make_sample(**{field: outside})
+
+
+@pytest.mark.parametrize("field, inside, outside", EDGES, ids=EDGE_IDS)
+def test_from_payload_edges(field, inside, outside):
+    payload = make_sample().to_payload()
+    payload[field] = inside
+    assert getattr(KpmSample.from_payload(payload), field) == inside
+    payload[field] = outside
+    with pytest.raises(ValueError, match=field):
+        KpmSample.from_payload(payload)
+
+
+@pytest.mark.parametrize("field, inside, outside", EDGES, ids=EDGE_IDS)
+def test_read_dataset_edges(tmp_path, field, inside, outside):
+    [item] = read_dataset(_dataset_with(tmp_path, field, inside))
+    assert getattr(item.sample, field) == inside
+    with pytest.raises(DatasetFormatError, match=f"line 2: {field}"):
+        read_dataset(_dataset_with(tmp_path, field, outside))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import threading
 import time
 from dataclasses import replace
@@ -545,3 +546,32 @@ def test_run_xapp_idle_timeout_returns_quickly(dt_model):
         )
     assert stats.frames == 0
     assert stats.decisions == 0
+
+
+# sha256 over every file below, in order, each prefixed by its name; taken before the
+# KPM field table replaced the hand-written codecs, and unchanged by it (numpy 2.x, CPython 3.11)
+GOLDEN_DIGEST = "78e46b334be306da9acd776560d863f1112f2f583942611c155b5925f61feb88"
+
+
+def test_dataset_models_and_reports_are_byte_identical(tmp_path):
+    digest, files = hashlib.sha256(), []
+    labels = [c.value for c in CLASS_ORDER]
+
+    def add(path: Path) -> None:
+        files.append(path.relative_to(tmp_path).as_posix())
+        digest.update(files[-1].encode() + b"\0" + path.read_bytes())
+
+    pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=120_000), tmp_path / "train.csv")
+    add(tmp_path / "train.csv")
+    rows = read_dataset(tmp_path / "train.csv")
+    for algo in ("dt", "ada"):
+        model, _ = pipeline.train_model(rows, pipeline.TrainOptions(algo=algo))
+        save_model(model, tmp_path / f"{algo}.model", labels)
+        add(tmp_path / f"{algo}.model")
+        for seed in range(3):
+            result = pipeline.closed_loop(pipeline.attack_demo_scenario(seed), model, CLASS_ORDER)
+            paths = pipeline.write_closed_loop_report(result, tmp_path / f"{algo}-{seed}")
+            for key in sorted(paths):
+                add(paths[key])
+    assert len(files) == 1 + 2 * (1 + 3 * 4)
+    assert digest.hexdigest() == GOLDEN_DIGEST, f"digest {digest.hexdigest()} over {files}"

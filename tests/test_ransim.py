@@ -65,6 +65,13 @@ def test_command_payload_round_trip(ue_id, action, issued, cmd_id):
         {"ue_id": 1, "action": "rrc_release"},  # no issued_at_us
         {"ue_id": 1, "action": "self_destruct", "issued_at_us": 0},
         {"ue_id": "one", "action": "drop", "issued_at_us": 0},
+        # integers are checked, not coerced: none of these may address UE 1 or 5
+        {"ue_id": 1.9, "action": "rrc_release", "issued_at_us": True},
+        {"ue_id": "5", "action": "rrc_release", "issued_at_us": 0},
+        {"ue_id": True, "action": "drop", "issued_at_us": 0},
+        {"ue_id": 1, "action": "drop", "issued_at_us": 0, "cmd_id": 2.0},
+        {"ue_id": 1, "action": "drop", "issued_at_us": float("inf")},
+        {"ue_id": 1, "action": "drop", "issued_at_us": float("nan")},
     ],
 )
 def test_command_from_bad_payload_raises(payload):
@@ -516,3 +523,20 @@ def test_malformed_command_frame_reports_error_event():
     assert event is not None
     assert "bad command payload" in event.payload["error"]
     assert bs.ue(1).policy is UePolicy.FORWARD
+
+
+def test_command_wire_body_with_infinity_reports_error_event():
+    # json.loads reads the bare Infinity token as a float; it must not escape as OverflowError
+    from ranguard.databus import decode_frame
+    from ranguard.ransim import handle_command_frame
+
+    body = (
+        b'{"version":1,"kind":"command","topic":"ctrl.1","t_sent_us":0,'
+        b'"payload":{"ue_id":1,"action":"rrc_release","issued_at_us":Infinity}}'
+    )
+    bs = two_ue_station()
+    event, ok = handle_command_frame(bs, decode_frame(body), applied_at_us=50)
+    assert not ok
+    assert event is not None and event.topic == "event.1"
+    assert "issued_at_us must be an int" in event.payload["error"]
+    assert bs.ue(1).rrc_state is RrcState.CONNECTED
