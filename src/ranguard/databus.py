@@ -1,9 +1,14 @@
 """Topic-based pub/sub over TCP: length-prefixed JSON frames, per-delivery delay stats.
 
-Wire format: 4-byte big-endian body length, then the UTF-8 JSON frame body.
-The broker stamps each delivered payload with a reserved "bus" key holding its
-ingress/egress microsecond times so receivers can derive network and broker
-delay components per frame.
+Wire format: 4-byte big-endian body length, then the UTF-8 JSON frame body, an
+object with the envelope keys "version", "kind", "topic", "t_sent_us" and
+"payload". The broker relays the publisher's body bytes as they came, with one
+envelope key spliced in before the closing brace:
+"bus": {"in_us": <ingress>, "out_us": <egress>}, its microsecond stamps.
+decode_frame lifts that key into payload["bus"], so receivers read the stamps
+there and derive network and broker delay components per frame. The broker's
+key comes last, so it wins over a "bus" key the publisher put in the envelope
+or the payload. Broker ingress refuses a body too long to take the stamp.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Mapping
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_QUEUE_FRAMES = 1024
+_RECV_BYTES = 64 * 1024
 
 _TOPIC_RE = re.compile(r"^(kpm|ctrl|event)\.\d+$")
 _PATTERN_RE = re.compile(r"^(kpm|ctrl|event)\.(\d+|\*)$")
@@ -82,11 +89,11 @@ class DatabusFrame:
     version: int = 1
 
     def __post_init__(self) -> None:
-        if self.version != 1:
-            raise ValueError(f"unsupported frame version {self.version}")
-        if not isinstance(self.t_sent_us, int) or self.t_sent_us < 0:
+        if type(self.version) is not int or self.version != 1:
+            raise ValueError(f"unsupported frame version {self.version!r}")
+        if type(self.t_sent_us) is not int or self.t_sent_us < 0:
             raise ValueError(f"t_sent_us must be a nonnegative integer, got {self.t_sent_us!r}")
-        if not isinstance(self.payload, Mapping):
+        if type(self.payload) is not dict and not isinstance(self.payload, Mapping):
             raise ValueError("payload must be a JSON object")
         if self.kind is FrameKind.SUBSCRIBE:
             if not valid_pattern(self.topic):
@@ -94,67 +101,99 @@ class DatabusFrame:
         elif self.kind is FrameKind.ACK:
             if not self.topic:
                 raise ValueError("ack topic must not be empty")
-        elif not valid_topic(self.topic):
+        elif not _TOPIC_RE.match(self.topic):
             raise ValueError(f"bad topic {self.topic!r} (want kpm.<id>, ctrl.<id>, or event.<id>)")
 
 
+_KINDS = {kind.value: kind for kind in FrameKind}
+_ENVELOPE = ("version", "kind", "topic", "t_sent_us", "payload")
+_envelope_of = itemgetter(*_ENVELOPE)
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
+
+# the broker's stamp replaces a body's closing brace; a stamp is at most this much longer
+_STAMP = b',"bus":{"in_us":%d,"out_us":%d}}'
+_STAMP_ROOM = len(_STAMP % (2**64, 2**64)) - 1
+_JSON_WHITESPACE = b" \t\n\r"
+
+
 def encode_frame(frame: DatabusFrame) -> bytes:
-    body = json.dumps(
+    payload = frame.payload
+    body = _encode_json(
         {
             "version": frame.version,
             "kind": frame.kind.value,
             "topic": frame.topic,
             "t_sent_us": frame.t_sent_us,
-            "payload": dict(frame.payload),
-        },
-        separators=(",", ":"),
+            "payload": payload if type(payload) is dict else dict(payload),
+        }
     ).encode("utf-8")
     return len(body).to_bytes(4, "big") + body
 
 
 def decode_frame(body: bytes) -> DatabusFrame:
-    """Frame from a wire body (without the length prefix)."""
+    """Frame from a wire body (without the length prefix); an envelope "bus" goes into the payload."""
     try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = _decode_json(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FrameDecodeError(f"frame body is not JSON: {exc}") from None
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise FrameDecodeError("frame body must be a JSON object")
-    missing = {"version", "kind", "topic", "t_sent_us", "payload"} - set(doc)
-    if missing:
-        raise FrameDecodeError(f"frame missing fields: {sorted(missing)}")
     try:
-        kind = FrameKind(doc["kind"])
-    except ValueError:
-        raise UnknownFrameKind(f"unknown frame kind {doc['kind']!r}") from None
+        version, kind, topic, t_sent_us, payload = _envelope_of(doc)
+    except KeyError:
+        missing = [key for key in _ENVELOPE if key not in doc]
+        raise FrameDecodeError(f"frame missing fields: {sorted(missing)}") from None
     try:
-        return DatabusFrame(
-            kind=kind,
-            topic=doc["topic"],
-            t_sent_us=doc["t_sent_us"],
-            payload=doc["payload"],
-            version=doc["version"],
-        )
+        kind = _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, a list or an object
+        raise UnknownFrameKind(f"unknown frame kind {kind!r}") from None
+    if "bus" in doc and type(payload) is dict:
+        payload["bus"] = doc["bus"]
+    try:
+        return DatabusFrame(kind, topic, t_sent_us, payload, version)
     except (TypeError, ValueError) as exc:
         raise FrameDecodeError(str(exc)) from None
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise BusDisconnected("connection closed by peer")
-        buf.extend(chunk)
-    return bytes(buf)
+def _stamped(head: bytes, t_in_us: int, t_out_us: int) -> bytes:
+    """The wire frame of a delivery: the relayed body head, then the broker's stamp."""
+    stamp = _STAMP % (t_in_us, t_out_us)
+    return (len(head) + len(stamp)).to_bytes(4, "big") + head + stamp
 
 
-def read_frame(sock: socket.socket) -> DatabusFrame:
-    header = _recv_exact(sock, 4)
-    length = int.from_bytes(header, "big")
-    if not 0 < length <= MAX_FRAME_BYTES:
-        raise FrameDecodeError(f"frame length {length} out of range")
-    return decode_frame(_recv_exact(sock, length))
+class _FrameReader:
+    """One connection's inbound byte stream, cut into length-prefixed frame bodies.
+
+    Each recv takes whatever has arrived; a frame split across reads waits in
+    the buffer, and many frames in one read are handed out one by one.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._buf = bytearray()
+        self._pos = 0  # start of the first byte not yet handed out
+
+    def next_body(self, max_bytes: int) -> bytes:
+        """The next frame body; FrameDecodeError when its length is 0 or past max_bytes."""
+        buf = self._buf
+        while True:
+            pos = self._pos
+            if len(buf) - pos >= 4:
+                length = int.from_bytes(buf[pos : pos + 4], "big")
+                if not 0 < length <= max_bytes:
+                    raise FrameDecodeError(f"frame length {length} out of range")
+                end = pos + 4 + length
+                if len(buf) >= end:
+                    self._pos = end
+                    return bytes(buf[pos + 4 : end])
+            if pos:
+                del buf[:pos]
+                self._pos = 0
+            chunk = self._sock.recv(_RECV_BYTES)
+            if not chunk:
+                raise BusDisconnected("connection closed by peer")
+            buf += chunk
 
 
 @dataclass
@@ -179,7 +218,8 @@ class _Subscriber:
         self.alive = True
         self.dropped = 0
 
-    def enqueue(self, frame: DatabusFrame, t_in_us: int, is_delivery: bool) -> int:
+    def enqueue(self, data: bytes, t_in_us: int | None) -> int:
+        """Queue a delivery (a body head and its ingress stamp) or, with t_in_us None, a wire frame."""
         with self.cond:
             if not self.alive:
                 return 0
@@ -188,7 +228,7 @@ class _Subscriber:
                 self.queue.popleft()
                 self.dropped += 1
                 dropped = 1
-            self.queue.append((frame, t_in_us, is_delivery))
+            self.queue.append((data, t_in_us))
             self.cond.notify()
             return dropped
 
@@ -315,22 +355,25 @@ class Broker:
         sub.close()
 
     def _reader_loop(self, sub: _Subscriber) -> None:
+        reader = _FrameReader(sub.sock)
         while self._running and sub.alive:
             try:
-                frame = read_frame(sub.sock)
+                # a body must leave room for the broker's stamp, or its delivery would be too long
+                body = reader.next_body(MAX_FRAME_BYTES - _STAMP_ROOM)
+                frame = decode_frame(body)
             except UnknownFrameKind as exc:
                 ack = DatabusFrame(
                     FrameKind.ACK, "error", now_us(), {"ok": False, "detail": str(exc)}
                 )
-                sub.enqueue(ack, now_us(), is_delivery=False)
+                sub.enqueue(encode_frame(ack), None)
                 continue
             except (FrameDecodeError, BusDisconnected, OSError):
                 # protocol violation or peer gone: this connection is done
                 self._drop_subscriber(sub)
                 return
-            self._handle_frame(sub, frame)
+            self._handle_frame(sub, frame, body)
 
-    def _handle_frame(self, sub: _Subscriber, frame: DatabusFrame) -> None:
+    def _handle_frame(self, sub: _Subscriber, frame: DatabusFrame, body: bytes) -> None:
         t_in = now_us()
         if frame.kind is FrameKind.SUBSCRIBE:
             with self._lock:
@@ -339,7 +382,7 @@ class Broker:
             ack = DatabusFrame(
                 FrameKind.ACK, frame.topic, now_us(), {"ok": True, "pattern": frame.topic}
             )
-            sub.enqueue(ack, t_in, is_delivery=False)
+            sub.enqueue(encode_frame(ack), None)
             return
         if frame.kind is FrameKind.ACK:
             return  # clients have no business acking; ignore
@@ -351,9 +394,13 @@ class Broker:
                 for s in self._subscribers
                 if s.alive and any(topic_matches(p, frame.topic) for p in s.patterns)
             ]
+        if not targets:
+            return
+        # the body decoded as a JSON object, so it ends in "}" once trailing whitespace goes
+        head = body.rstrip(_JSON_WHITESPACE)[:-1]
         dropped = 0
         for target in targets:
-            dropped += target.enqueue(frame, t_in, is_delivery=True)
+            dropped += target.enqueue(head, t_in)
         if dropped:
             with self._stats_lock:
                 self._dropped += dropped
@@ -365,34 +412,39 @@ class Broker:
                     sub.cond.wait()
                 if not sub.alive:
                     return
-                frame, t_in, is_delivery = sub.queue.popleft()
-            t_out = now_us()
-            if is_delivery:
-                stamped = dict(frame.payload)
-                stamped["bus"] = {"in_us": t_in, "out_us": t_out}
-                frame = replace(frame, payload=stamped)
+                data, t_in = sub.queue.popleft()
+            if t_in is not None:
+                t_out = now_us()
+                data = _stamped(data, t_in, t_out)
             try:
-                sub.sock.sendall(encode_frame(frame))
+                sub.sock.sendall(data)
             except OSError:
                 self._drop_subscriber(sub)
                 return
-            if is_delivery:
+            if t_in is not None:
                 with self._stats_lock:
                     self._frames_out += 1
                     self._delta_d_us.append(t_out - t_in)
 
 
 class Subscription:
-    """Client-side FIFO of frames whose topics match one subscribed pattern."""
+    """Client-side FIFO of frames whose topics match one subscribed pattern.
+
+    Holds at most DEFAULT_QUEUE_FRAMES frames: a full queue drops its oldest
+    frame for a new one and counts it in `dropped`.
+    """
 
     def __init__(self, pattern: str, client: "BusClient") -> None:
         self.pattern = pattern
         self._client = client
-        self._queue: deque = deque()
+        self._queue: deque = deque(maxlen=DEFAULT_QUEUE_FRAMES)
         self._cond = threading.Condition()
+        self.dropped = 0  # frames pushed out, oldest first, by newer ones while the queue was full
 
     def _push(self, frame: DatabusFrame) -> None:
         with self._cond:
+            if len(self._queue) == self._queue.maxlen:
+                self.dropped += 1
             self._queue.append(frame)
             self._cond.notify()
 
@@ -467,9 +519,10 @@ class BusClient:
         self.close()
 
     def _reader_loop(self) -> None:
+        reader = _FrameReader(self._sock)
         try:
             while self._connected:
-                frame = read_frame(self._sock)
+                frame = decode_frame(reader.next_body(MAX_FRAME_BYTES))
                 if frame.kind is FrameKind.ACK:
                     if "pattern" not in frame.payload:  # no subscribe would ever claim it
                         self.error_acks += 1
