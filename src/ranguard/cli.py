@@ -184,7 +184,7 @@ def _cmd_xapp(args: argparse.Namespace) -> int:
     )
     print(
         f"frames: {stats.frames}  decisions: {stats.decisions}"
-        f"  commands: {stats.commands}  malformed: {stats.malformed}"
+        f"  commands: {stats.commands}  malformed: {stats.malformed}  dropped: {stats.dropped}"
     )
     return 0
 

@@ -402,33 +402,28 @@ def closed_loop(
     truths: list[TrafficClass] = []
     commands: list[RicCommand] = []
     false_releases: list[int] = []
+    release_ms: dict[int, float] = {}  # each UE's first release, applied t_d_us after its send
     for t in range(0, config.duration_ms, config.period_ms):
         for labeled in bs.tick_samples(t):
             decision = xapp.on_sample(labeled.sample, t * 1000)
             decisions.append(decision)
             truths.append(labeled.label)
-            if decision.command is not None:
-                commands.append(decision.command)
-                bs.apply_command(
-                    decision.command, applied_at_us=decision.trace.t_cmd_applied_us
-                )
-                if (
-                    decision.command.action is CommandAction.RRC_RELEASE
-                    and category_of(labeled.label) is TrafficCategory.BENIGN
-                ):
-                    false_releases.append(decision.command.ue_id)
+            cmd = decision.command
+            if cmd is not None:
+                commands.append(cmd)
+                applied_us = decision.trace.t_bs_send_us + delay_model.t_d_us
+                bs.apply_command(cmd, applied_at_us=applied_us)
+                if cmd.action is CommandAction.RRC_RELEASE:
+                    release_ms.setdefault(cmd.ue_id, applied_us / 1000.0)
+                    if category_of(labeled.label) is TrafficCategory.BENIGN:
+                        false_releases.append(cmd.ue_id)
 
     released = frozenset(ue.ue_id for ue in bs.ues if ue.rrc_state is RrcState.IDLE)
-    applied_by_ue: dict[int, tuple[RicCommand, float]] = {}
-    for d in decisions:
-        cmd = d.command
-        if cmd is not None and cmd.action is CommandAction.RRC_RELEASE:
-            applied_by_ue.setdefault(cmd.ue_id, (cmd, d.trace.t_cmd_applied_us / 1000.0))
     episodes = []
     for span in _attack_spans(segments):
-        hit = applied_by_ue.get(span.ue_id)
-        landed = hit is not None and span.start_ms <= hit[1] < span.end_ms
-        applied_ms = hit[1] if landed else None
+        hit = release_ms.get(span.ue_id)
+        landed = hit is not None and span.start_ms <= hit < span.end_ms
+        applied_ms = hit if landed else None
         episodes.append(
             Episode(
                 ue_id=span.ue_id,
@@ -544,7 +539,7 @@ def bench_latency(
                 frame = sub.poll(timeout=2.0)
                 if frame is None:
                     break  # stream over (or frames dropped under overload)
-                decision = xapp.on_measurement(frame, recv_us=now_us())
+                decision = xapp.on_measurement(frame)
                 if decision is not None:
                     traces.append(decision.trace)
             feeder.join(timeout=10.0)
@@ -560,6 +555,7 @@ class XappRunStats:
     decisions: int
     commands: int
     malformed: int
+    dropped: int  # frames the subscription's full queue pushed out before they were read
 
 
 def run_xapp(
@@ -597,7 +593,7 @@ def run_xapp(
             if frame is None:
                 break
             frames += 1
-            decision = xapp.on_measurement(frame, recv_us=now_us())
+            decision = xapp.on_measurement(frame)
             if decision is None:
                 continue
             n_decisions += 1
@@ -612,7 +608,7 @@ def run_xapp(
                     break
             if writer is not None:  # ground truth is not observable online
                 writer.writerow(prediction_log_row(decision, ""))
-        return XappRunStats(frames, n_decisions, n_commands, xapp.malformed)
+        return XappRunStats(frames, n_decisions, n_commands, xapp.malformed, sub.dropped)
     finally:
         if log_fh is not None:
             log_fh.close()

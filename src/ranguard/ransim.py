@@ -174,38 +174,29 @@ class BaseStation:
             for s in self.tick_samples(now_ms)
         ]
 
-    def apply_command(
-        self, cmd: RicCommand, *, applied_at_us: int | None = None
-    ) -> DatabusFrame | None:
-        """Execute one command; returns an event frame on state change or error, else None."""
-        stamp = now_us() if applied_at_us is None else applied_at_us
+    def apply_command(self, cmd: RicCommand, *, applied_at_us: int | None = None) -> dict | None:
+        """Execute one command; returns the event payload on state change or error, else None."""
         record = {
             "ue_id": cmd.ue_id,
             "action": cmd.action.value,
             "cmd_id": cmd.cmd_id,
             "issued_at_us": cmd.issued_at_us,
-            "applied_at_us": stamp,
+            "applied_at_us": now_us() if applied_at_us is None else applied_at_us,
         }
         ue = self._ues.get(cmd.ue_id)
         if ue is None:
-            payload = dict(record, error=f"unknown ue_id {cmd.ue_id}")
-            return DatabusFrame(FrameKind.EVENT, self.event_topic, stamp, payload)
+            return dict(record, error=f"unknown ue_id {cmd.ue_id}")
         if cmd.action is CommandAction.RRC_RELEASE:
             if ue.rrc_state is RrcState.IDLE:
                 return None  # already released; idempotent
             ue.rrc_state = RrcState.IDLE
-            payload = dict(
-                record,
-                rrc_state=RrcState.IDLE.value,
-                prev_rrc_state=RrcState.CONNECTED.value,
-            )
-            return DatabusFrame(FrameKind.EVENT, self.event_topic, stamp, payload)
+            return dict(record, rrc_state=RrcState.IDLE.value, prev_rrc_state=RrcState.CONNECTED.value)
         new_policy = _POLICY_FOR_ACTION[cmd.action]
         if ue.policy is new_policy:
             return None  # policy commands are idempotent
         payload = dict(record, policy=new_policy.value, prev_policy=ue.policy.value)
         ue.policy = new_policy
-        return DatabusFrame(FrameKind.EVENT, self.event_topic, stamp, payload)
+        return payload
 
 
 class TimeMode(Enum):
@@ -514,13 +505,19 @@ class ScenarioReport:
 def handle_command_frame(
     bs: BaseStation, frame: DatabusFrame, *, applied_at_us: int
 ) -> tuple[DatabusFrame | None, bool]:
-    """Decode and execute one command frame: (event frame or None, decoded ok)."""
+    """Decode and execute one command frame: (event frame or None, decoded ok).
+
+    The one place a station's event frame is built.
+    """
     try:
         cmd = RicCommand.from_payload(frame.payload)
     except ValueError as exc:
-        payload = {"error": str(exc), "applied_at_us": applied_at_us}
-        return DatabusFrame(FrameKind.EVENT, bs.event_topic, applied_at_us, payload), False
-    return bs.apply_command(cmd, applied_at_us=applied_at_us), True
+        payload, ok = {"error": str(exc), "applied_at_us": applied_at_us}, False
+    else:
+        payload, ok = bs.apply_command(cmd, applied_at_us=applied_at_us), True
+    if payload is None:
+        return None, ok
+    return DatabusFrame(FrameKind.EVENT, bs.event_topic, applied_at_us, payload), ok
 
 
 def run_scenario(config: ScenarioConfig, *, client: BusClient | None = None) -> ScenarioReport:

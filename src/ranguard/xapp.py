@@ -3,15 +3,15 @@
 Every measurement, a bus frame or a sample the program made itself, becomes
 one Decision: the raw model prediction, the window-majority smoothed verdict,
 an optional mitigation command (emitted once per sustained attack episode),
-and a LatencyTrace capturing where the control loop spent its time. Trace
-stamps come either from the wall clock (real runs) or from a DelayModel
-(deterministic virtual runs).
+and a LatencyTrace capturing where the control loop spent its time. Each
+entry point stamps with one clock: on_measurement with the wall clock (bus
+frames), on_sample with a DelayModel (deterministic virtual runs).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Mapping, Sequence
 
@@ -36,10 +36,10 @@ BUDGET_US = 1_000_000  # near-real-time control loop bound
 
 @dataclass(frozen=True)
 class LatencyTrace:
-    """Microsecond stamps along one decision's path; monotone in field order.
+    """Microsecond stamps along one decision's uplink path; monotone in field order.
 
-    The two command stamps stay None for decisions that issue no command; a
-    command's applied stamp is filled in when its confirmation event arrives.
+    A command issued by the decision carries its own stamp, issued_at_us,
+    which is t_infer_end_us.
     """
 
     t_bs_send_us: int
@@ -48,29 +48,13 @@ class LatencyTrace:
     t_xapp_recv_us: int
     t_infer_start_us: int
     t_infer_end_us: int
-    t_cmd_sent_us: int | None = None
-    t_cmd_applied_us: int | None = None
 
     def __post_init__(self) -> None:
-        stamps = [
-            ("t_bs_send_us", self.t_bs_send_us),
-            ("t_bus_in_us", self.t_bus_in_us),
-            ("t_bus_out_us", self.t_bus_out_us),
-            ("t_xapp_recv_us", self.t_xapp_recv_us),
-            ("t_infer_start_us", self.t_infer_start_us),
-            ("t_infer_end_us", self.t_infer_end_us),
-            ("t_cmd_sent_us", self.t_cmd_sent_us),
-            ("t_cmd_applied_us", self.t_cmd_applied_us),
-        ]
-        if self.t_cmd_applied_us is not None and self.t_cmd_sent_us is None:
-            raise ValueError("t_cmd_applied_us requires t_cmd_sent_us")
-        prev_name, prev = None, None
-        for name, value in stamps:
-            if value is None:
-                continue
+        prev_name, prev = None, 0
+        for name, value in vars(self).items():
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-            if prev is not None and value < prev:
+            if value < prev:
                 raise ValueError(f"{name}={value} precedes {prev_name}={prev}")
             prev_name, prev = name, value
 
@@ -104,16 +88,6 @@ class LatencyTrace:
         """Total control-loop delay."""
         return self.t_n_us + 2 * self.delta_d_us + self.delta_i_us
 
-    @property
-    def loop_us(self) -> int | None:
-        """Measured send-to-applied wall time; None until the command lands."""
-        if self.t_cmd_applied_us is None:
-            return None
-        return self.t_cmd_applied_us - self.t_bs_send_us
-
-    def with_applied(self, t_cmd_applied_us: int) -> "LatencyTrace":
-        return replace(self, t_cmd_applied_us=t_cmd_applied_us)
-
 
 @dataclass(frozen=True)
 class DelayModel:
@@ -141,26 +115,12 @@ class DelayModel:
     def t_d_us(self) -> int:
         return self.t_n_us + 2 * self.delta_d_us + self.delta_i_us
 
-    def trace(self, t_bs_send_us: int, *, command: bool) -> LatencyTrace:
-        """Fully synthetic trace; with a command, applied lands exactly t_d_us after send."""
+    def trace(self, t_bs_send_us: int) -> LatencyTrace:
+        """Fully synthetic trace: every stamp a fixed offset from the send stamp."""
         t_bus_in = t_bs_send_us + self.delta_bd_us
         t_bus_out = t_bus_in + self.delta_d_us
         t_recv = t_bus_out + self.delta_dr_us
-        t_infer_end = t_recv + self.delta_i_us
-        t_cmd_sent = t_infer_end if command else None
-        t_cmd_applied = (
-            t_infer_end + self.delta_dr_us + self.delta_d_us + self.delta_bd_us if command else None
-        )
-        return LatencyTrace(
-            t_bs_send_us=t_bs_send_us,
-            t_bus_in_us=t_bus_in,
-            t_bus_out_us=t_bus_out,
-            t_xapp_recv_us=t_recv,
-            t_infer_start_us=t_recv,
-            t_infer_end_us=t_infer_end,
-            t_cmd_sent_us=t_cmd_sent,
-            t_cmd_applied_us=t_cmd_applied,
-        )
+        return LatencyTrace(t_bs_send_us, t_bus_in, t_bus_out, t_recv, t_recv, t_recv + self.delta_i_us)
 
 
 @dataclass(frozen=True)
@@ -179,10 +139,6 @@ class LatencyReport:
     budget_us: int
     over_budget: int  # traces whose total delay exceeds the budget
     worst_t_d_us: int
-
-    @property
-    def median_margin_us(self) -> float:
-        return self.budget_us - self.t_d.median_us
 
     @property
     def p99_margin_us(self) -> float:
@@ -334,8 +290,9 @@ class _UeTrack:
 class OnlineClassifier:
     """Consumes measurements, emits at most one command per attack episode.
 
-    on_measurement takes bus frames and checks them; on_sample takes samples
-    the program made itself. Both end in the same decision step.
+    on_measurement takes bus frames, checks them and stamps with the wall
+    clock; on_sample takes samples the program made itself and stamps with
+    the delay model. Both end in the same decision step, which reads no clock.
     """
 
     def __init__(
@@ -346,13 +303,12 @@ class OnlineClassifier:
         *,
         delay_model: DelayModel | None = None,
     ) -> None:
-        if model is not None and not hasattr(model, "predict"):
+        if not hasattr(model, "predict"):
             raise TypeError("model must expose predict(features) -> class index")
         self.model = model
         self.class_labels = tuple(class_labels)
         self.policy = policy if policy is not None else PolicyMap.default()
         self.delay_model = delay_model
-        self.dropped = 0  # frames skipped because no model was loaded
         self.malformed = 0  # frames skipped: not a measurement, or bad bus stamps
         self._tracks: dict[int, _UeTrack] = {}
         self._next_cmd_id = 1
@@ -364,23 +320,18 @@ class OnlineClassifier:
             self._tracks[ue_id] = track
         return track
 
-    def on_measurement(self, frame: DatabusFrame, *, recv_us: int | None = None) -> Decision | None:
-        """Classify one bus frame; None when it was dropped (no model / bad payload).
+    def on_measurement(self, frame: DatabusFrame) -> Decision | None:
+        """Classify one bus frame, stamped by the wall clock; None for a bad frame.
 
         The trust boundary for measurements from outside: the payload and the
         bus stamps are checked here, and a bad frame is counted, not raised.
         """
-        if self.model is None:
-            self.dropped += 1
-            return None
+        t_arrived = now_us()
         try:
             sample = KpmSample.from_payload(frame.payload)
         except (ValueError, TypeError):
             self.malformed += 1
             return None
-        if self.delay_model is not None:
-            return self.on_sample(sample, frame.t_sent_us)
-
         features = feature_vector(sample)
         t_send = frame.t_sent_us
         bus = frame.payload.get("bus")
@@ -392,32 +343,28 @@ class OnlineClassifier:
             self.malformed += 1
             return None
         # clamps keep the trace monotone against sub-us cross-thread jitter
-        t_recv = max(now_us() if recv_us is None else recv_us, t_bus_out)
+        t_recv = max(t_arrived, t_bus_out)
         t_infer_start = max(now_us(), t_recv)
         raw_idx = int(self.model.predict(features))
         t_infer_end = max(now_us(), t_infer_start)
-        base = LatencyTrace(
-            t_bs_send_us=t_send,
-            t_bus_in_us=t_bus_in,
-            t_bus_out_us=t_bus_out,
-            t_xapp_recv_us=t_recv,
-            t_infer_start_us=t_infer_start,
-            t_infer_end_us=t_infer_end,
-        )
-        return self._decide(sample, raw_idx, base)
+        trace = LatencyTrace(t_send, t_bus_in, t_bus_out, t_recv, t_infer_start, t_infer_end)
+        return self._decide(sample, raw_idx, trace)
 
     def on_sample(self, sample: KpmSample, t_sent_us: int) -> Decision:
         """Classify one sample this program made itself, stamped by the delay model.
 
         The virtual loop's entry: the sample was checked when it was made, so
         no bus frame is built and the payload is not checked a second time.
-        Needs a model and a delay model.
+        Needs a delay model.
         """
         raw_idx = int(self.model.predict(feature_vector(sample)))
-        return self._decide(sample, raw_idx, self.delay_model.trace(t_sent_us, command=False))
+        return self._decide(sample, raw_idx, self.delay_model.trace(t_sent_us))
 
-    def _decide(self, sample: KpmSample, raw_idx: int, base: LatencyTrace) -> Decision:
-        """Smooth the raw label into the UE's window, and command once per sustained episode."""
+    def _decide(self, sample: KpmSample, raw_idx: int, trace: LatencyTrace) -> Decision:
+        """Smooth the raw label into the UE's window, and command once per sustained episode.
+
+        A command is stamped issued at the end of inference.
+        """
         if not 0 <= raw_idx < len(self.class_labels):
             raise ValueError(
                 f"model predicted index {raw_idx}, but only {len(self.class_labels)} labels are mapped"
@@ -431,17 +378,12 @@ class OnlineClassifier:
         track.attack_run = track.attack_run + 1 if attack else 0
 
         command = None
-        trace = base
         if attack and track.attack_run >= self.policy.dwell and not track.engaged:
             track.engaged = True
-            if self.delay_model is not None:
-                trace = self.delay_model.trace(base.t_bs_send_us, command=True)
-            else:
-                trace = replace(base, t_cmd_sent_us=max(now_us(), base.t_infer_end_us))
             command = RicCommand(
                 ue_id=sample.ue_id,
                 action=self.policy.actions[smoothed],
-                issued_at_us=trace.t_cmd_sent_us,
+                issued_at_us=trace.t_infer_end_us,
                 cmd_id=self._next_cmd_id,
             )
             self._next_cmd_id += 1

@@ -232,6 +232,7 @@ def test_xapp_serves_from_live_broker(trained, tmp_path, capsys):
     assert code == 0
     assert "decisions: 120" in out
     assert "commands: 1" in out
+    assert "dropped: 0" in out
     with log_path.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 120

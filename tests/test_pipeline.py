@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranguard import pipeline
+from ranguard import databus, pipeline
 from ranguard.databus import Broker, BusClient, DatabusFrame, FrameKind, now_us
 from ranguard.kpm import (
     CLASS_ORDER,
@@ -365,16 +365,9 @@ def test_closed_loop_builds_no_measurement_frame(dt_model, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the virtual loop went through the bus route")
 
-    check_frame = DatabusFrame.__post_init__
-
-    def refuse_measurements(frame):
-        if frame.kind is FrameKind.MEASUREMENT:
-            refuse()
-        check_frame(frame)  # apply_command still returns its event frame
-
     monkeypatch.setattr(KpmSample, "to_payload", refuse)
     monkeypatch.setattr(KpmSample, "from_payload", classmethod(refuse))
-    monkeypatch.setattr(DatabusFrame, "__post_init__", refuse_measurements)
+    monkeypatch.setattr(DatabusFrame, "__post_init__", refuse)  # no frame of any kind, events included
     result = pipeline.closed_loop(pipeline.attack_demo_scenario(3), dt_model, CLASS_ORDER)
     assert result.commands
 
@@ -538,6 +531,45 @@ def test_run_xapp_classifies_and_commands_over_bus(dt_model, tmp_path):
     assert sum(1 for r in rows if r["command"]) == 1
 
 
+def test_run_xapp_counts_the_frames_its_full_queue_dropped(monkeypatch):
+    class SlowModel:
+        def predict(self, features) -> int:
+            time.sleep(0.002)
+            return 0
+
+    monkeypatch.setattr(databus, "DEFAULT_QUEUE_FRAMES", 8)
+    bs = build_station(pipeline.attack_demo_scenario(3, duration_ms=8000))
+    outcome = {}
+    with Broker(port=0) as broker:
+        host, port = broker.address
+        with BusClient.connect(host, port) as pub:
+
+            def serve():
+                outcome["stats"] = pipeline.run_xapp(
+                    SlowModel(), CLASS_ORDER, broker_host=host, broker_port=port, idle_timeout_s=1.0
+                )
+
+            server = threading.Thread(target=serve, daemon=True)
+            server.start()
+            for attempt in range(250):  # probes until one is delivered: the subscription is registered
+                pub.publish(FrameKind.MEASUREMENT, "kpm.9", {"probe": attempt})
+                time.sleep(0.02)
+                if broker.stats().frames_out:
+                    break
+            else:
+                pytest.fail("kpm.* subscription never registered")
+            for k in range(100):
+                for frame in bs.tick(k * 100, t_sent_us=now_us()):
+                    pub.publish(frame.kind, frame.topic, frame.payload, frame.t_sent_us)
+            server.join(timeout=30)
+        published = broker.stats()
+    stats = outcome["stats"]
+    assert published.frames_out >= 200
+    assert published.dropped == 0  # every loss was the xApp's own queue, and it was counted
+    assert stats.dropped > 0
+    assert stats.frames + stats.dropped == published.frames_out
+
+
 def test_run_xapp_idle_timeout_returns_quickly(dt_model):
     with Broker(port=0) as broker:
         host, port = broker.address
@@ -546,6 +578,7 @@ def test_run_xapp_idle_timeout_returns_quickly(dt_model):
         )
     assert stats.frames == 0
     assert stats.decisions == 0
+    assert stats.dropped == 0
 
 
 # sha256 over every file below, in order, each prefixed by its name; taken before the

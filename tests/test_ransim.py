@@ -83,15 +83,15 @@ def test_release_moves_ue_to_idle_and_is_idempotent():
     bs = two_ue_station()
     cmd = RicCommand(2, CommandAction.RRC_RELEASE, issued_at_us=1000, cmd_id=7)
     event = bs.apply_command(cmd, applied_at_us=2000)
-    assert event is not None
-    assert event.topic == "event.1"
-    assert event.kind is FrameKind.EVENT
-    assert event.payload["ue_id"] == 2
-    assert event.payload["cmd_id"] == 7
-    assert event.payload["issued_at_us"] == 1000
-    assert event.payload["applied_at_us"] == 2000
-    assert event.payload["rrc_state"] == "idle"
-    assert event.payload["prev_rrc_state"] == "connected"
+    assert event == {
+        "ue_id": 2,
+        "action": "rrc_release",
+        "cmd_id": 7,
+        "issued_at_us": 1000,
+        "applied_at_us": 2000,
+        "rrc_state": "idle",
+        "prev_rrc_state": "connected",
+    }
     assert bs.ue(2).rrc_state is RrcState.IDLE
     # second release: no state change, no event
     assert bs.apply_command(cmd, applied_at_us=3000) is None
@@ -105,8 +105,8 @@ def test_policy_commands_are_idempotent():
     assert bs.apply_command(noop, applied_at_us=10) is None
     event = bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0), applied_at_us=20)
     assert event is not None
-    assert event.payload["policy"] == "drop"
-    assert event.payload["prev_policy"] == "forward"
+    assert event["policy"] == "drop"
+    assert event["prev_policy"] == "forward"
     assert bs.ue(1).policy is UePolicy.DROP
     assert bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0), applied_at_us=30) is None
 
@@ -116,8 +116,7 @@ def test_unknown_ue_yields_error_event_without_state_change():
     before = [(ue.rrc_state, ue.policy) for ue in bs.ues]
     event = bs.apply_command(RicCommand(99, CommandAction.RRC_RELEASE, issued_at_us=5), applied_at_us=6)
     assert event is not None
-    assert event.topic == "event.1"
-    assert "unknown ue_id 99" in event.payload["error"]
+    assert "unknown ue_id 99" in event["error"]
     assert [(ue.rrc_state, ue.policy) for ue in bs.ues] == before
 
 
@@ -510,6 +509,27 @@ def test_connect_with_retry_gives_up_after_attempts():
     with pytest.raises(OSError):
         connect_with_retry("127.0.0.1", 1, attempts=3, base_delay_s=0.01)
     assert time.monotonic() - t0 < 5.0
+
+
+def test_command_frame_yields_one_event_frame_per_state_change():
+    from ranguard.ransim import handle_command_frame
+
+    bs = two_ue_station()
+    cmd = RicCommand(2, CommandAction.RRC_RELEASE, issued_at_us=1000, cmd_id=7)
+    frame = DatabusFrame(FrameKind.COMMAND, "ctrl.1", 1000, cmd.to_payload())
+    event, ok = handle_command_frame(bs, frame, applied_at_us=2000)
+    assert ok
+    assert (event.kind, event.topic, event.t_sent_us) == (FrameKind.EVENT, "event.1", 2000)
+    assert event.payload == {
+        "ue_id": 2,
+        "action": "rrc_release",
+        "cmd_id": 7,
+        "issued_at_us": 1000,
+        "applied_at_us": 2000,
+        "rrc_state": "idle",
+        "prev_rrc_state": "connected",
+    }
+    assert handle_command_frame(bs, frame, applied_at_us=3000) == (None, True)  # no state change
 
 
 def test_malformed_command_frame_reports_error_event():

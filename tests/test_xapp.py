@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import astuple, replace
 from math import inf
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ranguard.databus import DatabusFrame, FrameKind, decode_frame, encode_frame
-from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficClass
+from ranguard import xapp as xapp_module
+from ranguard.databus import DatabusFrame, FrameKind, decode_frame, encode_frame, now_us
+from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficCategory, TrafficClass, category_of
 from ranguard.ml import DecisionTree
 from ranguard.ransim import (
     CommandAction,
@@ -55,8 +58,8 @@ class IndexModel:
         return int(x[7])
 
 
-def frame_for(ue_id: int, t_ms: int, cls: TrafficClass) -> DatabusFrame:
-    sample = KpmSample(
+def sample_for(ue_id: int, t_ms: int, cls: TrafficClass) -> KpmSample:
+    return KpmSample(
         timestamp_ms=t_ms,
         bs_id=1,
         ue_id=ue_id,
@@ -70,7 +73,10 @@ def frame_for(ue_id: int, t_ms: int, cls: TrafficClass) -> DatabusFrame:
         ul_pkts_ok=IDX[cls],
         ul_pkts_nok=0,
     )
-    return DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", t_ms * 1000, sample.to_payload())
+
+
+def frame_for(ue_id: int, t_ms: int, cls: TrafficClass) -> DatabusFrame:
+    return DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", t_ms * 1000, sample_for(ue_id, t_ms, cls).to_payload())
 
 
 def modeled_xapp(window: int = 5, dwell: int = 3) -> OnlineClassifier:
@@ -80,6 +86,15 @@ def modeled_xapp(window: int = 5, dwell: int = 3) -> OnlineClassifier:
         PolicyMap.default(window=window, dwell=dwell),
         delay_model=DelayModel(),
     )
+
+
+def wall_xapp() -> OnlineClassifier:
+    return OnlineClassifier(IndexModel(), CLASS_ORDER)
+
+
+def feed(xapp: OnlineClassifier, ue_id: int, t_ms: int, cls: TrafficClass) -> Decision:
+    """One modeled decision on the sample of class cls, sent at t_ms."""
+    return xapp.on_sample(sample_for(ue_id, t_ms, cls), t_ms * 1000)
 
 
 # -- latency traces --
@@ -122,28 +137,17 @@ def test_trace_rejects_out_of_order_stamps():
         LatencyTrace(100, 90, 100, 100, 100, 100)
     with pytest.raises(ValueError, match="nonnegative"):
         LatencyTrace(-1, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError, match="requires"):
-        LatencyTrace(0, 0, 0, 0, 0, 0, None, 10)
-
-
-def test_trace_with_applied_completes_the_loop():
-    trace = LatencyTrace(0, 10, 20, 30, 30, 50, t_cmd_sent_us=60)
-    assert trace.loop_us is None
-    done = trace.with_applied(90)
-    assert done.loop_us == 90
-    assert done.t_d_us == trace.t_d_us  # uplink components unchanged
+    with pytest.raises(ValueError, match="t_infer_end_us must be a nonnegative integer"):
+        LatencyTrace(0, 0, 0, 0, 0, 1.5)
 
 
 def test_delay_model_defaults_hit_reference_totals():
     model = DelayModel()
     assert model.t_n_us == 670
     assert model.t_d_us == 3620
-    trace = model.trace(1_000_000, command=True)
+    trace = model.trace(1_000_000)
+    assert astuple(trace) == (1_000_000, 1_000_167, 1_000_212, 1_000_380, 1_000_380, 1_003_240)
     assert trace.t_d_us == 3620
-    assert trace.loop_us == 3620  # symmetric legs: measured loop equals the model
-    plain = model.trace(1_000_000, command=False)
-    assert plain.t_cmd_sent_us is None
-    assert plain.t_d_us == 3620
 
 
 def test_delay_model_rejects_negative_legs():
@@ -173,14 +177,13 @@ def test_latency_report_matches_direct_recomputation():
 def test_latency_report_zero_trace_full_margin():
     report = latency_report([LatencyTrace(5, 5, 5, 5, 5, 5)])
     assert report.t_d.median_us == 0.0
-    assert report.median_margin_us == BUDGET_US
     assert report.p99_margin_us == BUDGET_US
     assert report.over_budget == 0
     assert any("budget" in line for line in report.summary_lines())
 
 
 def test_latency_report_flags_budget_violations():
-    small = DelayModel().trace(0, command=False)
+    small = DelayModel().trace(0)
     huge = LatencyTrace(0, 0, 0, 0, 0, 2_000_000)
     report = latency_report([small, huge])
     assert report.over_budget == 1
@@ -267,8 +270,8 @@ def test_policy_rejects_bad_knobs(kwargs):
 
 def test_dwell_gates_the_single_command():
     xapp = modeled_xapp(window=5, dwell=3)
-    decisions = [xapp.on_measurement(frame_for(7, t * 100, WEB)) for t in range(3)]
-    decisions += [xapp.on_measurement(frame_for(7, (3 + t) * 100, HULK)) for t in range(10)]
+    decisions = [feed(xapp, 7, t * 100, WEB) for t in range(3)]
+    decisions += [feed(xapp, 7, (3 + t) * 100, HULK) for t in range(10)]
     commands = [d.command for d in decisions if d.command is not None]
     assert len(commands) == 1
     # windows fill with w w w h h | h -> first attack majority at the 6th frame,
@@ -283,7 +286,7 @@ def test_dwell_gates_the_single_command():
 def test_benign_gap_rearms_for_a_second_episode():
     xapp = modeled_xapp(window=3, dwell=2)
     seq = [HULK] * 6 + [WEB] * 6 + [HULK] * 6
-    decisions = [xapp.on_measurement(frame_for(1, t * 100, cls)) for t, cls in enumerate(seq)]
+    decisions = [feed(xapp, 1, t * 100, cls) for t, cls in enumerate(seq)]
     commands = [d.command for d in decisions if d.command is not None]
     assert len(commands) == 2
     assert commands[0].cmd_id == 1
@@ -300,7 +303,7 @@ def test_benign_gap_rearms_for_a_second_episode():
 def test_window_one_dwell_one_matches_raw_model():
     xapp = modeled_xapp(window=1, dwell=1)
     seq = [WEB, HULK, WEB, SLOW, VOIP, RIPPER]
-    decisions = [xapp.on_measurement(frame_for(2, t * 100, cls)) for t, cls in enumerate(seq)]
+    decisions = [feed(xapp, 2, t * 100, cls) for t, cls in enumerate(seq)]
     assert [d.raw for d in decisions] == seq
     assert [d.smoothed for d in decisions] == seq  # smoothing identity
     assert decisions[1].command is not None  # first attack verdict fires immediately
@@ -309,14 +312,14 @@ def test_window_one_dwell_one_matches_raw_model():
 def test_benign_stream_never_commands():
     xapp = modeled_xapp()
     for t in range(50):
-        d = xapp.on_measurement(frame_for(1, t * 100, WEB if t % 2 else VOIP))
+        d = feed(xapp, 1, t * 100, WEB if t % 2 else VOIP)
         assert d.command is None
 
 
 def test_smoothed_sequence_equals_recount_oracle():
     xapp = modeled_xapp(window=5)
     seq = [WEB, HULK] * 10
-    decisions = [xapp.on_measurement(frame_for(1, t * 100, cls)) for t, cls in enumerate(seq)]
+    decisions = [feed(xapp, 1, t * 100, cls) for t, cls in enumerate(seq)]
     assert [d.smoothed for d in decisions] == smooth(seq, 5)
 
 
@@ -324,21 +327,21 @@ def test_ue_windows_are_independent():
     xapp = modeled_xapp(window=3, dwell=2)
     commands = []
     for t in range(8):
-        d1 = xapp.on_measurement(frame_for(1, t * 100, HULK))
-        d2 = xapp.on_measurement(frame_for(2, t * 100, WEB))
+        d1 = feed(xapp, 1, t * 100, HULK)
+        d2 = feed(xapp, 2, t * 100, WEB)
         commands += [d for d in (d1.command, d2.command) if d is not None]
     assert len(commands) == 1
     assert commands[0].ue_id == 1
 
 
-def test_no_model_drops_frames():
-    xapp = OnlineClassifier(None, CLASS_ORDER)
-    assert xapp.on_measurement(frame_for(1, 0, WEB)) is None
-    assert xapp.dropped == 1
+def test_classifier_requires_a_model():
+    for model in (None, object()):
+        with pytest.raises(TypeError, match="predict"):
+            OnlineClassifier(model, CLASS_ORDER)
 
 
 def test_malformed_payload_is_counted_and_skipped():
-    xapp = modeled_xapp()
+    xapp = wall_xapp()
     bad = DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 0, {"nonsense": True})
     assert xapp.on_measurement(bad) is None
     assert xapp.malformed == 1
@@ -347,7 +350,7 @@ def test_malformed_payload_is_counted_and_skipped():
 
 @pytest.mark.parametrize("field", ["pusch_sinr_db", "pucch_sinr_db", "dl_brate_bps", "ul_brate_bps"])
 def test_non_finite_kpm_value_is_malformed(field):
-    xapp = modeled_xapp()
+    xapp = wall_xapp()
     frame = frame_for(1, 0, WEB)
     frame.payload[field] = float("nan")
     assert xapp.on_measurement(frame) is None
@@ -368,7 +371,7 @@ def test_non_finite_kpm_value_is_malformed(field):
     ids=["timestamp_inf", "cqi_minus_inf", "ul_pkts_nok_inf", "pusch_sinr_huge_int", "ul_pkts_ok_huge_int"],
 )
 def test_value_past_the_number_range_is_malformed(field, value):
-    xapp = modeled_xapp()
+    xapp = wall_xapp()
     frame = frame_for(1, 0, WEB)
     frame.payload[field] = value
     assert xapp.on_measurement(frame) is None
@@ -382,7 +385,7 @@ def test_value_past_the_number_range_is_malformed(field, value):
     ids=["float_ue_id", "integral_float_count", "bool_int", "text_int", "bool_float", "text_float"],
 )
 def test_kpm_value_of_the_wrong_type_is_malformed(field, value):
-    xapp = modeled_xapp()
+    xapp = wall_xapp()
     frame = frame_for(1, 0, WEB)
     frame.payload[field] = value
     assert xapp.on_measurement(frame) is None
@@ -398,7 +401,7 @@ def test_infinite_timestamp_from_the_wire_is_malformed(number):
     assert frame.payload["timestamp_ms"] == inf
     with pytest.raises(ValueError, match="timestamp_ms must be an int"):
         KpmSample.from_payload(frame.payload)
-    xapp = modeled_xapp()
+    xapp = wall_xapp()
     assert xapp.on_measurement(frame) is None
     assert xapp.malformed == 1
 
@@ -407,18 +410,19 @@ def test_out_of_range_prediction_is_an_error():
     xapp = OnlineClassifier(IndexModel(), CLASS_ORDER[:2], delay_model=DelayModel())
     with pytest.raises(ValueError, match="labels are mapped"):
         xapp.on_measurement(frame_for(1, 0, HULK))  # index 3, only 2 labels
+    with pytest.raises(ValueError, match="labels are mapped"):
+        feed(xapp, 1, 0, HULK)
 
 
 def test_modeled_traces_are_exact():
     model = DelayModel()
     xapp = modeled_xapp(window=1, dwell=1)
-    benign = xapp.on_measurement(frame_for(1, 200, WEB))
-    assert benign.trace == model.trace(200_000, command=False)
-    attack = xapp.on_measurement(frame_for(1, 300, HULK))
+    benign = feed(xapp, 1, 200, WEB)
+    assert benign.trace == model.trace(200_000)
+    attack = feed(xapp, 1, 300, HULK)
     assert attack.command is not None
-    assert attack.trace == model.trace(300_000, command=True)
-    assert attack.trace.loop_us == 3620
-    assert attack.command.issued_at_us == attack.trace.t_cmd_sent_us
+    assert attack.trace == model.trace(300_000)
+    assert attack.command.issued_at_us == attack.trace.t_infer_end_us == 300_000 + 380 + 2860
 
 
 def test_wall_mode_uses_bus_stamps():
@@ -434,10 +438,21 @@ def test_wall_mode_uses_bus_stamps():
     assert d.trace.t_xapp_recv_us >= 61_000
     assert d.trace.t_infer_end_us >= d.trace.t_infer_start_us
     assert d.command is not None
-    assert d.trace.t_cmd_sent_us is not None
-    assert d.trace.t_cmd_applied_us is None
-    done = d.trace.with_applied(d.trace.t_cmd_sent_us + 500)
-    assert done.loop_us == done.t_cmd_applied_us - 50_000
+    assert d.command.issued_at_us == d.trace.t_infer_end_us
+
+
+def test_each_entry_point_reads_one_clock():
+    # on_measurement reads the wall clock three times, the receive stamp first;
+    # on_sample and the decision step read none
+    clock = iter([70_000, 71_000, 72_000])
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1), delay_model=DelayModel())
+    with mock.patch.object(xapp_module, "now_us", lambda: next(clock)):
+        d = xapp.on_measurement(frame_for(1, 50, HULK))
+    assert astuple(d.trace) == (50_000, 50_000, 50_000, 70_000, 71_000, 72_000)
+    assert d.command.issued_at_us == 72_000
+    with mock.patch.object(xapp_module, "now_us", lambda: pytest.fail("on_sample read the wall clock")):
+        d = feed(xapp, 2, 60, HULK)
+    assert d.command.issued_at_us == d.trace.t_infer_end_us
 
 
 def bus_frame(bus, *, t_sent_us: int = 50_000) -> DatabusFrame:
@@ -493,27 +508,82 @@ def vote_tree() -> DecisionTree:
     )
 
 
+def without_clock_reads(d: Decision) -> tuple:
+    """A decision less the stamps read from the wall clock: receive, inference, command issue."""
+    command = None if d.command is None else replace(d.command, issued_at_us=0)
+    return d.ue_id, d.timestamp_ms, d.raw, d.smoothed, command, astuple(d.trace)[:3]
+
+
 @settings(max_examples=300, deadline=None)
-@example(changes={"timestamp_ms": inf}, keep=True, modeled=True)
-@example(changes={"ul_pkts_ok": 10**400}, keep=True, modeled=False)
+@example(changes={"timestamp_ms": inf}, keep=True)
+@example(changes={"ul_pkts_ok": 10**400}, keep=True)
 @given(
     changes=st.dictionaries(st.sampled_from(KPM_FIELDS + ["bus"]) | st.text(max_size=4), JSON | EXTREMES, max_size=14),
     keep=st.booleans(),
-    modeled=st.booleans(),
 )
-def test_on_measurement_never_raises_on_any_payload(changes, keep, modeled):
+def test_on_measurement_never_raises_on_any_payload(changes, keep):
     # keep: change some fields of a valid payload; otherwise the payload is changes alone
     payload = {**(frame_for(1, 50, WEB).payload if keep else {}), **changes}
-    delay_model = DelayModel() if modeled else None
     frame = DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 50_000, payload)
-    xapp = OnlineClassifier(vote_tree(), CLASS_ORDER, delay_model=delay_model)
+    xapp = OnlineClassifier(vote_tree(), CLASS_ORDER)
     decision = xapp.on_measurement(frame)
     assert (decision is None) == (xapp.malformed == 1)
-    # the trust boundary takes and refuses exactly what the inline route did
-    expected = FrameRouteClassifier(vote_tree(), CLASS_ORDER, delay_model=delay_model).on_measurement(frame)
+    # the trust boundary takes and refuses exactly what the inline route did, and decides as it did
+    expected = FrameRouteClassifier(vote_tree(), CLASS_ORDER).on_measurement(frame)
     assert (decision is None) == (expected is None)
-    if modeled:
-        assert decision == expected
+    if decision is not None:
+        assert without_clock_reads(decision) == without_clock_reads(expected)
+
+
+LEGS = st.lists(st.integers(0, 5000), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    legs=LEGS,
+    t_sent_us=st.integers(0, 10**12),
+    labels=st.lists(st.sampled_from(list(TrafficClass)), min_size=1, max_size=20),
+)
+def test_on_sample_stamps_exactly_the_delay_model(legs, t_sent_us, labels):
+    delay_model = DelayModel(*legs)
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1), delay_model=delay_model)
+    commands = 0
+    with mock.patch.object(xapp_module, "now_us", lambda: pytest.fail("on_sample read the wall clock")):
+        for k, cls in enumerate(labels):
+            t = t_sent_us + k * 100_000
+            d = xapp.on_sample(sample_for(1, k * 100, cls), t)
+            assert d.trace == delay_model.trace(t)
+            assert d.trace.t_d_us == delay_model.t_d_us
+            if d.command is not None:
+                commands += 1
+                assert d.command.issued_at_us == d.trace.t_infer_end_us
+    # window 1, dwell 1: the first attack label commands, so the check above is not vacuous
+    assert (commands > 0) == any(category_of(c) is TrafficCategory.ATTACK for c in labels)
+
+
+@settings(max_examples=200, deadline=None)
+@example(t_sent_us=10**15, gaps=[0, 0], cls=HULK)  # stamps ahead of this host's clock
+@given(
+    t_sent_us=st.integers(0, 10**12),
+    gaps=st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+    cls=st.sampled_from(list(TrafficClass)),
+)
+def test_wall_mode_trace_is_monotone_and_carries_the_frame_stamps(t_sent_us, gaps, cls):
+    t_in = t_sent_us + gaps[0]
+    t_out = t_in + gaps[1]
+    payload = dict(frame_for(1, 50, cls).payload, bus={"in_us": t_in, "out_us": t_out})
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+    before = now_us()
+    d = xapp.on_measurement(DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", t_sent_us, payload))
+    after = now_us()
+    stamps = astuple(d.trace)
+    assert stamps[:3] == (t_sent_us, t_in, t_out)
+    assert list(stamps) == sorted(stamps)
+    assert max(before, t_out) <= d.trace.t_xapp_recv_us
+    assert d.trace.t_infer_end_us <= max(after, t_out)
+    if d.command is not None:
+        assert d.command.issued_at_us == d.trace.t_infer_end_us
+    assert (d.command is not None) == (category_of(cls) is TrafficCategory.ATTACK)
 
 
 # -- time to correct --
@@ -535,7 +605,7 @@ def decisions_for(ue_id: int, labels: list[TrafficClass], *, start_ms: int = 0) 
                 raw=label,
                 smoothed=label,
                 command=None,
-                trace=model.trace(t * 1000, command=False),
+                trace=model.trace(t * 1000),
             )
         )
     return out

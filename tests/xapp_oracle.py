@@ -5,13 +5,14 @@ This is the route that `OnlineClassifier.on_sample` replaced inside
 the classifier parses and checks it again, then predicts, smooths and
 commands in one method. `FrameRouteClassifier.on_measurement` is that method
 as it was, with its own copy of the decision step, so a fault in the served
-decision step shows as a difference against it.
+decision step shows as a difference against it. Only its output follows the
+served shape: a trace of the six uplink stamps, and a command issued at the
+trace's inference end.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import replace
 
 from ranguard.databus import DatabusFrame, FrameKind, now_us
 from ranguard.kpm import KpmSample, TrafficCategory, category_of, feature_vector
@@ -22,10 +23,7 @@ from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, window_major
 class FrameRouteClassifier(OnlineClassifier):
     """OnlineClassifier whose on_measurement decides inline, as before on_sample existed."""
 
-    def on_measurement(self, frame: DatabusFrame, *, recv_us: int | None = None) -> Decision | None:
-        if self.model is None:
-            self.dropped += 1
-            return None
+    def on_measurement(self, frame: DatabusFrame) -> Decision | None:
         try:
             sample = KpmSample.from_payload(frame.payload)
             features = feature_vector(sample)
@@ -36,7 +34,7 @@ class FrameRouteClassifier(OnlineClassifier):
         modeled = self.delay_model
         if modeled is not None:
             raw_idx = int(self.model.predict(features))
-            base = modeled.trace(frame.t_sent_us, command=False)
+            trace = modeled.trace(frame.t_sent_us)
         else:
             t_send = frame.t_sent_us
             bus = frame.payload.get("bus")
@@ -46,11 +44,11 @@ class FrameRouteClassifier(OnlineClassifier):
             if not (type(t_bus_in) is int and type(t_bus_out) is int and t_send <= t_bus_in <= t_bus_out):
                 self.malformed += 1
                 return None
-            t_recv = max(now_us() if recv_us is None else recv_us, t_bus_out)
+            t_recv = max(now_us(), t_bus_out)
             t_infer_start = max(now_us(), t_recv)
             raw_idx = int(self.model.predict(features))
             t_infer_end = max(now_us(), t_infer_start)
-            base = LatencyTrace(
+            trace = LatencyTrace(
                 t_bs_send_us=t_send,
                 t_bus_in_us=t_bus_in,
                 t_bus_out_us=t_bus_out,
@@ -71,19 +69,12 @@ class FrameRouteClassifier(OnlineClassifier):
         track.attack_run = track.attack_run + 1 if attack else 0
 
         command = None
-        trace = base
         if attack and track.attack_run >= self.policy.dwell and not track.engaged:
             track.engaged = True
-            if modeled is not None:
-                trace = modeled.trace(frame.t_sent_us, command=True)
-                sent_us = trace.t_cmd_sent_us
-            else:
-                sent_us = max(now_us(), base.t_infer_end_us)
-                trace = replace(base, t_cmd_sent_us=sent_us)
             command = RicCommand(
                 ue_id=sample.ue_id,
                 action=self.policy.actions[smoothed],
-                issued_at_us=int(sent_us),
+                issued_at_us=trace.t_infer_end_us,
                 cmd_id=self._next_cmd_id,
             )
             self._next_cmd_id += 1
@@ -113,5 +104,5 @@ def frame_route_decisions(config, model, class_labels, policy, delay_model) -> l
                 raise RuntimeError("classifier rejected a frame the station produced")
             decisions.append(decision)
             if decision.command is not None:
-                bs.apply_command(decision.command, applied_at_us=decision.trace.t_cmd_applied_us)
+                bs.apply_command(decision.command, applied_at_us=decision.trace.t_bs_send_us + delay_model.t_d_us)
     return decisions
