@@ -5,7 +5,7 @@ from ranguard.ml.forest import ForestConfig, RandomForest
 from ranguard.ml.metrics import ConfusionMatrix
 from ranguard.ml.neighbors import KnnClassifier
 from ranguard.ml.store import LoadedModel, Model, ModelFormatError, load_model, save_model
-from ranguard.ml.tree import DecisionTree, TreeConfig, gini
+from ranguard.ml.tree import DecisionTree, TreeConfig
 
 __all__ = [
     "AdaBoost",
@@ -19,7 +19,6 @@ __all__ = [
     "ModelFormatError",
     "RandomForest",
     "TreeConfig",
-    "gini",
     "load_model",
     "save_model",
 ]

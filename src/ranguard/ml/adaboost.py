@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from ranguard.ml.ensemble import TreeEnsemble, TreeModel
-from ranguard.ml.tree import DecisionTree, TreeConfig, _validate_training_data
+from ranguard.ml.tree import DecisionTree, TreeConfig, _grow, _validate_training_data, rank_codes
 
 _STUMP = TreeConfig(max_depth=1, min_samples_split=2, min_samples_leaf=1)
 
@@ -46,12 +46,13 @@ class AdaBoost(TreeModel):
     ) -> "AdaBoost":
         X, y, _ = _validate_training_data(X, y, n_classes, None)
         n, d = X.shape
+        codes = rank_codes(X)
         w = np.full(n, 1.0 / n)
         stumps: list[DecisionTree] = []
         alphas: list[float] = []
         chance = 1.0 - 1.0 / n_classes
         for _ in range(config.rounds):
-            stump = DecisionTree.train(X, y, n_classes, _STUMP, sample_weight=w)
+            stump = _grow(X, codes, y, w, n_classes, _STUMP, None, None)
             miss = stump.predict_batch(X) != y
             err = float(w[miss].sum())
             if err >= chance:

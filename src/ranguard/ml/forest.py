@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from ranguard.ml.ensemble import TreeEnsemble, TreeModel
-from ranguard.ml.tree import DecisionTree, TreeConfig, _validate_training_data
+from ranguard.ml.tree import DecisionTree, TreeConfig, _grow, _validate_training_data, rank_codes
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,9 @@ class RandomForest(TreeModel):
         config: ForestConfig = ForestConfig(),
         seed: int = 0,
     ) -> "RandomForest":
-        X, y, _ = _validate_training_data(X, y, n_classes, None)
+        X, y, w = _validate_training_data(X, y, n_classes, None)
         n, d = X.shape
+        codes = rank_codes(X)
         m = config.feature_subsample if config.feature_subsample is not None else math.isqrt(d - 1) + 1
         m = min(m, d)
         tree_cfg = config.tree_config()
@@ -60,11 +61,7 @@ class RandomForest(TreeModel):
         for child in np.random.SeedSequence(seed).spawn(config.n_trees):
             rng = np.random.default_rng(child)
             boot = rng.integers(0, n, size=n)
-            trees.append(
-                DecisionTree.train(
-                    X[boot], y[boot], n_classes, tree_cfg, feature_subsample=m, rng=rng
-                )
-            )
+            trees.append(_grow(X[boot], codes[:, boot], y[boot], w[boot], n_classes, tree_cfg, m, rng))
         return cls(trees, d, n_classes)
 
     def to_dict(self) -> dict:

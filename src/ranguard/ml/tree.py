@@ -3,31 +3,20 @@
 Split search is exhaustive over candidate boundaries. Ties are broken toward
 the lower feature index, then the lower threshold, so training is a pure
 function of the (data order, config, rng) triple.
+
+Each column is ranked once, before any tree grows (`rank_codes`). A node sorts
+the small integer codes of all its candidate features in one stable argsort,
+which numpy runs as a radix sort for codes of 16 bits or less.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from ranguard.ml.ensemble import TreeEnsemble, TreeModel, check_tree
-
-
-def gini(class_counts: Sequence[float] | np.ndarray) -> float:
-    """Gini impurity of a count vector: 1 - sum(p_k^2). In [0, 1 - 1/K]."""
-    c = np.asarray(class_counts, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("class_counts must be a non-empty 1-d vector")
-    if (c < 0).any():
-        raise ValueError("class counts must be >= 0")
-    total = c.sum()
-    if total <= 0:
-        raise ValueError("class counts must sum to > 0")
-    p = c / total
-    return float(1.0 - (p * p).sum())
 
 
 @dataclass(frozen=True)
@@ -49,7 +38,7 @@ def _validate_training_data(
     X: np.ndarray, y: np.ndarray, n_classes: int, sample_weight: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"X must be a non-empty 2-d matrix, got shape {X.shape}")
     if y.shape != (X.shape[0],):
@@ -58,6 +47,11 @@ def _validate_training_data(
         raise ValueError("X contains non-finite values")
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
+    if y.dtype.kind not in "biu":
+        as_float = np.asarray(y, dtype=np.float64)
+        if not (np.isfinite(as_float) & (as_float == np.floor(as_float))).all():
+            raise ValueError("labels must be whole numbers")
+    y = y.astype(np.int64)
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError(f"labels must be in [0, {n_classes}), got range [{y.min()}, {y.max()}]")
     if sample_weight is None:
@@ -71,46 +65,90 @@ def _validate_training_data(
     return X, y, w
 
 
-def _best_split(
-    X: np.ndarray,
+def rank_codes(X: np.ndarray) -> np.ndarray:
+    """(features, samples) dense rank of each value among its column's distinct values.
+
+    The codes order and tie exactly as the values do. Their type is the smallest
+    unsigned one that holds every rank: below 65,536 distinct values per column it
+    is at most `uint16`, whose stable sort numpy runs as a radix sort.
+    """
+    columns = [np.unique(col, return_inverse=True) for col in X.T]
+    dtype = np.min_scalar_type(max(values.size for values, _ in columns) - 1)
+    return np.array([inverse.ravel() for _, inverse in columns], dtype=dtype)
+
+
+def _split_costs(
+    codes: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
     idx: np.ndarray,
     features: np.ndarray,
+    node_counts: np.ndarray,
     min_leaf: int,
-    n_classes: int,
-) -> tuple[int, float] | None:
-    """Lowest-cost (feature, midpoint threshold) over the given feature set, or None."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Weighted Gini cost of every candidate split of a node, all features at once.
+
+    Returns (order, at, fi, cost), or None when no boundary leaves min_leaf samples
+    on each side. Row i of `order` sorts the node's samples by `features[i]`;
+    candidate j splits row fi[j] after its sample `order.flat[at[j]]`. Candidates
+    run feature-major, then by threshold. Class sums add one class at a time in
+    increasing class order, the association of a `.sum(axis=1)` over fewer than 8
+    classes; an absent class would add exact zeros, so it is skipped.
+    """
     n = idx.size
+    node_codes = codes[features[:, None], idx]
+    order = np.argsort(node_codes, axis=1, kind="stable")
+    ranked = node_codes[np.arange(features.size)[:, None], order]
+    # boundaries that leave at least min_leaf samples on each side, by their last left-side sample
+    fi, at = np.nonzero(ranked[:, min_leaf : n - min_leaf + 1] != ranked[:, min_leaf - 1 : n - min_leaf])
+    if fi.size == 0:
+        return None
+    del node_codes, ranked
+    row_end = fi * n
+    at += row_end
+    at += min_leaf - 1
+    row_end += n - 1
     y_node = y[idx]
     w_node = w[idx]
-    best_cost = np.inf
-    best: tuple[int, float] | None = None
-    for f in features:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xs_s = xs[order]
-        if xs_s[0] == xs_s[-1]:
-            continue
-        boundaries = np.nonzero(xs_s[1:] != xs_s[:-1])[0] + 1  # index of first right-side sample
-        pos = boundaries[(boundaries >= min_leaf) & (n - boundaries >= min_leaf)]
-        if pos.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes), dtype=np.float64)
-        onehot[np.arange(n), y_node[order]] = w_node[order]
-        cum = np.cumsum(onehot, axis=0)
-        total = cum[-1]
-        left = cum[pos - 1]
-        right = total - left
-        lw = left.sum(axis=1)
-        rw = right.sum(axis=1)
-        # weighted Gini of the partition: sum_side w_side * (1 - sum_k p_k^2)
-        cost = (lw - (left * left).sum(axis=1) / lw + rw - (right * right).sum(axis=1) / rw) / (lw + rw)
-        j = int(np.argmin(cost))  # first minimum -> lowest threshold for this feature
-        if cost[j] < best_cost:  # strict -> earlier (lower) feature keeps ties
-            best_cost = float(cost[j])
-            best = (int(f), float((xs_s[pos[j] - 1] + xs_s[pos[j]]) / 2.0))
-    return best
+    lw = rw = left_sq = right_sq = None
+    for k in np.flatnonzero(node_counts):
+        prefix = np.where(y_node == k, w_node, 0.0)[order]
+        np.cumsum(prefix, axis=1, out=prefix)
+        left = prefix.take(at)
+        right = prefix.take(row_end)
+        right -= left
+        if lw is None:
+            lw, rw, left_sq, right_sq = left, right, left * left, right * right
+        else:
+            lw += left
+            rw += right
+            left *= left
+            right *= right
+            left_sq += left
+            right_sq += right
+    # weighted Gini of the partition: sum_side w_side * (1 - sum_k p_k^2)
+    return order, at, fi, (lw - left_sq / lw + rw - right_sq / rw) / (lw + rw)
+
+
+def _best_split(
+    X: np.ndarray,
+    codes: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    idx: np.ndarray,
+    features: np.ndarray,
+    node_counts: np.ndarray,
+    min_leaf: int,
+) -> tuple[int, float] | None:
+    """Lowest-cost (feature, midpoint threshold) over the given feature set, or None."""
+    found = _split_costs(codes, y, w, idx, features, node_counts, min_leaf)
+    if found is None:
+        return None
+    order, at, fi, cost = found
+    j = int(np.argmin(cost))  # first minimum -> lowest feature, then its lowest threshold
+    row = order.flat[at[j] : at[j] + 2]  # positions in idx of the samples either side
+    f = int(features[fi[j]])
+    return f, float((X[idx[row[0]], f] + X[idx[row[1]], f]) / 2.0)
 
 
 class DecisionTree(TreeModel):
@@ -155,63 +193,13 @@ class DecisionTree(TreeModel):
         rng: np.random.Generator | None = None,
     ) -> "DecisionTree":
         X, y, w = _validate_training_data(X, y, n_classes, sample_weight)
-        n, d = X.shape
+        d = X.shape[1]
         if feature_subsample is not None:
             if not 1 <= feature_subsample <= d:
                 raise ValueError(f"feature_subsample must be in [1, {d}], got {feature_subsample}")
             if rng is None:
                 raise ValueError("feature_subsample requires an rng")
-
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        counts: list[np.ndarray] = []
-
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            counts.append(np.zeros(n_classes))
-            return len(feature) - 1
-
-        all_features = np.arange(d)
-        root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            node_counts = np.bincount(y[idx], weights=w[idx], minlength=n_classes)
-            counts[node] = node_counts
-            if depth >= config.max_depth or idx.size < config.min_samples_split:
-                continue
-            if np.count_nonzero(node_counts) <= 1:
-                continue
-            if feature_subsample is not None and feature_subsample < d:
-                feats = np.sort(rng.permutation(d)[:feature_subsample])
-            else:
-                feats = all_features
-            split = _best_split(X, y, w, idx, feats, config.min_samples_leaf, n_classes)
-            if split is None:
-                continue
-            f, thr = split
-            go_left = X[idx, f] <= thr
-            feature[node] = f
-            threshold[node] = thr
-            left[node] = new_node()
-            right[node] = new_node()
-            # push right first so left subtrees build first (stable node numbering)
-            stack.append((right[node], idx[~go_left], depth + 1))
-            stack.append((left[node], idx[go_left], depth + 1))
-        return cls(
-            d,
-            n_classes,
-            np.asarray(feature, dtype=np.int32),
-            np.asarray(threshold, dtype=np.float64),
-            np.asarray(left, dtype=np.int32),
-            np.asarray(right, dtype=np.int32),
-            np.vstack(counts),
-        )
+        return _grow(X, rank_codes(X), y, w, n_classes, config, feature_subsample, rng)
 
     @property
     def node_count(self) -> int:
@@ -242,3 +230,68 @@ class DecisionTree(TreeModel):
             np.asarray(data["right"], dtype=np.int32),
             np.asarray(data["counts"], dtype=np.float64),
         )
+
+
+def _grow(
+    X: np.ndarray,
+    codes: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    n_classes: int,
+    config: TreeConfig,
+    feature_subsample: int | None,
+    rng: np.random.Generator | None,
+) -> DecisionTree:
+    """Grow one tree depth first on checked data and its `rank_codes`, left subtree first."""
+    n, d = X.shape
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    counts: list[np.ndarray] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append(np.zeros(n_classes))
+        return len(feature) - 1
+
+    all_features = np.arange(d)
+    root = new_node()
+    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        node_counts = np.bincount(y[idx], weights=w[idx], minlength=n_classes)
+        counts[node] = node_counts
+        if depth >= config.max_depth or idx.size < config.min_samples_split:
+            continue
+        if np.count_nonzero(node_counts) <= 1:
+            continue
+        if feature_subsample is not None and feature_subsample < d:
+            feats = np.sort(rng.permutation(d)[:feature_subsample])
+        else:
+            feats = all_features
+        split = _best_split(X, codes, y, w, idx, feats, node_counts, config.min_samples_leaf)
+        if split is None:
+            continue
+        f, thr = split
+        go_left = X[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = new_node()
+        right[node] = new_node()
+        # push right first so left subtrees build first (stable node numbering)
+        stack.append((right[node], idx[~go_left], depth + 1))
+        stack.append((left[node], idx[go_left], depth + 1))
+    return DecisionTree(
+        d,
+        n_classes,
+        np.asarray(feature, dtype=np.int32),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int32),
+        np.asarray(right, dtype=np.int32),
+        np.vstack(counts),
+    )
+

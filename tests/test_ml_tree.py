@@ -1,19 +1,22 @@
-"""Gini and decision-tree oracle tests: hand-computed splits, ties, invariants."""
+"""Gini and decision-tree oracle tests: hand-computed splits, ties, invariants, and the
+trainers against the reference grower in tree_oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ranguard.ml.tree import DecisionTree, TreeConfig, gini
-from tree_oracle import decision_path
+from ranguard.ml import AdaBoost, BoostConfig, ForestConfig, KnnClassifier, RandomForest
+from ranguard.ml.tree import DecisionTree, TreeConfig, _split_costs, rank_codes
+from tree_oracle import decision_path, gini, oracle_adaboost, oracle_costs, oracle_forest, oracle_tree
 
 SMALL = TreeConfig(max_depth=15, min_samples_split=2, min_samples_leaf=1)
 
 
-# --- gini -----------------------------------------------------------------------
+# --- gini (the oracle's impurity) ------------------------------------------------
 
 def test_gini_pure_node_is_zero():
     assert gini([10, 0, 0, 0, 0]) == 0.0
@@ -235,6 +238,146 @@ def test_every_leaf_holds_min_samples(random_tree):
             assert tree.counts[i].sum() >= 1
 
 
+# --- the trainers against the oracle grower ---------------------------------------
+
+@st.composite
+def training_sets(draw, max_rows: int = 40):
+    """Tie-heavy data: few values per column, duplicate rows, maybe a constant column."""
+    n_classes = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_rows))
+    d = draw(st.integers(1, 5))
+    distinct = draw(st.integers(1, n))
+    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=distinct, max_size=distinct))
+    X = draw(arrays(np.float64, (n, d), elements=st.sampled_from(pool)))
+    dup = draw(st.integers(0, n // 2))
+    X[n - dup :] = X[:dup]
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = pool[0]
+    y = draw(arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
+    return X, y, n_classes
+
+
+# normalised weights far from whole numbers, as AdaBoost's rounds make them
+adaboost_weights = st.floats(1e-3, 1e3).map(lambda v: v / 7.0)
+
+tree_configs = st.builds(TreeConfig, st.integers(1, 8), st.integers(2, 6), st.integers(1, 4))
+
+
+def same_model(a, b) -> bool:
+    # repr keeps the sign of a zero threshold, which == on floats would not
+    return repr(a.to_dict()) == repr(b.to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(training_sets(), st.data())
+def test_split_costs_equal_the_oracle_bit_for_bit(data, draw):
+    # the sums' association shows in the costs' last bits long before it flips a split
+    X, y, n_classes = data
+    n, d = X.shape
+    w = draw.draw(st.none() | arrays(np.float64, n, elements=adaboost_weights))
+    w = np.ones(n) if w is None else w / w.sum()
+    idx = np.flatnonzero(draw.draw(arrays(np.bool_, n)))
+    features = np.flatnonzero(draw.draw(arrays(np.bool_, d)))
+    assume(idx.size >= 2 and features.size >= 1)
+    min_leaf = draw.draw(st.integers(1, 4))
+    node_counts = np.bincount(y[idx], weights=w[idx], minlength=n_classes)
+    found = _split_costs(rank_codes(X), y, w, idx, features, node_counts, min_leaf)
+    ref = list(oracle_costs(X, y, w, idx, features, min_leaf, n_classes))
+    if not ref:
+        assert found is None
+        return
+    order, at, fi, cost = found
+    assert cost.tobytes() == np.concatenate([c for *_, c in ref]).tobytes()
+    assert features[fi].tolist() == [f for f, _, pos, _ in ref for _ in pos]
+    assert (at - fi * idx.size + 1).tolist() == [b for *_, pos, _ in ref for b in pos]
+
+
+@settings(max_examples=300, deadline=None)
+@given(training_sets(), tree_configs, st.data())
+def test_tree_equals_the_oracle_grower(data, config, draw):
+    X, y, n_classes = data
+    n, d = X.shape
+    w = draw.draw(st.none() | arrays(np.float64, n, elements=adaboost_weights))
+    w = None if w is None else w / w.sum()
+    subsample = draw.draw(st.none() | st.integers(1, d))
+    seed = draw.draw(st.integers(0, 2**32 - 1))
+    kwargs = dict(sample_weight=w, feature_subsample=subsample)
+    ours = DecisionTree.train(X, y, n_classes, config, rng=np.random.default_rng(seed), **kwargs)
+    ref = oracle_tree(X, y, n_classes, config, rng=np.random.default_rng(seed), **kwargs)
+    assert same_model(ours, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    training_sets(),
+    st.builds(
+        ForestConfig,
+        st.integers(2, 5),
+        st.integers(1, 8),
+        st.integers(2, 6),
+        st.integers(1, 4),
+        st.none() | st.integers(1, 5),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_forest_equals_the_oracle_grower(data, config, seed):
+    X, y, n_classes = data
+    assert same_model(
+        RandomForest.train(X, y, n_classes, config, seed), oracle_forest(X, y, n_classes, config, seed)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(training_sets(), st.integers(1, 5))
+def test_adaboost_equals_the_oracle_grower(data, rounds):
+    X, y, n_classes = data
+    config = BoostConfig(rounds)
+    try:
+        ref = oracle_adaboost(X, y, n_classes, config)
+    except ValueError:
+        with pytest.raises(ValueError, match="chance"):
+            AdaBoost.train(X, y, n_classes, config)
+        return
+    assert same_model(AdaBoost.train(X, y, n_classes, config), ref)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.booleans(),
+    st.builds(TreeConfig, st.integers(1, 3), st.integers(2, 6), st.integers(1, 4)),
+)
+def test_tree_with_more_ranks_than_uint16_equals_the_oracle_grower(seed, n_classes, weighted, config):
+    # 70,000 distinct values in column 0: the codes are uint32, whose stable sort is not a radix sort
+    rng = np.random.default_rng(seed)
+    n = 70_000
+    X = np.column_stack([rng.permutation(n) / 3.0, rng.integers(0, 4, n), rng.normal(size=n).round(1)])
+    y = np.minimum((X[:, 0] > n / 6) + (X[:, 1] == 2) + rng.integers(0, 2, n), n_classes - 1)
+    w = rng.uniform(0.1, 3.0, n) / n if weighted else None
+    assert rank_codes(X).dtype == np.uint32
+    ours = DecisionTree.train(X, y, n_classes, config, sample_weight=w)
+    assert same_model(ours, oracle_tree(X, y, n_classes, config, sample_weight=w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(training_sets())
+def test_rank_codes_order_and_tie_as_the_values(data):
+    X, _, _ = data
+    codes = rank_codes(X)
+    assert codes.shape == X.T.shape and codes.dtype == np.uint8
+    for col, code in zip(X.T, codes):
+        assert (np.sign(np.subtract.outer(col, col)) == np.sign(np.subtract.outer(code.astype(int), code))).all()
+        assert np.unique(code).tolist() == list(range(np.unique(col).size))  # dense
+
+
+def test_rank_codes_use_the_smallest_unsigned_type():
+    assert rank_codes(np.arange(256.0)[:, None]).dtype == np.uint8
+    assert rank_codes(np.arange(257.0)[:, None]).dtype == np.uint16
+    assert rank_codes(np.arange(65_536.0)[:, None]).dtype == np.uint16
+    assert rank_codes(np.arange(65_537.0)[:, None]).dtype == np.uint32
+
+
 # --- validation -------------------------------------------------------------------
 
 def test_rejects_empty_data():
@@ -250,6 +393,19 @@ def test_rejects_shape_mismatch():
 def test_rejects_out_of_range_labels():
     with pytest.raises(ValueError, match="labels"):
         DecisionTree.train(np.zeros((3, 2)), np.array([0, 1, 2]), 2, SMALL)
+
+
+def test_rejects_labels_that_are_not_whole_numbers():
+    X = np.arange(4.0).reshape(-1, 1)
+    y = np.array([0.9, 0.2, 1.7, 1.1])  # truncating would train these as [0, 0, 1, 1]
+    with pytest.raises(ValueError, match="whole numbers"):
+        DecisionTree.train(X, y, 2, SMALL)
+    with pytest.raises(ValueError, match="whole numbers"):
+        KnnClassifier(1).fit(X, y, 2)
+    with pytest.raises(ValueError, match="whole numbers"):
+        DecisionTree.train(X, np.array([0.0, 1.0, np.nan, 1.0]), 2, SMALL)
+    whole = DecisionTree.train(X, np.array([0.0, 0.0, 1.0, 1.0]), 2, SMALL)
+    assert same_model(whole, DecisionTree.train(X, np.array([0, 0, 1, 1]), 2, SMALL))
 
 
 def test_rejects_non_finite_features():

@@ -608,3 +608,17 @@ def test_dataset_models_and_reports_are_byte_identical(tmp_path):
                 add(paths[key])
     assert len(files) == 1 + 2 * (1 + 3 * 4)
     assert digest.hexdigest() == GOLDEN_DIGEST, f"digest {digest.hexdigest()} over {files}"
+
+
+# sha256 of a 10-tree forest's model file on the same 120 s dataset; taken before the split
+# search moved to per-column rank codes, and unchanged by it (numpy 2.x, CPython 3.11)
+FOREST_DIGEST = "ef76068763f84375e648c42a6db062433d84dcc1cd04213c932b8f5917ed197a"
+
+
+def test_forest_model_file_is_byte_identical(tmp_path):
+    pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=120_000), tmp_path / "train.csv")
+    model, _ = pipeline.train_model(
+        read_dataset(tmp_path / "train.csv"), pipeline.TrainOptions(algo="rf", trees=10)
+    )
+    save_model(model, tmp_path / "rf.model", [c.value for c in CLASS_ORDER])
+    assert hashlib.sha256((tmp_path / "rf.model").read_bytes()).hexdigest() == FOREST_DIGEST
