@@ -4,11 +4,19 @@ Wire format: 4-byte big-endian body length, then the UTF-8 JSON frame body, an
 object with the envelope keys "version", "kind", "topic", "t_sent_us" and
 "payload". The broker relays the publisher's body bytes as they came, with one
 envelope key spliced in before the closing brace:
-"bus": {"in_us": <ingress>, "out_us": <egress>}, its microsecond stamps.
+"bus": {"in_us": <ingress>, "out_us": <egress>, "dropped": <n>}, its microsecond
+stamps and the number of frames it has dropped for this subscriber so far.
 decode_frame lifts that key into payload["bus"], so receivers read the stamps
 there and derive network and broker delay components per frame. The broker's
 key comes last, so it wins over a "bus" key the publisher put in the envelope
 or the payload. Broker ingress refuses a body too long to take the stamp.
+
+The broker is one event-loop thread over non-blocking sockets. It decodes each
+frame as it is read and writes it at once to every matching subscriber. Only
+a subscriber whose socket takes no more gets a queue; when that queue is full
+its oldest delivery goes, counted, so a publisher never waits. The client
+starts no thread: a poll reads and decodes in the caller's thread, one frame
+at a time, so a frame is handed on while the frames behind it are still bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import select
+import selectors
 import socket
 import threading
 import time
@@ -28,6 +38,7 @@ from typing import Mapping
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_QUEUE_FRAMES = 1024
 _RECV_BYTES = 64 * 1024
+_POLL_MAX_MS = 2**31 - 1  # the longest wait select.poll takes
 
 _TOPIC_RE = re.compile(r"^(kpm|ctrl|event)\.\d+$")
 _PATTERN_RE = re.compile(r"^(kpm|ctrl|event)\.(\d+|\*)$")
@@ -60,10 +71,6 @@ class UnknownFrameKind(ValueError):
 
 class BusDisconnected(ConnectionError):
     """The peer went away; polls and publishes can no longer succeed."""
-
-
-def valid_topic(topic: str) -> bool:
-    return bool(_TOPIC_RE.match(topic))
 
 
 def valid_pattern(pattern: str) -> bool:
@@ -112,8 +119,8 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 _decode_json = json.JSONDecoder().decode
 
 # the broker's stamp replaces a body's closing brace; a stamp is at most this much longer
-_STAMP = b',"bus":{"in_us":%d,"out_us":%d}}'
-_STAMP_ROOM = len(_STAMP % (2**64, 2**64)) - 1
+_STAMP = b',"bus":{"in_us":%d,"out_us":%d,"dropped":%d}}'
+_STAMP_ROOM = len(_STAMP % (2**64, 2**64, 2**64)) - 1
 _JSON_WHITESPACE = b" \t\n\r"
 
 
@@ -156,17 +163,11 @@ def decode_frame(body: bytes) -> DatabusFrame:
         raise FrameDecodeError(str(exc)) from None
 
 
-def _stamped(head: bytes, t_in_us: int, t_out_us: int) -> bytes:
-    """The wire frame of a delivery: the relayed body head, then the broker's stamp."""
-    stamp = _STAMP % (t_in_us, t_out_us)
-    return (len(head) + len(stamp)).to_bytes(4, "big") + head + stamp
-
-
 class _FrameReader:
     """One connection's inbound byte stream, cut into length-prefixed frame bodies.
 
-    Each recv takes whatever has arrived; a frame split across reads waits in
-    the buffer, and many frames in one read are handed out one by one.
+    fill appends whatever one recv returns; cut hands out one complete body at
+    a time, so the frames behind it stay bytes until they are asked for.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -174,26 +175,28 @@ class _FrameReader:
         self._buf = bytearray()
         self._pos = 0  # start of the first byte not yet handed out
 
-    def next_body(self, max_bytes: int) -> bytes:
-        """The next frame body; FrameDecodeError when its length is 0 or past max_bytes."""
-        buf = self._buf
-        while True:
-            pos = self._pos
-            if len(buf) - pos >= 4:
-                length = int.from_bytes(buf[pos : pos + 4], "big")
-                if not 0 < length <= max_bytes:
-                    raise FrameDecodeError(f"frame length {length} out of range")
-                end = pos + 4 + length
-                if len(buf) >= end:
-                    self._pos = end
-                    return bytes(buf[pos + 4 : end])
-            if pos:
-                del buf[:pos]
-                self._pos = 0
-            chunk = self._sock.recv(_RECV_BYTES)
-            if not chunk:
-                raise BusDisconnected("connection closed by peer")
-            buf += chunk
+    def cut(self, max_bytes: int) -> bytes | None:
+        """The next body, None until all of it is here; FrameDecodeError for a length of 0 or past max_bytes."""
+        buf, pos = self._buf, self._pos
+        if len(buf) - pos >= 4:
+            length = int.from_bytes(buf[pos : pos + 4], "big")
+            if not 0 < length <= max_bytes:
+                raise FrameDecodeError(f"frame length {length} out of range")
+            end = pos + 4 + length
+            if len(buf) >= end:
+                self._pos = end
+                return bytes(buf[pos + 4 : end])
+        return None
+
+    def fill(self) -> None:
+        """One recv onto the buffer; BusDisconnected once the peer has closed."""
+        if self._pos:
+            del self._buf[: self._pos]
+            self._pos = 0
+        chunk = self._sock.recv(_RECV_BYTES)
+        if not chunk:
+            raise BusDisconnected("connection closed by peer")
+        self._buf += chunk
 
 
 @dataclass
@@ -206,48 +209,21 @@ class BrokerStats:
     delta_d_us: tuple[int, ...] = ()
 
 
-class _Subscriber:
-    """Broker-side connection state: patterns plus a bounded drop-oldest queue."""
+class _Conn:
+    """Broker side of one connection: its reader, its patterns, and what its socket has not taken yet."""
 
-    def __init__(self, sock: socket.socket, max_queue: int) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.max_queue = max_queue
+        self.reader = _FrameReader(sock)
         self.patterns: list[str] = []
-        self.queue: deque = deque()
-        self.cond = threading.Condition()
-        self.alive = True
-        self.dropped = 0
-
-    def enqueue(self, data: bytes, t_in_us: int | None) -> int:
-        """Queue a delivery (a body head and its ingress stamp) or, with t_in_us None, a wire frame."""
-        with self.cond:
-            if not self.alive:
-                return 0
-            dropped = 0
-            if len(self.queue) >= self.max_queue:
-                self.queue.popleft()
-                self.dropped += 1
-                dropped = 1
-            self.queue.append((data, t_in_us))
-            self.cond.notify()
-            return dropped
-
-    def close(self) -> None:
-        with self.cond:
-            self.alive = False
-            self.cond.notify_all()
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self.pending = b""  # the tail of a stamped delivery the socket took only part of
+        self.queue: deque = deque()  # (body head, ingress stamp) or, for an ack, (wire frame, None)
+        self.dropped = 0  # deliveries its full queue pushed out; each stamp carries the count so far
+        self.closed = False
 
 
 class Broker:
-    """TCP pub/sub hub. At-most-once, per-publisher FIFO, never blocks publishers."""
+    """TCP pub/sub hub on one event-loop thread. At-most-once, per-publisher FIFO, never blocks publishers."""
 
     def __init__(
         self,
@@ -260,15 +236,12 @@ class Broker:
         self._host = host
         self._port = default_port() if port is None else port
         self._max_queue = max_queue
-        self._listener: socket.socket | None = None
-        self._subscribers: list[_Subscriber] = []
-        self._lock = threading.Lock()
-        self._stats_lock = threading.Lock()
+        self._conns: set[_Conn] = set()
+        self._subscribers: tuple[_Conn, ...] = ()  # the open connections with at least one pattern
         self._frames_in = 0
-        self._frames_out = 0
         self._dropped = 0
         self._delta_d_us: list[int] = []
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._running = False
 
     # -- lifecycle --
@@ -280,34 +253,28 @@ class Broker:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
         listener.listen(64)
+        listener.setblocking(False)
         self._listener = listener
         self._port = listener.getsockname()[1]
+        # stop() writes a byte to this pair, so a loop waiting in select sees it is done
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
         self._running = True
-        t = threading.Thread(target=self._accept_loop, name="bus-accept", daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._thread = threading.Thread(target=self._loop, name="bus-loop", daemon=True)
+        self._thread.start()
         return self.address
 
     def stop(self) -> None:
         self._running = False
-        if self._listener is not None:
-            # shutdown() wakes a thread blocked in accept(); close() alone does not.
+        if self._thread is not None:
             try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
+                self._wake_w.send(b"\0")
+            except OSError:  # the loop has already ended and closed its sockets
                 pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            subs = list(self._subscribers)
-            self._subscribers.clear()
-        for sub in subs:
-            sub.close()
-        for t in list(self._threads):
-            t.join(timeout=2.0)
-        self._threads.clear()
+            self._thread.join()
+            self._thread = None
 
     def __enter__(self) -> "Broker":
         self.start()
@@ -321,168 +288,197 @@ class Broker:
         return (self._host, self._port)
 
     def stats(self) -> BrokerStats:
-        with self._stats_lock:
-            return BrokerStats(
-                frames_in=self._frames_in,
-                frames_out=self._frames_out,
-                dropped=self._dropped,
-                delta_d_us=tuple(self._delta_d_us),
-            )
+        delta_d = tuple(self._delta_d_us)  # frames_out is its length, so the two always agree
+        return BrokerStats(self._frames_in, len(delta_d), self._dropped, delta_d)
 
-    # -- internals --
+    # -- the loop --
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sub = _Subscriber(sock, self._max_queue)
-            with self._lock:
-                self._subscribers.append(sub)
-            # forget the threads of connections already closed, so the list tracks open ones
-            self._threads[:] = [t for t in self._threads if t.is_alive()]
-            for target, name in ((self._reader_loop, "bus-read"), (self._writer_loop, "bus-write")):
-                t = threading.Thread(target=target, args=(sub,), name=name, daemon=True)
-                t.start()
-                self._threads.append(t)
+    def _loop(self) -> None:
+        try:
+            while self._running:
+                for key, events in self._selector.select():
+                    conn = key.data
+                    if conn is None:  # the listener, or the wake-up from stop()
+                        if key.fileobj is self._listener:
+                            self._accept()
+                    elif not conn.closed:
+                        if events & selectors.EVENT_READ:
+                            self._read(conn)
+                        if events & selectors.EVENT_WRITE and not conn.closed:
+                            self._flush(conn)
+        finally:
+            for conn in list(self._conns):
+                self._close(conn)
+            self._selector.close()
+            for sock in (self._listener, self._wake_r, self._wake_w):
+                sock.close()
 
-    def _drop_subscriber(self, sub: _Subscriber) -> None:
-        with self._lock:
-            if sub in self._subscribers:
-                self._subscribers.remove(sub)
-        sub.close()
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the peer gave up before it was taken
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Conn(sock)
+        self._conns.add(conn)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
 
-    def _reader_loop(self, sub: _Subscriber) -> None:
-        reader = _FrameReader(sub.sock)
-        while self._running and sub.alive:
-            try:
-                # a body must leave room for the broker's stamp, or its delivery would be too long
-                body = reader.next_body(MAX_FRAME_BYTES - _STAMP_ROOM)
-                frame = decode_frame(body)
-            except UnknownFrameKind as exc:
-                ack = DatabusFrame(
-                    FrameKind.ACK, "error", now_us(), {"ok": False, "detail": str(exc)}
-                )
-                sub.enqueue(encode_frame(ack), None)
-                continue
-            except (FrameDecodeError, BusDisconnected, OSError):
-                # protocol violation or peer gone: this connection is done
-                self._drop_subscriber(sub)
-                return
-            self._handle_frame(sub, frame, body)
+    def _close(self, conn: _Conn) -> None:
+        if conn.closed:
+            return
+        conn.closed = True
+        self._conns.discard(conn)
+        if conn.patterns:
+            self._subscribers = tuple(c for c in self._subscribers if c is not conn)
+        self._selector.unregister(conn.sock)
+        try:
+            conn.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        conn.sock.close()
 
-    def _handle_frame(self, sub: _Subscriber, frame: DatabusFrame, body: bytes) -> None:
+    def _read(self, conn: _Conn) -> None:
+        reader = conn.reader
+        # a body must leave room for the broker's stamp, or its delivery would be too long
+        max_body = MAX_FRAME_BYTES - _STAMP_ROOM
+        try:
+            reader.fill()
+            while not conn.closed and (body := reader.cut(max_body)) is not None:
+                self._handle(conn, body)
+        except BlockingIOError:
+            pass  # woken with nothing to read
+        except (FrameDecodeError, BusDisconnected, OSError):
+            # protocol violation or peer gone: this connection is done
+            self._close(conn)
+
+    def _handle(self, conn: _Conn, body: bytes) -> None:
+        try:
+            frame = decode_frame(body)
+        except UnknownFrameKind as exc:
+            ack = DatabusFrame(FrameKind.ACK, "error", now_us(), {"ok": False, "detail": str(exc)})
+            self._deliver(conn, encode_frame(ack), None)
+            return
         t_in = now_us()
+        topic = frame.topic
         if frame.kind is FrameKind.SUBSCRIBE:
-            with self._lock:
-                if frame.topic not in sub.patterns:
-                    sub.patterns.append(frame.topic)
-            ack = DatabusFrame(
-                FrameKind.ACK, frame.topic, now_us(), {"ok": True, "pattern": frame.topic}
-            )
-            sub.enqueue(encode_frame(ack), None)
+            if topic not in conn.patterns:
+                if not conn.patterns:
+                    self._subscribers += (conn,)
+                conn.patterns.append(topic)
+            ack = DatabusFrame(FrameKind.ACK, topic, now_us(), {"ok": True, "pattern": topic})
+            self._deliver(conn, encode_frame(ack), None)
             return
         if frame.kind is FrameKind.ACK:
             return  # clients have no business acking; ignore
-        with self._stats_lock:
-            self._frames_in += 1
-        with self._lock:
-            targets = [
-                s
-                for s in self._subscribers
-                if s.alive and any(topic_matches(p, frame.topic) for p in s.patterns)
-            ]
-        if not targets:
-            return
-        # the body decoded as a JSON object, so it ends in "}" once trailing whitespace goes
-        head = body.rstrip(_JSON_WHITESPACE)[:-1]
-        dropped = 0
-        for target in targets:
-            dropped += target.enqueue(head, t_in)
-        if dropped:
-            with self._stats_lock:
-                self._dropped += dropped
+        self._frames_in += 1
+        head = None
+        for target in self._subscribers:
+            if not target.closed and any(topic_matches(p, topic) for p in target.patterns):
+                if head is None:
+                    # the body decoded as a JSON object, so it ends in "}" once trailing whitespace goes
+                    head = body.rstrip(_JSON_WHITESPACE)[:-1]
+                self._deliver(target, head, t_in)
 
-    def _writer_loop(self, sub: _Subscriber) -> None:
-        while True:
-            with sub.cond:
-                while sub.alive and not sub.queue:
-                    sub.cond.wait()
-                if not sub.alive:
-                    return
-                data, t_in = sub.queue.popleft()
-            if t_in is not None:
-                t_out = now_us()
-                data = _stamped(data, t_in, t_out)
-            try:
-                sub.sock.sendall(data)
-            except OSError:
-                self._drop_subscriber(sub)
+    def _deliver(self, conn: _Conn, data: bytes, t_in: int | None) -> None:
+        """Write a delivery now, or queue it behind what the socket has not taken; a full queue drops its oldest."""
+        if conn.pending or conn.queue:
+            if len(conn.queue) >= self._max_queue:
+                conn.queue.popleft()
+                conn.dropped += 1
+                self._dropped += 1
+            conn.queue.append((data, t_in))
+        elif not self._send(conn, data, t_in) and not conn.closed:
+            self._selector.modify(conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn)
+
+    def _send(self, conn: _Conn, data: bytes, t_in: int | None) -> bool:
+        """Stamp a delivery (an ack goes as it is) and write it; False unless the socket took all of it."""
+        if t_in is not None:
+            t_out = now_us()
+            stamp = _STAMP % (t_in, t_out, conn.dropped)
+            data = (len(data) + len(stamp)).to_bytes(4, "big") + data + stamp
+            self._delta_d_us.append(t_out - t_in)
+        return self._write(conn, data)
+
+    def _write(self, conn: _Conn, data: bytes) -> bool:
+        try:
+            sent = conn.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return False
+        conn.pending = data[sent:]
+        return not conn.pending
+
+    def _flush(self, conn: _Conn) -> None:
+        """The socket takes more: the rest of the pending delivery, then the queue, until it is full again."""
+        if not self._write(conn, conn.pending):
+            return
+        while conn.queue:
+            if not self._send(conn, *conn.queue.popleft()):
                 return
-            if t_in is not None:
-                with self._stats_lock:
-                    self._frames_out += 1
-                    self._delta_d_us.append(t_out - t_in)
+        self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
 
 
 class Subscription:
     """Client-side FIFO of frames whose topics match one subscribed pattern.
 
-    Holds at most DEFAULT_QUEUE_FRAMES frames: a full queue drops its oldest
-    frame for a new one and counts it in `dropped`.
+    Filled by reads of the client's socket. A poll of a sibling subscription
+    on the same client can leave frames here; past DEFAULT_QUEUE_FRAMES of
+    them the oldest goes, counted in the client's `dropped`.
     """
 
     def __init__(self, pattern: str, client: "BusClient") -> None:
         self.pattern = pattern
         self._client = client
         self._queue: deque = deque(maxlen=DEFAULT_QUEUE_FRAMES)
-        self._cond = threading.Condition()
-        self.dropped = 0  # frames pushed out, oldest first, by newer ones while the queue was full
+
+    @property
+    def dropped(self) -> int:
+        """Frames lost on this subscription's connection before they were read (see BusClient.dropped)."""
+        return self._client.dropped
 
     def _push(self, frame: DatabusFrame) -> None:
-        with self._cond:
-            if len(self._queue) == self._queue.maxlen:
-                self.dropped += 1
-            self._queue.append(frame)
-            self._cond.notify()
-
-    def _wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+        if len(self._queue) == self._queue.maxlen:
+            self._client._lost += 1
+        self._queue.append(frame)
 
     def poll(self, timeout: float | None = None) -> DatabusFrame | None:
-        """Next frame in arrival order; None once timeout elapses with nothing."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._queue:
-                if not self._client.connected:
-                    raise BusDisconnected("bus connection is closed")
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    left = deadline - time.monotonic()
-                    if left <= 0:
-                        return None
-                    self._cond.wait(left)
-            return self._queue.popleft()
+        """Next frame in arrival order; None once timeout elapses with nothing.
+
+        Reads and decodes in the caller's thread, one frame at a time, until
+        one is for this subscription. timeout 0 still takes a frame that is
+        already on the socket.
+        """
+        queue = self._queue
+        if not queue:
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while not queue:
+                if not self._client._read_frame(deadline):
+                    return None
+        return queue.popleft()
 
 
 class BusClient:
-    """One TCP connection to the broker; may publish and subscribe concurrently."""
+    """One TCP connection to the broker. It starts no thread.
+
+    Polls and subscribes read the socket in the caller's thread, so one thread
+    reads a client at a time; any thread may publish.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        self._reader = _FrameReader(sock)
+        self._readable = select.poll()
+        self._readable.register(sock, select.POLLIN)
         self._send_lock = threading.Lock()
-        self._subs_lock = threading.Lock()
         self._subs: list[Subscription] = []
-        self._acks: deque = deque()
-        self._ack_cond = threading.Condition()
+        self._acks: dict[str, bool] = {}  # subscribe acks read but not yet claimed: pattern -> ok
         self.error_acks = 0  # acks that name no pattern (an unknown frame kind): counted, not kept
+        self._broker_dropped = 0  # as the latest delivery's stamp reports
+        self._lost = 0  # pushed out of a full subscription queue here
         self._connected = True
-        self._reader = threading.Thread(target=self._reader_loop, name="bus-client-read", daemon=True)
-        self._reader.start()
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 5.0) -> "BusClient":
@@ -495,6 +491,12 @@ class BusClient:
     def connected(self) -> bool:
         return self._connected
 
+    @property
+    def dropped(self) -> int:
+        """Frames for this connection lost before they were read: the broker's count, as its
+        latest delivery reports, plus those a full subscription queue here pushed out."""
+        return self._broker_dropped + self._lost
+
     def close(self) -> None:
         self._connected = False
         try:
@@ -505,12 +507,6 @@ class BusClient:
             self._sock.close()
         except OSError:
             pass
-        with self._ack_cond:
-            self._ack_cond.notify_all()
-        with self._subs_lock:
-            subs = list(self._subs)
-        for sub in subs:
-            sub._wake()
 
     def __enter__(self) -> "BusClient":
         return self
@@ -518,33 +514,40 @@ class BusClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _reader_loop(self) -> None:
-        reader = _FrameReader(self._sock)
+    def _read_frame(self, deadline: float | None) -> bool:
+        """Read, decode and hand out one frame; False if none came by the deadline (None: no deadline)."""
+        if not self._connected:
+            raise BusDisconnected("bus connection is closed")
+        reader = self._reader
         try:
-            while self._connected:
-                frame = decode_frame(reader.next_body(MAX_FRAME_BYTES))
-                if frame.kind is FrameKind.ACK:
-                    if "pattern" not in frame.payload:  # no subscribe would ever claim it
-                        self.error_acks += 1
-                        continue
-                    with self._ack_cond:
-                        self._acks.append(frame)
-                        self._ack_cond.notify_all()
-                    continue
-                with self._subs_lock:
-                    targets = [s for s in self._subs if topic_matches(s.pattern, frame.topic)]
-                for sub in targets:
-                    sub._push(frame)
-        except (FrameDecodeError, UnknownFrameKind, BusDisconnected, OSError):
-            pass
-        finally:
-            self._connected = False
-            with self._ack_cond:
-                self._ack_cond.notify_all()
-            with self._subs_lock:
-                subs = list(self._subs)
-            for sub in subs:
-                sub._wake()
+            while (body := reader.cut(MAX_FRAME_BYTES)) is None:
+                if deadline is not None:
+                    left_ms = (deadline - time.monotonic()) * 1e3
+                    if not self._readable.poll(min(max(left_ms, 0.0), _POLL_MAX_MS)):
+                        if left_ms <= _POLL_MAX_MS:
+                            return False
+                        continue  # poll waits at most _POLL_MAX_MS, so a longer wait takes several
+                reader.fill()
+            frame = decode_frame(body)
+        except (FrameDecodeError, UnknownFrameKind, BusDisconnected, OSError) as exc:
+            self.close()
+            raise BusDisconnected(f"bus connection lost: {exc}") from None
+        payload = frame.payload
+        if frame.kind is FrameKind.ACK:
+            pattern = payload.get("pattern")
+            if type(pattern) is str:
+                self._acks[pattern] = payload.get("ok") is True
+            else:  # no subscribe would ever claim it
+                self.error_acks += 1
+            return True
+        bus = payload.get("bus")
+        if type(bus) is dict and type(dropped := bus.get("dropped")) is int:
+            self._broker_dropped = dropped
+        topic = frame.topic
+        for sub in self._subs:
+            if topic_matches(sub.pattern, topic):
+                sub._push(frame)
+        return True
 
     def send_frame(self, frame: DatabusFrame) -> None:
         if not self._connected:
@@ -569,25 +572,20 @@ class BusClient:
         self.send_frame(DatabusFrame(kind, topic, stamp, payload))
 
     def subscribe(self, pattern: str, timeout: float = 5.0) -> Subscription:
-        """Register a pattern; returns once the broker has acknowledged it."""
+        """Register a pattern; returns once the broker has acknowledged it.
+
+        Waiting for the ack reads the socket like a poll, so frames for other
+        subscriptions that arrive meanwhile are queued for them.
+        """
         if not valid_pattern(pattern):
             raise ValueError(f"bad subscribe pattern {pattern!r}")
         sub = Subscription(pattern, self)
-        with self._subs_lock:
-            self._subs.append(sub)
+        self._subs.append(sub)
         self.send_frame(DatabusFrame(FrameKind.SUBSCRIBE, pattern, now_us(), {}))
         deadline = time.monotonic() + timeout
-        with self._ack_cond:
-            while True:
-                for i, ack in enumerate(self._acks):
-                    if ack.payload.get("pattern") == pattern:
-                        del self._acks[i]
-                        if not ack.payload.get("ok", False):
-                            raise ValueError(f"broker rejected pattern {pattern!r}")
-                        return sub
-                if not self._connected:
-                    raise BusDisconnected("bus connection closed during subscribe")
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    raise TimeoutError(f"no subscribe ack for {pattern!r} within {timeout}s")
-                self._ack_cond.wait(left)
+        while pattern not in self._acks:
+            if not self._read_frame(deadline):
+                raise TimeoutError(f"no subscribe ack for {pattern!r} within {timeout}s")
+        if not self._acks.pop(pattern):
+            raise ValueError(f"broker rejected pattern {pattern!r}")
+        return sub

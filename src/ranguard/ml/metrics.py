@@ -62,17 +62,6 @@ class ConfusionMatrix:
         r = self.recall(label)
         return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
-    def per_class(self) -> dict[str, dict[str, float]]:
-        return {
-            label: {
-                "precision": self.precision(label),
-                "recall": self.recall(label),
-                "f1": self.f1(label),
-                "support": int(self.counts[self._index[label], :].sum()),
-            }
-            for label in self.labels
-        }
-
     def collapse(self, grouping: Mapping[str, str]) -> "ConfusionMatrix":
         """Merge labels into groups (e.g. benign/attack); counts sum blockwise.
 

@@ -11,6 +11,7 @@ which numpy runs as a radix sort for codes of 16 bits or less.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,7 +149,11 @@ def _best_split(
     j = int(np.argmin(cost))  # first minimum -> lowest feature, then its lowest threshold
     row = order.flat[at[j] : at[j] + 2]  # positions in idx of the samples either side
     f = int(features[fi[j]])
-    return f, float((X[idx[row[0]], f] + X[idx[row[1]], f]) / 2.0)
+    lo, hi = float(X[idx[row[0]], f]), float(X[idx[row[1]], f])
+    mid = (lo + hi) / 2.0
+    if not math.isfinite(mid):  # the sum overflowed; halving first gives other bits only for subnormals
+        mid = lo * 0.5 + hi * 0.5
+    return f, mid
 
 
 class DecisionTree(TreeModel):
@@ -200,10 +205,6 @@ class DecisionTree(TreeModel):
             if rng is None:
                 raise ValueError("feature_subsample requires an rng")
         return _grow(X, rank_codes(X), y, w, n_classes, config, feature_subsample, rng)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.feature)
 
     def depth(self) -> int:
         return self.engine.depth

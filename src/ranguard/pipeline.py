@@ -555,7 +555,7 @@ class XappRunStats:
     decisions: int
     commands: int
     malformed: int
-    dropped: int  # frames the subscription's full queue pushed out before they were read
+    dropped: int  # frames lost before the xApp read them, as the broker reports for its connection
 
 
 def run_xapp(

@@ -310,15 +310,8 @@ class OnlineClassifier:
         self.policy = policy if policy is not None else PolicyMap.default()
         self.delay_model = delay_model
         self.malformed = 0  # frames skipped: not a measurement, or bad bus stamps
-        self._tracks: dict[int, _UeTrack] = {}
+        self._tracks: dict[tuple[int, int], _UeTrack] = {}  # by (bs_id, ue_id): UE ids repeat across stations
         self._next_cmd_id = 1
-
-    def _track(self, ue_id: int) -> _UeTrack:
-        track = self._tracks.get(ue_id)
-        if track is None:
-            track = _UeTrack(deque(maxlen=self.policy.window))
-            self._tracks[ue_id] = track
-        return track
 
     def on_measurement(self, frame: DatabusFrame) -> Decision | None:
         """Classify one bus frame, stamped by the wall clock; None for a bad frame.
@@ -371,7 +364,10 @@ class OnlineClassifier:
             )
         raw = self.class_labels[raw_idx]
 
-        track = self._track(sample.ue_id)
+        key = (sample.bs_id, sample.ue_id)
+        track = self._tracks.get(key)
+        if track is None:
+            track = self._tracks[key] = _UeTrack(deque(maxlen=self.policy.window))
         track.window.append(raw)
         smoothed = window_majority(track.window)
         attack = category_of(smoothed) is TrafficCategory.ATTACK
@@ -458,11 +454,6 @@ class TimeToCorrect:
     @property
     def unresolved(self) -> int:
         return sum(1 for t in self.times_ms if t == inf)
-
-    def fraction_within(self, budget_ms: float) -> float:
-        if not self.times_ms:
-            raise ValueError("no segments scored")
-        return sum(1 for t in self.times_ms if t <= budget_ms) / self.total
 
     def cdf(self) -> list[tuple[float, float]]:
         """Step points (time_ms, cumulative fraction of all segments)."""

@@ -3,7 +3,8 @@
 `decode` is the old `decode_frame` with the old `DatabusFrame` checks, and
 `encode` the old `encode_frame`. `relay` is the old broker writer: it decoded
 the publisher's body, copied the payload, set the broker's stamp in
-`payload["bus"]`, re-checked the frame and encoded it again. A frame here is
+`payload["bus"]`, re-checked the frame and encoded it again. Its stamp here
+also carries the subscriber's drop count, which the one-thread broker added. A frame here is
 the tuple of its fields, `(kind, topic, t_sent_us, payload, version)`, so the
 oracle can hold what the old checks let through (a version of `True`, say).
 """
@@ -11,9 +12,15 @@ oracle can hold what the old checks let through (a version of `True`, say).
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 
-from ranguard.databus import FrameDecodeError, FrameKind, UnknownFrameKind, valid_pattern, valid_topic
+from ranguard.databus import FrameDecodeError, FrameKind, UnknownFrameKind, valid_pattern
+
+
+def valid_topic(topic: str) -> bool:
+    """The topic grammar a delivery must follow: kpm.<id>, ctrl.<id> or event.<id>."""
+    return bool(re.match(r"^(kpm|ctrl|event)\.\d+$", topic))
 
 
 def check(kind, topic, t_sent_us, payload, version) -> None:
@@ -71,10 +78,10 @@ def decode(body: bytes) -> tuple:
     return frame
 
 
-def relay(body: bytes, t_in_us: int, t_out_us: int) -> bytes:
+def relay(body: bytes, t_in_us: int, t_out_us: int, dropped: int) -> bytes:
     """The wire frame the old broker sent for a delivery of this publisher body."""
     kind, topic, t_sent_us, payload, version = decode(body)
     stamped = dict(payload)
-    stamped["bus"] = {"in_us": t_in_us, "out_us": t_out_us}
+    stamped["bus"] = {"in_us": t_in_us, "out_us": t_out_us, "dropped": dropped}
     check(kind, topic, t_sent_us, stamped, version)
     return encode((kind, topic, t_sent_us, stamped, version))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -25,7 +27,6 @@ from ranguard.databus import (
     encode_frame,
     topic_matches,
     valid_pattern,
-    valid_topic,
 )
 
 
@@ -103,6 +104,7 @@ def test_frame_validates_topic_grammar():
 
 
 def test_topic_and_pattern_grammar():
+    valid_topic = oracle.valid_topic
     assert valid_topic("kpm.12") and valid_topic("ctrl.0") and valid_topic("event.3")
     assert not valid_topic("kpm.*") and not valid_topic("kpm.") and not valid_topic("bad.1")
     assert valid_pattern("kpm.*") and valid_pattern("event.12")
@@ -201,12 +203,45 @@ def test_per_publisher_fifo_with_interleaving(broker):
     assert seq["b"] == list(range(300))
 
 
+def test_threads_publish_on_the_client_that_one_thread_polls(broker):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible, mid-send included
+    try:
+        with client(broker) as c:
+            sub = c.subscribe("kpm.4")
+
+            def blast(tag: int) -> None:
+                for i in range(200):
+                    c.publish(FrameKind.MEASUREMENT, "kpm.4", {"src": tag, "n": i})
+
+            threads = [threading.Thread(target=blast, args=(tag,)) for tag in range(4)]
+            for t in threads:
+                t.start()
+            got = {tag: [] for tag in range(4)}
+            for _ in range(800):
+                frame = sub.poll(timeout=5.0)
+                got[frame.payload["src"]].append(frame.payload["n"])
+            for t in threads:
+                t.join(timeout=10.0)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {tag: list(range(200)) for tag in range(4)}  # whole frames, each thread's in order
+
+
 def test_poll_timeout_returns_none(broker):
     with client(broker) as recv:
         sub = recv.subscribe("kpm.8")
         t0 = time.monotonic()
         assert sub.poll(timeout=0.15) is None
         assert time.monotonic() - t0 >= 0.13
+
+
+def test_poll_takes_a_timeout_longer_than_one_wait_of_the_socket(broker):
+    with client(broker) as pub, client(broker) as recv:
+        sub = recv.subscribe("kpm.8")
+        pub.publish(FrameKind.MEASUREMENT, "kpm.8", {"n": 1})
+        assert sub.poll(timeout=1e7).payload["n"] == 1  # 1e10 ms: past the longest single wait
 
 
 def test_poll_after_close_raises(broker):
@@ -292,14 +327,15 @@ def test_unknown_kind_gets_error_ack(broker):
 def test_error_acks_are_counted_not_kept(broker):
     body = b'{"version":1,"kind":"mystery","topic":"kpm.1","t_sent_us":0,"payload":{}}'
     with client(broker) as c:
+        sub = c.subscribe("kpm.1")
         with c._send_lock:
             c._sock.sendall((len(body).to_bytes(4, "big") + body) * 500)
         deadline = time.monotonic() + 5.0
         while c.error_acks < 500 and time.monotonic() < deadline:
-            time.sleep(0.01)
+            assert sub.poll(timeout=0.05) is None  # a poll reads the acks, and none is a delivery
         assert c.error_acks == 500
         assert len(c._acks) == 0  # no subscribe would ever claim them
-        c.subscribe("kpm.1")
+        c.subscribe("kpm.2")
         assert len(c._acks) == 0
 
 
@@ -327,17 +363,28 @@ def test_loopback_delay_median_under_1ms(broker):
     assert median < 1000  # microseconds
 
 
+def bus_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("bus-")]
+
+
 def test_connection_churn_keeps_the_thread_list_small(broker):
+    before = set(threading.enumerate())
     for _ in range(30):
         with client(broker) as c:
             c.subscribe("kpm.1")  # acknowledged: the broker has accepted this connection
-    deadline = time.monotonic() + 5.0
-    while sum(t.is_alive() for t in broker._threads) > 1 and time.monotonic() < deadline:
-        time.sleep(0.01)  # the closed connections' reader and writer threads exit
-    with client(broker) as c:
-        c.subscribe("kpm.1")
-        # the accept thread and this connection's reader and writer, not 2 per connection ever made
-        assert len(broker._threads) <= 3
+    with client(broker) as a, client(broker) as b:
+        a.subscribe("kpm.1")
+        b.subscribe("kpm.*")
+        # the broker's one loop thread, whatever the number of connections, and none a client's
+        assert set(threading.enumerate()) - before == set()
+        assert bus_threads() == [broker._thread]
+        deadline = time.monotonic() + 5.0
+        while len(broker._conns) > 2 and time.monotonic() < deadline:
+            time.sleep(0.01)  # the loop sees the last closes
+        assert len(broker._conns) == 2  # only the live connections, not one per connection ever made
+        assert [len(conn.patterns) for conn in broker._subscribers] == [1, 1]
+    broker.stop()
+    assert bus_threads() == []
 
 
 # --- exact envelope types, the relay and the buffered reader --------------------------
@@ -449,7 +496,8 @@ def test_relayed_frames_decode_as_the_oracle_relay(broker):
             bus = frame.payload["bus"]
             assert type(bus["in_us"]) is int and type(bus["out_us"]) is int
             assert bus["in_us"] <= bus["out_us"]
-            expected = oracle.decode(oracle.relay(body, bus["in_us"], bus["out_us"])[4:])
+            assert bus["dropped"] == 0
+            expected = oracle.decode(oracle.relay(body, bus["in_us"], bus["out_us"], 0)[4:])
             assert (frame.kind, frame.topic, frame.t_sent_us, frame.payload, frame.version) == expected
 
         relays_like_the_oracle()
@@ -538,6 +586,13 @@ class ChunkedSocket:
         return chunk
 
 
+def next_body(reader, max_bytes: int) -> bytes:
+    """The next body, reading as often as it takes: how a blocking reader uses cut and fill."""
+    while (body := reader.cut(max_bytes)) is None:
+        reader.fill()
+    return body
+
+
 @given(
     sent=st.lists(frames, max_size=12),
     sizes=st.lists(st.integers(1, 3) | st.integers(4, 400) | st.just(1 << 16), min_size=1, max_size=8),
@@ -547,17 +602,18 @@ def test_buffered_reader_yields_the_frames_whatever_the_chunks(sent, sizes):
     stream = b"".join(encode_frame(frame) for frame in sent)
     sock = ChunkedSocket(stream, sizes)
     reader = databus._FrameReader(sock)
-    got = [decode_frame(reader.next_body(databus.MAX_FRAME_BYTES)) for _ in sent]
+    got = [decode_frame(next_body(reader, databus.MAX_FRAME_BYTES)) for _ in sent]
     assert got == sent
+    assert reader.cut(databus.MAX_FRAME_BYTES) is None
     with pytest.raises(BusDisconnected):
-        reader.next_body(databus.MAX_FRAME_BYTES)
+        next_body(reader, databus.MAX_FRAME_BYTES)
 
 
 def test_buffered_reader_takes_many_frames_from_one_read():
     frame = DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 0, {"n": 1})
     sock = ChunkedSocket(encode_frame(frame) * 50, [1 << 16])
     reader = databus._FrameReader(sock)
-    assert [decode_frame(reader.next_body(1000)) for _ in range(50)] == [frame] * 50
+    assert [decode_frame(next_body(reader, 1000)) for _ in range(50)] == [frame] * 50
     assert sock.calls == 1  # not two reads a frame, one for the header and one for the body
 
 
@@ -565,9 +621,9 @@ def test_buffered_reader_refuses_a_bad_length_after_the_good_frames():
     good = encode_frame(DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 0, {}))
     for bad in (b"\x00\x00\x00\x00", (101).to_bytes(4, "big")):
         reader = databus._FrameReader(ChunkedSocket(good * 2 + bad + b"x" * 200, [1 << 16]))
-        assert reader.next_body(100) == reader.next_body(100) == good[4:]
+        assert next_body(reader, 100) == next_body(reader, 100) == good[4:]
         with pytest.raises(FrameDecodeError, match="length"):
-            reader.next_body(100)
+            next_body(reader, 100)
 
 
 def test_client_queue_is_bounded_and_counts_its_drops(broker, monkeypatch):
@@ -578,22 +634,125 @@ def test_client_queue_is_bounded_and_counts_its_drops(broker, monkeypatch):
         def holds_the_newest(sent, bound):
             monkeypatch.setattr(databus, "DEFAULT_QUEUE_FRAMES", bound)
             with client(broker) as recv:
-                sub = recv.subscribe("kpm.5")
+                sibling = recv.subscribe("kpm.5")  # not polled while kpm.6 is
+                sub = recv.subscribe("kpm.6")
                 for i in range(sent):
                     pub.publish(FrameKind.MEASUREMENT, "kpm.5", {"n": i})
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:  # a subscriber that never polls
-                    with sub._cond:
-                        held, dropped = len(sub._queue), sub.dropped
-                    assert held <= bound
-                    if held + dropped == sent:
-                        break
-                    time.sleep(0.005)
+                pub.publish(FrameKind.MEASUREMENT, "kpm.6", {"n": sent})
+                # one publisher's frames arrive in order, so this poll reads every kpm.5 frame first
+                assert sub.poll(timeout=5.0).payload["n"] == sent
+                assert len(sibling._queue) == min(sent, bound)
                 got = []
-                while (frame := sub.poll(timeout=0.05)) is not None:
+                while (frame := sibling.poll(timeout=0)) is not None:
                     got.append(frame.payload["n"])
-            assert len(got) + sub.dropped == sent
+            assert len(got) + recv.dropped == sent
             assert got == list(range(sent - len(got), sent))  # the oldest went first
 
         holds_the_newest()
     assert broker.stats().dropped == 0  # every loss was the client's, and it was counted
+
+
+def raw_subscriber(broker, pattern: str, rcvbuf: int) -> tuple[socket.socket, databus._FrameReader]:
+    """A subscriber socket with a small receive buffer, past its subscribe ack."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(5.0)
+    sock.connect(broker.address)
+    sock.sendall(encode_frame(DatabusFrame(FrameKind.SUBSCRIBE, pattern, 0, {})))
+    reader = databus._FrameReader(sock)
+    ack = decode_frame(next_body(reader, databus.MAX_FRAME_BYTES))
+    assert ack.kind is FrameKind.ACK and ack.payload == {"ok": True, "pattern": pattern}
+    return sock, reader
+
+
+def test_a_stalled_subscriber_loses_its_oldest_frames_while_another_keeps_up():
+    with Broker(port=0, max_queue=8) as b:
+        stalled, reader = raw_subscriber(b, "kpm.1", 4096)
+        with stalled, client(b) as pub, client(b) as live:
+            sub = live.subscribe("kpm.1")
+            blob = "x" * 1024
+            got, sent = [], 0
+            while b.stats().dropped == 0 and sent < 20_000:
+                pub.publish(FrameKind.MEASUREMENT, "kpm.1", {"n": sent, "pad": blob})
+                sent += 1
+                got.append(sub.poll(timeout=2.0).payload["n"])
+            assert b.stats().dropped > 0  # the stalled subscriber's queue overflowed
+            assert got == list(range(sent))  # and the live one lost nothing, in order
+            assert live.dropped == 0
+            stalled_got = []
+            while not stalled_got or stalled_got[-1]["n"] != sent - 1:
+                stalled_got.append(decode_frame(next_body(reader, databus.MAX_FRAME_BYTES)).payload)
+            numbers = [payload["n"] for payload in stalled_got]
+            assert numbers == sorted(set(numbers))
+            assert len(numbers) + stalled_got[-1]["bus"]["dropped"] == sent
+            assert stalled_got[-1]["bus"]["dropped"] == b.stats().dropped
+
+
+def test_frames_received_plus_the_reported_drops_equal_the_frames_published():
+    with Broker(port=0, max_queue=8) as b:
+        with client(b) as pub, client(b) as recv:
+            sub = recv.subscribe("kpm.1")
+            blob = "x" * 4096
+            sent = 0
+            while b.stats().dropped == 0 and sent < 20_000:  # a subscriber that does not poll yet
+                for _ in range(50):
+                    pub.publish(FrameKind.MEASUREMENT, "kpm.1", {"n": sent, "pad": blob})
+                    sent += 1
+            got = []
+            while (frame := sub.poll(timeout=1.0)) is not None:
+                got.append(frame.payload["n"])
+            assert sub.dropped > 0
+            assert sub.dropped == b.stats().dropped
+            assert len(got) + sub.dropped == sent
+            assert got == sorted(got) and got[-1] == sent - 1  # the newest is never dropped
+
+
+def unknown_kind(kind: str) -> bytes:
+    body = json.dumps({"version": 1, "kind": kind, "topic": "kpm.1", "t_sent_us": 0, "payload": {}}).encode()
+    return len(body).to_bytes(4, "big") + body
+
+
+garbage = st.one_of(
+    st.tuples(st.just("hang-up"), st.sampled_from([0, 2**31, 2**32 - 1]).map(lambda n: n.to_bytes(4, "big"))),
+    st.tuples(
+        st.just("hang-up"),
+        (st.binary(min_size=1, max_size=40) | st.builds(json.dumps, json_values).map(str.encode)).map(
+            lambda body: len(body).to_bytes(4, "big") + body
+        ),
+    ),
+    st.tuples(st.just("ack"), st.sampled_from(["hello", "", "Measurement", "acks"]).map(unknown_kind)),
+    st.tuples(
+        st.just("half"),
+        frames.map(encode_frame).flatmap(lambda wire: st.integers(1, len(wire) - 1).map(lambda k: wire[:k])),
+    ),
+)
+
+
+def test_garbage_on_one_connection_never_stops_relaying_on_another(broker):
+    host, port = broker.address
+    numbers = itertools.count()
+    with client(broker) as pub, client(broker) as recv:
+        sub = recv.subscribe("kpm.1")
+
+        @given(case=garbage)
+        @settings(max_examples=80, deadline=None)
+        def relays_on(case):
+            reaction, data = case
+            with socket.create_connection((host, port)) as raw:
+                raw.sendall(data)
+                if reaction == "half":
+                    raw.shutdown(socket.SHUT_WR)  # half a frame, then the close
+                raw.settimeout(2.0)
+                try:
+                    answer = raw.recv(1 << 16)
+                except ConnectionResetError:
+                    answer = b""
+                # an unknown kind is answered with an error ack; the rest the broker hangs up on
+                assert (answer != b"") == (reaction == "ack")
+                n = next(numbers)
+                pub.publish(FrameKind.MEASUREMENT, "kpm.1", {"n": n})
+                frame = sub.poll(timeout=2.0)
+                assert frame is not None and frame.payload["n"] == n
+
+        relays_on()
+    assert broker._thread.is_alive()

@@ -152,7 +152,6 @@ def test_metric_ranges_property(counts):
         return
     assert 0.0 <= cm.accuracy() <= 1.0
     for label in cm.labels:
-        stats = cm.per_class()[label]
-        assert 0.0 <= stats["precision"] <= 1.0
-        assert 0.0 <= stats["recall"] <= 1.0
-        assert 0.0 <= stats["f1"] <= 1.0
+        assert 0.0 <= cm.precision(label) <= 1.0
+        assert 0.0 <= cm.recall(label) <= 1.0
+        assert 0.0 <= cm.f1(label) <= 1.0

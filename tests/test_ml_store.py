@@ -170,8 +170,8 @@ def test_load_rejects_or_serves_any_index_corruption(tmp_path_factory, data):
     X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0], [4.0, 0.0], [5.0, 2.0]])
     tree = DecisionTree.train(X, np.array([0, 1, 2, 0, 1, 2]), 3, TreeConfig(4, 2, 1))
     key = data.draw(st.sampled_from(["feature", "left", "right"]))
-    node = data.draw(st.integers(0, tree.node_count - 1))
-    value = data.draw(st.integers(-3, tree.node_count + 2))
+    node = data.draw(st.integers(0, len(tree.feature) - 1))
+    value = data.draw(st.integers(-3, len(tree.feature) + 2))
     path = tmp_path_factory.mktemp("fuzz") / "m.json"
     save_mutated(tree, path, lambda p: p[key].__setitem__(node, value))
     try:

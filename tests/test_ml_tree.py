@@ -65,7 +65,7 @@ def test_all_midpoints_cost_checked_by_hand():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     tree = DecisionTree.train(X, y, 2, SMALL)
-    assert tree.node_count == 3  # one split is enough
+    assert len(tree.feature) == 3  # one split is enough
     assert tree.depth() == 1
 
 
@@ -81,7 +81,7 @@ def test_all_identical_labels_single_leaf():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.zeros(10, dtype=int)
     tree = DecisionTree.train(X, y, 2, SMALL)
-    assert tree.node_count == 1
+    assert len(tree.feature) == 1
     assert tree.predict([3.3]) == 0
 
 
@@ -113,7 +113,7 @@ def test_min_samples_split_stops_growth():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     tree = DecisionTree.train(X, y, 2, TreeConfig(15, 5, 1))
-    assert tree.node_count == 1
+    assert len(tree.feature) == 1
     assert tree.predict([0.0]) == 0  # 2-2 leaf tie -> lowest class index
 
 
@@ -124,6 +124,14 @@ def test_max_depth_respected():
     for depth in (1, 2, 5):
         tree = DecisionTree.train(X, y, 3, TreeConfig(depth, 2, 1))
         assert tree.depth() <= depth
+
+
+def test_a_midpoint_past_the_float_range_does_not_overflow():
+    tree = DecisionTree.train([[1e308], [1.7e308]], [0, 1], 2, TreeConfig(3, 2, 1))
+    assert float(tree.threshold[0]) == 1e308 * 0.5 + 1.7e308 * 0.5 == 1.35e308
+    assert tree.predict([1e308]) == 0 and tree.predict([1.7e308]) == 1
+    tree = DecisionTree.train([[-1e308], [-1.7e308]], [0, 1], 2, TreeConfig(3, 2, 1))
+    assert float(tree.threshold[0]) == -1.35e308
 
 
 def test_thresholds_are_midpoints_of_adjacent_values():
@@ -226,14 +234,14 @@ def test_leaf_counts_match_training_data():
     root_counts = tree.counts[0]
     assert root_counts.tolist() == [2.0, 3.0]
     leaf_totals = sum(
-        tree.counts[i].sum() for i in range(tree.node_count) if tree.feature[i] < 0
+        tree.counts[i].sum() for i in range(len(tree.feature)) if tree.feature[i] < 0
     )
     assert leaf_totals == 5.0
 
 
 def test_every_leaf_holds_min_samples(random_tree):
     tree, _, _, _ = random_tree
-    for i in range(tree.node_count):
+    for i in range(len(tree.feature)):
         if tree.feature[i] < 0:
             assert tree.counts[i].sum() >= 1
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranguard import databus, pipeline
+from ranguard import pipeline
 from ranguard.databus import Broker, BusClient, DatabusFrame, FrameKind, now_us
 from ranguard.kpm import (
     CLASS_ORDER,
@@ -531,22 +531,27 @@ def test_run_xapp_classifies_and_commands_over_bus(dt_model, tmp_path):
     assert sum(1 for r in rows if r["command"]) == 1
 
 
-def test_run_xapp_counts_the_frames_its_full_queue_dropped(monkeypatch):
-    class SlowModel:
+def test_run_xapp_counts_the_frames_its_full_queue_dropped():
+    class GatedModel:
+        """Holds the xApp at its first decision until the gate opens."""
+
+        def __init__(self) -> None:
+            self.gate = threading.Event()
+
         def predict(self, features) -> int:
-            time.sleep(0.002)
+            self.gate.wait(30.0)
             return 0
 
-    monkeypatch.setattr(databus, "DEFAULT_QUEUE_FRAMES", 8)
+    model = GatedModel()
     bs = build_station(pipeline.attack_demo_scenario(3, duration_ms=8000))
     outcome = {}
-    with Broker(port=0) as broker:
+    with Broker(port=0, max_queue=8) as broker:
         host, port = broker.address
         with BusClient.connect(host, port) as pub:
 
             def serve():
                 outcome["stats"] = pipeline.run_xapp(
-                    SlowModel(), CLASS_ORDER, broker_host=host, broker_port=port, idle_timeout_s=1.0
+                    model, CLASS_ORDER, broker_host=host, broker_port=port, idle_timeout_s=1.0
                 )
 
             server = threading.Thread(target=serve, daemon=True)
@@ -558,16 +563,20 @@ def test_run_xapp_counts_the_frames_its_full_queue_dropped(monkeypatch):
                     break
             else:
                 pytest.fail("kpm.* subscription never registered")
-            for k in range(100):
-                for frame in bs.tick(k * 100, t_sent_us=now_us()):
-                    pub.publish(frame.kind, frame.topic, frame.payload, frame.t_sent_us)
+            pad = "x" * 4096  # a transport key the xApp ignores; it fills the socket buffers sooner
+            t = 0
+            while broker.stats().dropped == 0 and t < 2_000_000:  # the xApp is held at its first frame
+                for frame in bs.tick(t, t_sent_us=now_us()):
+                    pub.publish(frame.kind, frame.topic, dict(frame.payload, pad=pad), frame.t_sent_us)
+                t += 100
+            model.gate.set()
             server.join(timeout=30)
         published = broker.stats()
     stats = outcome["stats"]
-    assert published.frames_out >= 200
-    assert published.dropped == 0  # every loss was the xApp's own queue, and it was counted
-    assert stats.dropped > 0
-    assert stats.frames + stats.dropped == published.frames_out
+    assert published.dropped > 0  # the broker's queue for the xApp overflowed
+    assert stats.dropped == published.dropped  # and the xApp reports every frame it lost
+    assert stats.frames == published.frames_out  # the only subscriber read every delivery
+    assert stats.decisions == stats.frames - 1  # all but the probe
 
 
 def test_run_xapp_idle_timeout_returns_quickly(dt_model):

@@ -40,7 +40,7 @@ from ranguard.xapp import (
     time_to_correct,
     window_majority,
 )
-from xapp_oracle import FrameRouteClassifier
+from xapp_oracle import FrameRouteClassifier, fraction_within
 
 IDX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 
@@ -334,6 +334,42 @@ def test_ue_windows_are_independent():
     assert commands[0].ue_id == 1
 
 
+def on_station(bs_id: int, ue_id: int, t_ms: int, cls: TrafficClass) -> KpmSample:
+    return replace(sample_for(ue_id, t_ms, cls), bs_id=bs_id)
+
+
+def test_an_attacker_is_released_while_its_ue_id_is_benign_on_another_station():
+    xapp = modeled_xapp(window=5, dwell=3)
+    commands = []
+    for t in range(20):
+        for bs_id, cls in ((1, HULK), (2, WEB)):
+            d = xapp.on_sample(on_station(bs_id, 7, t * 100, cls), t * 100_000)
+            if d.command is not None:
+                commands.append((bs_id, d.command.ue_id, d.command.action))
+    assert commands == [(1, 7, CommandAction.RRC_RELEASE)]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from([1, 2]), st.integers(1, 3), st.sampled_from([WEB, VOIP, HULK, SLOW])),
+        max_size=80,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_two_stations_with_the_same_ue_ids_decide_as_each_would_alone(rows):
+    shared = modeled_xapp(window=3, dwell=2)
+    alone = {1: modeled_xapp(window=3, dwell=2), 2: modeled_xapp(window=3, dwell=2)}
+
+    def view(d: Decision) -> tuple:  # command ids count one classifier's commands, so they are left out
+        action = None if d.command is None else (d.command.ue_id, d.command.action)
+        return d.ue_id, d.timestamp_ms, d.raw, d.smoothed, action, d.trace
+
+    for t, (bs_id, ue_id, cls) in enumerate(rows):
+        sample = on_station(bs_id, ue_id, t * 100, cls)
+        assert view(shared.on_sample(sample, t * 100_000)) == view(alone[bs_id].on_sample(sample, t * 100_000))
+    assert len(shared._tracks) == sum(len(xapp._tracks) for xapp in alone.values())
+
+
 def test_classifier_requires_a_model():
     for model in (None, object()):
         with pytest.raises(TypeError, match="predict"):
@@ -616,7 +652,7 @@ def test_all_correct_segment_scores_zero():
     ttc = time_to_correct(rows, [seg(1, 0, 1000, WEB)], period_ms=100)
     assert ttc.times_ms == (0.0,)
     assert ttc.cdf() == [(0.0, 1.0)]
-    assert ttc.fraction_within(0) == 1.0
+    assert fraction_within(ttc, 0) == 1.0
     assert ttc.unresolved == 0
 
 
@@ -633,7 +669,7 @@ def test_wrong_final_verdict_is_unresolved():
     assert ttc.times_ms == (inf,)
     assert ttc.unresolved == 1
     assert ttc.cdf() == []
-    assert ttc.fraction_within(10**9) == 0.0
+    assert fraction_within(ttc, 10**9) == 0.0
 
 
 def test_segment_without_decisions_is_unresolved():
@@ -657,7 +693,7 @@ def test_hand_built_cdf():
     ttc = time_to_correct(rows, segments, period_ms=100)
     assert ttc.times_ms == (0.0, 300.0, 500.0, inf)
     assert ttc.cdf() == [(0.0, 0.25), (300.0, 0.5), (500.0, 0.75)]
-    assert ttc.fraction_within(500) == 0.75
+    assert fraction_within(ttc, 500) == 0.75
     assert ttc.total == 4
     assert ttc.unresolved == 1
 

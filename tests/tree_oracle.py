@@ -217,7 +217,7 @@ def tree_depth(tree: DecisionTree) -> int:
     """Longest root-to-leaf path, in edges, by a walk over the nodes in index order."""
     depths = {0: 0}
     best = 0
-    for i in range(tree.node_count):
+    for i in range(len(tree.feature)):
         if tree.feature[i] >= 0:
             depths[int(tree.left[i])] = depths[i] + 1
             depths[int(tree.right[i])] = depths[i] + 1

@@ -7,17 +7,26 @@ commands in one method. `FrameRouteClassifier.on_measurement` is that method
 as it was, with its own copy of the decision step, so a fault in the served
 decision step shows as a difference against it. Only its output follows the
 served shape: a trace of the six uplink stamps, and a command issued at the
-trace's inference end.
+trace's inference end. `fraction_within` is a reading of a time-to-correct
+result that only the tests take.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Mapping
 
 from ranguard.databus import DatabusFrame, FrameKind, now_us
 from ranguard.kpm import KpmSample, TrafficCategory, category_of, feature_vector
 from ranguard.ransim import RicCommand, build_station
-from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, window_majority
+from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, TimeToCorrect, _UeTrack, window_majority
+
+
+def fraction_within(ttc: TimeToCorrect, budget_ms: float) -> float:
+    """Share of all scored segments that settled within the budget."""
+    if not ttc.times_ms:
+        raise ValueError("no segments scored")
+    return sum(1 for t in ttc.times_ms if t <= budget_ms) / ttc.total
 
 
 class FrameRouteClassifier(OnlineClassifier):
@@ -62,7 +71,7 @@ class FrameRouteClassifier(OnlineClassifier):
             )
         raw = self.class_labels[raw_idx]
 
-        track = self._track(sample.ue_id)
+        track = self._tracks.setdefault(sample.ue_id, _UeTrack(deque(maxlen=self.policy.window)))
         track.window.append(raw)
         smoothed = window_majority(track.window)
         attack = category_of(smoothed) is TrafficCategory.ATTACK
