@@ -2,12 +2,12 @@
 
 Every walk goes left on x <= threshold, so a NaN feature goes right, and adds
 each tree's weight to its leaf class in tree order; the argmax breaks ties
-toward the lowest class index. The matrix walk follows QuickScorer (Lucchese
-et al., SIGIR 2015). One row runs the trees as generated Python code, nested
-if/else blocks per tree, as in Asadi et al. (TKDE 2014). When every weight is
-1 (a tree, a forest), that vote stops as soon as one class holds a strict
-majority of the trees, the early exit of Cambazoglu et al. (WSDM 2010); the
-label is the one the full vote gives.
+toward the lowest class index. A row runs the trees as generated Python code,
+nested if/else blocks per tree, as in Asadi et al. (TKDE 2014), and a matrix
+runs its rows through that code one at a time. When every weight is 1 (a
+tree, a forest), that vote stops as soon as one class holds a strict majority
+of the trees, the early exit of Cambazoglu et al. (WSDM 2010); the label is
+the one the full vote gives.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 if TYPE_CHECKING:
     from ranguard.ml.tree import DecisionTree
 
-_WALK_PAIRS = 1 << 15  # (row, tree) pairs per step of the matrix walk
 # Tree nodes per generated vote function, which bounds the memory compile()
 # takes (a whole forest as one function takes tens of MB); a larger tree
 # continues in further functions.
@@ -82,27 +81,17 @@ class TreeEnsemble:
         self.roots = np.cumsum([0] + sizes[:-1])
         offset = np.repeat(self.roots, sizes)
         self.feature = np.concatenate([t.feature for t in trees])  # -1 marks a leaf
-        leaf = self.feature < 0
-        node = np.arange(len(leaf))
-        left = np.where(leaf, node, np.concatenate([t.left for t in trees]) + offset)
-        right = np.where(leaf, node, np.concatenate([t.right for t in trees]) + offset)
-        self.child = np.stack([right, left], axis=1)  # [node, went_left]; leaves loop to themselves
+        self.left = np.concatenate([t.left for t in trees]) + offset  # read only at internal nodes
+        self.right = np.concatenate([t.right for t in trees]) + offset
         self.threshold = np.concatenate([t.threshold for t in trees])
         self.klass = np.concatenate([t.klass for t in trees])
         self.weights = weights
-        self.depth, level = 0, self.roots
-        while (level := level[~leaf[level]]).size:  # children come after parents: this ends
-            self.depth += 1
-            reached = np.zeros(len(leaf), dtype=bool)
-            reached[left[level]] = reached[right[level]] = True
-            level = np.flatnonzero(reached)
-        self._feature = np.where(leaf, 0, self.feature)  # the matrix walk reads column 0 at leaves
 
     @cached_property
     def _vote(self) -> list:
         """The one-row vote as generated functions, compiled on first use, so a
-        model that is only trained, saved or batched never holds them; each
-        function is compiled as soon as it is complete, and its source dropped.
+        model that never predicts never holds them; each function is compiled
+        as soon as it is complete, and its source dropped.
 
         Each function takes the score list and the row, which it unpacks into
         the locals x0..x{d-1}. It runs its trees as nested if/else blocks, in
@@ -116,7 +105,7 @@ class TreeEnsemble:
         weights as repr(float).
         """
         feature, threshold, klass = self.feature.tolist(), self.threshold.tolist(), self.klass.tolist()
-        right, left = self.child.T.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
         roots = self.roots.tolist()
         ends = roots[1:] + [len(feature)]
         weights = self.weights.tolist()
@@ -194,30 +183,12 @@ class TreeEnsemble:
         return ~i
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Class index per row of an (n, n_features) matrix."""
+        """Class index per row of an (n, n_features) matrix, each row run as predict runs it."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) matrix, got shape {X.shape}")
-        out = np.empty(X.shape[0], dtype=np.intp)
-        # the walk holds a few (rows x trees) index matrices: bound them to about 256 KB each
-        step = max(1, _WALK_PAIRS // len(self.roots))
-        for start in range(0, X.shape[0], step):
-            out[start : start + step] = self._walk_levels(X[start : start + step])
-        return out
-
-    def _walk_levels(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        flat = np.ascontiguousarray(X).ravel()
-        row = np.arange(n)[:, None]
-        node = np.tile(self.roots, (n, 1))
-        for _ in range(self.depth):
-            value = flat.take(row * self.n_features + self._feature.take(node))
-            went_left = value <= self.threshold.take(node)
-            node = self.child.take(2 * node + went_left)
-        # bincount adds each row's weights in tree order, as predict does
-        keys = (row * self.n_classes + self.klass.take(node)).ravel()
-        votes = np.bincount(keys, weights=np.tile(self.weights, n), minlength=n * self.n_classes)
-        return np.argmax(votes.reshape(n, self.n_classes), axis=1)
+        # one row at a time: a list copy of the whole matrix would take several times its bytes
+        return np.fromiter(map(self.predict, X), dtype=np.intp, count=len(X))
 
 
 class TreeModel:

@@ -8,6 +8,8 @@ import numpy as np
 
 from ranguard.ml.tree import _validate_training_data
 
+_CHUNK_ROWS = 512  # query rows per distance matrix in predict_batch
+
 
 class KnnClassifier:
     """Euclidean kNN; features scaled to [0, 1] by the training ranges.
@@ -28,6 +30,7 @@ class KnnClassifier:
         self._y: np.ndarray | None = None
         self._mins: np.ndarray | None = None
         self._ranges: np.ndarray | None = None
+        self._sq_norms: np.ndarray | None = None  # squared norm of each scaled training row
 
     def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int) -> "KnnClassifier":
         X, y, _ = _validate_training_data(X, y, n_classes, None)
@@ -41,6 +44,7 @@ class KnnClassifier:
         self._ranges = ranges
         self._X = (X - self._mins) / ranges
         self._y = y
+        self._sq_norms = (self._X * self._X).sum(axis=1)
         return self
 
     def _require_fit(self) -> None:
@@ -58,16 +62,16 @@ class KnnClassifier:
         # same code path as batches so nearest-neighbour ranking is identical
         return int(self.predict_batch(x[None, :])[0])
 
-    def predict_batch(self, X: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
         self._require_fit()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) matrix, got shape {X.shape}")
         out = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], chunk):
-            q = self._scale(X[start : start + chunk])
+        for start in range(0, X.shape[0], _CHUNK_ROWS):
+            q = self._scale(X[start : start + _CHUNK_ROWS])
             # squared distances without the query-norm term (rank-invariant per row)
-            d2 = (self._X * self._X).sum(axis=1)[None, :] - 2.0 * q @ self._X.T
+            d2 = self._sq_norms - 2.0 * q @ self._X.T
             if self.k < self._X.shape[0]:
                 near = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
             else:
@@ -99,4 +103,5 @@ class KnnClassifier:
         knn._ranges = np.asarray(data["ranges"], dtype=np.float64)
         knn._X = np.asarray(data["X_scaled"], dtype=np.float64)
         knn._y = np.asarray(data["y"], dtype=np.int64)
+        knn._sq_norms = (knn._X * knn._X).sum(axis=1)
         return knn

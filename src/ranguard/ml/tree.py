@@ -206,9 +206,6 @@ class DecisionTree(TreeModel):
                 raise ValueError("feature_subsample requires an rng")
         return _grow(X, rank_codes(X), y, w, n_classes, config, feature_subsample, rng)
 
-    def depth(self) -> int:
-        return self.engine.depth
-
     def to_dict(self) -> dict:
         return {
             "n_features": self.n_features,

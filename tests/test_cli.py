@@ -180,8 +180,8 @@ def test_bench_latency_gate(trained, capsys):
             "--max-p99-ms", "1000",
         ]
     )
-    out = capsys.readouterr().out
-    assert code == 0
+    out, err = capsys.readouterr()
+    assert code == 0, err
     assert out.rstrip().endswith("PASS")
     assert "T_d" in out
 

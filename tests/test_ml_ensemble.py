@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranguard.ml import AdaBoost, DecisionTree, ForestConfig, RandomForest, ensemble
+from ranguard.ml import AdaBoost, DecisionTree, RandomForest, ensemble
 from tree_oracle import oracle_predict, tree_depth
 
 # Thresholds and query values share one small grid, so queries often sit
@@ -78,7 +78,6 @@ def assert_engine_matches_oracle(model, X: np.ndarray) -> None:
 def test_tree_matches_oracle(data, n_features, n_classes):
     tree = data.draw(random_trees(n_features, n_classes))
     assert_engine_matches_oracle(tree, data.draw(queries(n_features)))
-    assert tree.depth() == tree_depth(tree)
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,7 +226,7 @@ def test_chain_deeper_than_any_generated_function():
     depth = 5000
     thresholds = [float(i) for i in range(depth)]
     tree = chain_tree(thresholds, [i % 3 for i in range(depth)], 2, 3)
-    assert tree.depth() == depth
+    assert tree_depth(tree) == depth
     assert len(tree.engine._vote) >= depth // ensemble._FUNC_DEPTH
     x0 = [-1.0, 0.0, 0.5, 39.5, 40.0, 2499.5, 4998.0, 4999.0, 4999.5, 1e9, np.nan, np.inf, -np.inf]
     expected = [next((i % 3 for i in range(depth) if v <= i), 2) for v in x0]
@@ -255,14 +254,6 @@ def test_adaboost_with_a_negative_alpha_sums_every_stump():
     model = AdaBoost.from_dict({"n_features": 2, "n_classes": 2, "alphas": [1.0, 3.0, -3.0], "stumps": stumps})
     x = np.zeros(2)
     assert model.predict(x) == model.predict_batch(x[None])[0] == oracle_predict(model, x) == 1
-
-
-def test_batch_walked_in_several_steps_matches_rows(monkeypatch):
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(50, 3))
-    forest = RandomForest.train(X, rng.integers(0, 3, size=50), 3, ForestConfig(n_trees=3, max_depth=4))
-    monkeypatch.setattr(ensemble, "_WALK_PAIRS", 10)  # 3 rows a step, the last step short
-    assert forest.predict_batch(X).tolist() == [oracle_predict(forest, x) for x in X]
 
 
 def test_empty_batch():
