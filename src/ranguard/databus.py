@@ -35,6 +35,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import Mapping
 
+from .records import record
+
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_QUEUE_FRAMES = 1024
 _RECV_BYTES = 64 * 1024
@@ -87,7 +89,7 @@ def topic_matches(pattern: str, topic: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class DatabusFrame:
     kind: FrameKind
     topic: str

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, field, fields
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
+
+from .records import define, record
 
 
 class TrafficClass(Enum):
@@ -58,7 +60,27 @@ def _kpm_field(lo: int | None = None, hi: int | None = None, *, feature: bool = 
     return field(metadata={"range": (lo, hi), "feature": feature})
 
 
-@dataclass(frozen=True)
+def _in_range(fs: tuple[Field, ...]) -> str:
+    """The fast test of the table's checks: every field of its exact type and
+    inside its range, a float also finite (1e999 is inf). A bool or an int in
+    a float field fails it and goes to the full check."""
+    tests = []
+    for f in fs:
+        lo, hi = f.metadata["range"]
+        if f.type == "int":
+            tests.append(f"type({f.name}) is int")
+            if hi is not None:
+                tests.append(f"{lo} <= {f.name} <= {hi}")
+            elif lo is not None:
+                tests.append(f"{lo} <= {f.name}")
+        else:
+            low = "-1e999 <" if lo is None else f"{lo} <="
+            high = "< 1e999" if hi is None else f"<= {hi}"
+            tests += [f"type({f.name}) is float", f"{low} {f.name} {high}"]
+    return " and ".join(tests)
+
+
+@record(valid=_in_range)
 class KpmSample:
     """One measurement-period snapshot of a UE's radio and MAC counters.
 
@@ -86,7 +108,6 @@ class KpmSample:
     ul_pkts_nok: int = _kpm_field(0)
 
     def __post_init__(self) -> None:
-        # @dataclass calls __post_init__ from __init__ only if the class body defines it
         _check(self)
 
     @property
@@ -110,20 +131,15 @@ FEATURE_COUNT = len(FEATURE_NAMES)
 # would, where a loop over the table costs about twice as much a call.
 
 
-def _define(name: str, params: str, doc: str, body: list[str]):
-    """Function name(params) compiled from its docstring and body lines."""
-    source = f"def {name}({params}):\n    {doc!r}\n" + "".join(f"    {line}\n" for line in body)
-    namespace: dict = {"_isfinite": math.isfinite, "_fit": _fit}
-    exec(compile(source, f"<kpm {name}>", "exec"), namespace)
-    return namespace[name]
-
-
 def _fit(name: str, value: int) -> float:
     """value as a float, refused if no float holds it (float(10**400))."""
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"measurement field {name} is out of range for a float") from None
+
+
+_GLOBALS = {"_isfinite": math.isfinite, "_fit": _fit}  # of the generated functions
 
 
 def _check_body() -> list[str]:
@@ -162,11 +178,11 @@ def _from_payload_body() -> list[str]:
     return body + [f"return cls({', '.join(_NAMES)})"]
 
 
-_check = _define(
-    "check", "s", "Raise ValueError naming the first field of s out of range.", _check_body()
+_check = define(
+    "check", "s", "Raise ValueError naming the first field of s out of range.", _check_body(), _GLOBALS
 )
 
-KpmSample.to_payload = _define(  # type: ignore[attr-defined]
+KpmSample.to_payload = define(  # type: ignore[attr-defined]
     "to_payload",
     "self",
     "Serializable field dict for databus measurement frames.",
@@ -174,16 +190,17 @@ KpmSample.to_payload = _define(  # type: ignore[attr-defined]
 )
 
 KpmSample.from_payload = classmethod(  # type: ignore[attr-defined]
-    _define(
+    define(
         "from_payload",
         "cls, payload",
         "Sample from a measurement frame's payload. Types are checked, not coerced, "
         "so a frame from a broken sender is rejected rather than misread.",
         _from_payload_body(),
+        _GLOBALS,
     )
 )
 
-feature_vector = _define(
+feature_vector = define(
     "feature_vector",
     "sample",
     "Model input features, in FEATURE_NAMES order.",
@@ -195,7 +212,7 @@ feature_vector = _define(
 )
 
 
-@dataclass(frozen=True)
+@record
 class LabeledSample:
     sample: KpmSample
     label: TrafficClass

@@ -8,7 +8,9 @@ import numpy as np
 
 from ranguard.ml.tree import _validate_training_data
 
-_CHUNK_ROWS = 512  # query rows per distance matrix in predict_batch
+# Elements of one query-by-training block in predict_batch: a float64 block is
+# 8 MiB, and a chunk holds about two (the distances and the neighbour ranking).
+_CHUNK_ELEMENTS = 1 << 20
 
 
 class KnnClassifier:
@@ -68,10 +70,12 @@ class KnnClassifier:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) matrix, got shape {X.shape}")
         out = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], _CHUNK_ROWS):
-            q = self._scale(X[start : start + _CHUNK_ROWS])
+        rows = max(1, _CHUNK_ELEMENTS // self._X.shape[0])  # query rows per chunk
+        for start in range(0, X.shape[0], rows):
+            q = self._scale(X[start : start + rows])
             # squared distances without the query-norm term (rank-invariant per row)
-            d2 = self._sq_norms - 2.0 * q @ self._X.T
+            d2 = 2.0 * q @ self._X.T
+            np.subtract(self._sq_norms, d2, out=d2)
             if self.k < self._X.shape[0]:
                 near = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
             else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class ChannelState:
         return self.sinr_base_db + self.sinr_walk_db
 
 
-def cqi_from_sinr(sinr_db: float) -> int:
-    """Wideband CQI report for a given SINR."""
-    return int(min(15, max(0, round((sinr_db + 6.0) / 1.9))))
-
-
 def ul_capacity_bps(mcs: int) -> float:
     """Deliverable uplink rate on the configured grant at a given MCS."""
     return 1.0e6 + 1.2e6 * mcs
@@ -56,36 +51,21 @@ def dl_capacity_bps(mcs: int) -> float:
     return 2.0e6 + 2.8e6 * mcs
 
 
-def mcs_for_load(cqi: int, offered_bps: float, capacity_bps: Callable[[int], float]) -> int:
-    """Scheduler MCS choice: channel-driven base, backed off when the link is idle.
+def _link_row(cqi: int) -> tuple[int, int, int, float, float]:
+    """The scheduler's MCS choices at a wideband CQI, and the capacities at its base MCS.
 
-    Non-bijective with CQI on purpose: the same CQI maps to different MCS
-    depending on offered load, matching scheduler link adaptation.
+    The base MCS follows the channel, and backs off by 3 on an idle link
+    (utilization of the base capacity at most 5%) and by 1 on a light one (at
+    most 40%). So the same CQI maps to different MCS depending on offered
+    load, matching scheduler link adaptation.
     """
     base = round(cqi * 28 / 15)
-    cap = capacity_bps(base)
-    util = offered_bps / cap if cap > 0 else 0.0
-    if util <= 0.05:
-        mcs = base - 3
-    elif util <= 0.4:
-        mcs = base - 1
-    else:
-        mcs = base
-    return min(28, max(0, mcs))
+    return max(0, base - 3), max(0, base - 1), base, ul_capacity_bps(base), dl_capacity_bps(base)
 
 
-# --- uplink loss model --------------------------------------------------------
-
-def _base_drop_prob(sinr_db: float) -> float:
-    p = 0.002 + max(0.0, 8.0 - sinr_db) * 0.004
-    return min(0.05, max(0.002, p))
-
-
-def _drop_prob(sinr_db: float, offered_bps: float, capacity_bps: float) -> float:
-    congestion = 0.0
-    if offered_bps > capacity_bps > 0:
-        congestion = 1.0 - capacity_bps / offered_bps
-    return min(0.95, _base_drop_prob(sinr_db) + congestion)
+# (idle MCS, light MCS, base MCS, uplink and downlink capacity at the base), by CQI 0..15
+_LINK = tuple(_link_row(cqi) for cqi in range(16))
+_UL_CAPACITY = tuple(ul_capacity_bps(mcs) for mcs in range(29))  # by MCS
 
 
 # --- per-class load parameters -------------------------------------------------
@@ -177,7 +157,8 @@ class TrafficStream:
     start state, and RNG seed. A uniform draw is written out as
     lo + (hi - lo) * rng.random(), which is how numpy computes
     rng.uniform(lo, hi), so it takes the same value from the same bits at a
-    third of the call cost.
+    third of the call cost; a normal draw of mean 0 as s * rng.standard_normal(),
+    which rng.normal(0.0, s) computes as 0.0 + s * z from the same bits.
     """
 
     def __init__(
@@ -196,7 +177,6 @@ class TrafficStream:
         self.period_ms = period_ms
         self._seconds = period_ms / 1000.0
         self._rng = rng
-        self._cqi = cqi_from_sinr(self._channel.sinr_db)
         self.switch_profile(profile)
 
     @property
@@ -232,8 +212,8 @@ class TrafficStream:
             req_pkts = int(self._rng.integers(3, 7))
         lo = p["drain_frac_low"]
         drain_frac = lo + (p["drain_frac_high"] - lo) * random()
-        base_mcs = min(28, max(0, round(self._cqi * 28 / 15)))
-        drain_bytes = drain_frac * dl_capacity_bps(base_mcs) * seconds / 8.0 * scale
+        dl_capacity = _LINK[self._cqi][4]  # at the base MCS of this interval's CQI
+        drain_bytes = drain_frac * dl_capacity * seconds / 8.0 * scale
         drained = min(self._backlog_bytes, drain_bytes)
         self._backlog_bytes -= drained
         lo = p["bg_dl_low_bps"]
@@ -286,9 +266,9 @@ class TrafficStream:
         rng, cap = self._rng, self._channel.walk_cap_db
         self._walk = min(cap, max(-cap, self._walk + (self._step_lo + self._step_span * rng.random())))
         sinr = self._channel.sinr_base_db + self._walk
-        pusch = sinr + rng.normal(0.0, 0.3)
-        pucch = sinr - 1.5 + rng.normal(0.0, 0.4)
-        self._cqi = cqi_from_sinr(pusch)
+        pusch = sinr + 0.3 * rng.standard_normal()
+        pucch = sinr - 1.5 + 0.4 * rng.standard_normal()
+        self._cqi = cqi = min(15, max(0, round((pusch + 6.0) / 1.9)))  # the wideband CQI report
 
         t = self.profile.transient_ms
         scale = 1.0 if t <= 0 else min(1.0, self._t_rel_ms / t)
@@ -296,28 +276,25 @@ class TrafficStream:
         offered_ul_bps = ul_bits / self._seconds
         offered_dl_bps = dl_bits / self._seconds
 
-        ul_mcs = mcs_for_load(self._cqi, offered_ul_bps, ul_capacity_bps)
-        dl_mcs = mcs_for_load(self._cqi, offered_dl_bps, dl_capacity_bps)
+        idle, light, base, ul_cap, dl_cap = _LINK[cqi]
+        util = offered_ul_bps / ul_cap
+        ul_mcs = idle if util <= 0.05 else light if util <= 0.4 else base
+        util = offered_dl_bps / dl_cap
+        dl_mcs = idle if util <= 0.05 else light if util <= 0.4 else base
 
-        p_drop = _drop_prob(sinr, offered_ul_bps, ul_capacity_bps(ul_mcs))
+        # uplink loss: a floor that rises as the SINR falls below 8 dB, capped at 5%,
+        # plus the share of the offered rate above the capacity at the chosen MCS
+        p_drop = min(0.05, 0.002 + (8.0 - sinr) * 0.004) if sinr < 8.0 else 0.002
+        capacity = _UL_CAPACITY[ul_mcs]
+        if offered_ul_bps > capacity:
+            p_drop = min(0.95, p_drop + (1.0 - capacity / offered_ul_bps))
         nok = int(rng.binomial(ul_pkts, p_drop)) if ul_pkts > 0 else 0
         ok = ul_pkts - nok
         ul_brate = offered_ul_bps * (1.0 - p_drop)
 
         self._t_rel_ms += self.period_ms
-        return KpmSample(
-            timestamp_ms=timestamp_ms,
-            bs_id=bs_id,
-            ue_id=ue_id,
-            cqi=self._cqi,
-            dl_mcs=dl_mcs,
-            ul_mcs=ul_mcs,
-            pusch_sinr_db=pusch,
-            pucch_sinr_db=pucch,
-            dl_brate_bps=offered_dl_bps,
-            ul_brate_bps=ul_brate,
-            ul_pkts_ok=ok,
-            ul_pkts_nok=nok,
+        return KpmSample(  # by position, in field order: cheaper than by name
+            timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, pusch, pucch, offered_dl_bps, ul_brate, ok, nok
         )
 
 

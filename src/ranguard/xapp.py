@@ -11,8 +11,10 @@ frames), on_sample with a DelayModel (deterministic virtual runs).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
+from itertools import chain
 from math import inf
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +29,7 @@ from .kpm import (
     feature_vector,
 )
 from .ransim import BaseStation, CommandAction, RicCommand, read_key_values
+from .records import record
 
 BUDGET_US = 1_000_000  # near-real-time control loop bound
 
@@ -34,7 +37,13 @@ BUDGET_US = 1_000_000  # near-real-time control loop bound
 # -- latency accounting --
 
 
-@dataclass(frozen=True)
+def _monotone_ints(fs: tuple[Field, ...]) -> str:
+    """The fast test of LatencyTrace's check: every stamp an int, and 0 <= each <= the next."""
+    names = [f.name for f in fs]
+    return " and ".join([*(f"type({n}) is int" for n in names), "0 <= " + " <= ".join(names)])
+
+
+@record(valid=_monotone_ints)
 class LatencyTrace:
     """Microsecond stamps along one decision's uplink path; monotone in field order.
 
@@ -51,7 +60,8 @@ class LatencyTrace:
 
     def __post_init__(self) -> None:
         prev_name, prev = None, 0
-        for name, value in vars(self).items():
+        for name in _STAMP_NAMES:
+            value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
             if value < prev:
@@ -89,6 +99,10 @@ class LatencyTrace:
         return self.t_n_us + 2 * self.delta_d_us + self.delta_i_us
 
 
+_STAMP_NAMES = tuple(f.name for f in fields(LatencyTrace))
+_stamps = attrgetter(*_STAMP_NAMES)
+
+
 @dataclass(frozen=True)
 class DelayModel:
     """Fixed per-leg delays for deterministic virtual-time stamping.
@@ -104,8 +118,11 @@ class DelayModel:
 
     def __post_init__(self) -> None:
         for name in ("delta_bd_us", "delta_dr_us", "delta_d_us", "delta_i_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool or a float would make every trace fail its check
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def t_n_us(self) -> int:
@@ -161,35 +178,44 @@ class LatencyReport:
 
 
 def latency_report(traces: Sequence[LatencyTrace], *, budget_us: int = BUDGET_US) -> LatencyReport:
-    """Median/p99 of each delay component plus margin against the loop budget."""
+    """Median/p99 of each delay component plus margin against the loop budget.
+
+    The six stamps of every trace go into one int64 matrix, and one percentile
+    call takes both quantiles of all four components. The components are exact
+    differences of the stamps, as the trace's properties compute them; stamps
+    of 2**62 us or more, where T_d could leave int64, are taken as Python ints.
+    """
     if not traces:
         raise ValueError("latency_report needs at least one trace")
-
-    def quantiles(values: list[int]) -> QuantilePair:
-        median, p99 = np.percentile(np.asarray(values, dtype=np.float64), (50, 99))
-        return QuantilePair(float(median), float(p99))
-
-    t_d = [t.t_d_us for t in traces]
+    rows = list(map(_stamps, traces))
+    try:
+        stamps = np.fromiter(chain.from_iterable(rows), np.int64, 6 * len(rows)).reshape(-1, 6)
+        if stamps[:, -1].max() >= 2**62:  # the last stamp is the largest
+            raise OverflowError
+    except OverflowError:
+        stamps = np.array(rows, dtype=object)
+    send, bus_in, bus_out, recv, infer_start, infer_end = stamps.T
+    delta_d = bus_out - bus_in
+    t_n = 2 * ((bus_in - send) + (recv - bus_out))
+    delta_i = infer_end - infer_start
+    t_d = t_n + 2 * delta_d + delta_i
+    medians, p99s = np.percentile(
+        np.array([delta_i, delta_d, t_n, t_d], dtype=np.float64), (50, 99), axis=1
+    ).tolist()
+    delta_i_q, delta_d_q, t_n_q, t_d_q = map(QuantilePair, medians, p99s)
     return LatencyReport(
         count=len(traces),
-        delta_i=quantiles([t.delta_i_us for t in traces]),
-        delta_d=quantiles([t.delta_d_us for t in traces]),
-        t_n=quantiles([t.t_n_us for t in traces]),
-        t_d=quantiles(t_d),
+        delta_i=delta_i_q,
+        delta_d=delta_d_q,
+        t_n=t_n_q,
+        t_d=t_d_q,
         budget_us=budget_us,
-        over_budget=sum(1 for v in t_d if v > budget_us),
-        worst_t_d_us=max(t_d),
+        over_budget=int(np.count_nonzero(t_d > budget_us)),
+        worst_t_d_us=int(t_d.max()),
     )
 
 
 # -- smoothing and policy --
-
-
-def window_majority(labels: Sequence[TrafficClass]) -> TrafficClass:
-    """Most frequent label; ties go to the lowest class index."""
-    if not labels:
-        raise ValueError("window_majority needs at least one label")
-    return max(CLASS_ORDER, key=labels.count)  # max keeps the first of equal counts
 
 
 DEFAULT_WINDOW = 5
@@ -268,7 +294,7 @@ def format_policy(policy: PolicyMap) -> str:
 # -- the online classifier --
 
 
-@dataclass(frozen=True)
+@record
 class Decision:
     """One classified measurement interval for one UE."""
 
@@ -280,9 +306,13 @@ class Decision:
     trace: LatencyTrace
 
 
-@dataclass
+_ATTACK = tuple(category_of(c) is TrafficCategory.ATTACK for c in CLASS_ORDER)
+
+
+@dataclass(slots=True)
 class _UeTrack:
-    window: deque
+    window: deque  # the CLASS_ORDER positions of the UE's last raw labels
+    counts: list[int] = field(default_factory=lambda: [0] * len(CLASS_ORDER))  # of each position in window
     attack_run: int = 0
     engaged: bool = False  # a command already covers the current episode
 
@@ -293,6 +323,9 @@ class OnlineClassifier:
     on_measurement takes bus frames, checks them and stamps with the wall
     clock; on_sample takes samples the program made itself and stamps with
     the delay model. Both end in the same decision step, which reads no clock.
+
+    The smoothed verdict is the window's most frequent raw label, ties to the
+    lowest class index, read from per-UE counts kept as the window slides.
     """
 
     def __init__(
@@ -307,11 +340,18 @@ class OnlineClassifier:
             raise TypeError("model must expose predict(features) -> class index")
         self.model = model
         self.class_labels = tuple(class_labels)
+        self._positions = tuple(CLASS_ORDER.index(c) for c in self.class_labels)
         self.policy = policy if policy is not None else PolicyMap.default()
-        self.delay_model = delay_model
+        self._delay_model = delay_model
+        self._tick_trace: LatencyTrace | None = None  # the delay model's trace of the last sample's send
         self.malformed = 0  # frames skipped: not a measurement, or bad bus stamps
         self._tracks: dict[tuple[int, int], _UeTrack] = {}  # by (bs_id, ue_id): UE ids repeat across stations
         self._next_cmd_id = 1
+
+    @property
+    def delay_model(self) -> DelayModel | None:
+        """The virtual-time stamps of on_sample, fixed when the classifier is made."""
+        return self._delay_model
 
     def on_measurement(self, frame: DatabusFrame) -> Decision | None:
         """Classify one bus frame, stamped by the wall clock; None for a bad frame.
@@ -348,10 +388,15 @@ class OnlineClassifier:
 
         The virtual loop's entry: the sample was checked when it was made, so
         no bus frame is built and the payload is not checked a second time.
-        Needs a delay model.
+        Needs a delay model. The samples of one tick share a send stamp, so
+        they share one trace: a trace is a function of the stamp alone.
         """
         raw_idx = int(self.model.predict(feature_vector(sample)))
-        return self._decide(sample, raw_idx, self.delay_model.trace(t_sent_us))
+        trace = self._tick_trace
+        if trace is None or trace.t_bs_send_us != t_sent_us or type(t_sent_us) is not int:
+            trace = self._delay_model.trace(t_sent_us)
+            self._tick_trace = trace if type(t_sent_us) is int else None
+        return self._decide(sample, raw_idx, trace)
 
     def _decide(self, sample: KpmSample, raw_idx: int, trace: LatencyTrace) -> Decision:
         """Smooth the raw label into the UE's window, and command once per sustained episode.
@@ -368,9 +413,15 @@ class OnlineClassifier:
         track = self._tracks.get(key)
         if track is None:
             track = self._tracks[key] = _UeTrack(deque(maxlen=self.policy.window))
-        track.window.append(raw)
-        smoothed = window_majority(track.window)
-        attack = category_of(smoothed) is TrafficCategory.ATTACK
+        window, counts = track.window, track.counts
+        if len(window) == window.maxlen:
+            counts[window[0]] -= 1  # the label the append below pushes out
+        pos = self._positions[raw_idx]
+        window.append(pos)
+        counts[pos] += 1
+        best = counts.index(max(counts))  # the first of equal counts: the lowest class index
+        smoothed = CLASS_ORDER[best]
+        attack = _ATTACK[best]
         track.attack_run = track.attack_run + 1 if attack else 0
 
         command = None

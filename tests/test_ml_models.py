@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ def test_knn_batch_matches_single():
     queries = rng.normal(size=(50, 4))
     knn = KnnClassifier(7).fit(X, y, 3)
     assert knn.predict_batch(queries).tolist() == [knn.predict(q) for q in queries]
+
+
+def test_knn_batch_memory_is_bounded_by_the_chunk_budget():
+    # 512-row chunks against 6000 training rows once peaked at about 100 MB
+    rng = np.random.default_rng(3)
+    knn = KnnClassifier(5).fit(rng.normal(size=(6000, 10)), rng.integers(0, 5, 6000), 5)
+    queries = rng.normal(size=(24_000, 10))
+    tracemalloc.start()
+    try:
+        labels = knn.predict_batch(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    sample = rng.choice(len(queries), 50, replace=False)
+    assert labels[sample].tolist() == [knn.predict(queries[i]) for i in sample]
 
 
 def test_knn_validation():

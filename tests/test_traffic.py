@@ -20,12 +20,10 @@ from ranguard.traffic import (
     TrafficStream,
     _CLASS_DEFAULTS,
     build_random_script,
-    cqi_from_sinr,
     dl_capacity_bps,
-    mcs_for_load,
     ul_capacity_bps,
 )
-from traffic_oracle import scripted_samples
+from traffic_oracle import cqi_from_sinr, mcs_for_load, scripted_samples
 
 
 def schedule_execution(

@@ -38,9 +38,8 @@ from ranguard.xapp import (
     latency_report,
     parse_policy,
     time_to_correct,
-    window_majority,
 )
-from xapp_oracle import FrameRouteClassifier, fraction_within
+from xapp_oracle import FrameRouteClassifier, fraction_within, window_majority
 
 IDX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 
@@ -155,6 +154,24 @@ def test_delay_model_rejects_negative_legs():
         DelayModel(delta_d_us=-1)
 
 
+@pytest.mark.parametrize("leg", ["delta_bd_us", "delta_dr_us", "delta_d_us", "delta_i_us"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, False, "5", None])
+def test_delay_model_refuses_a_leg_that_is_not_an_int(leg, value):
+    # a float leg once passed here and failed only at the first decision's trace
+    with pytest.raises(ValueError, match=f"{leg} must be an int, got {value!r}"):
+        DelayModel(**{leg: value})
+
+
+def test_samples_of_one_tick_share_one_trace():
+    xapp, model = modeled_xapp(), DelayModel()
+    first = [feed(xapp, ue, 100, WEB) for ue in (1, 2, 3)]
+    later = feed(xapp, 1, 200, WEB)
+    assert first[0].trace is first[1].trace is first[2].trace
+    assert first[0].trace == model.trace(100_000) and later.trace == model.trace(200_000)
+    with pytest.raises(ValueError, match="t_bs_send_us must be a nonnegative integer, got 200000.0"):
+        xapp.on_sample(sample_for(2, 200, WEB), 200_000.0)  # equal to the last stamp, but not an int
+
+
 def test_latency_report_matches_direct_recomputation():
     rng = np.random.default_rng(7)
     traces = []
@@ -233,6 +250,13 @@ def test_smooth_equals_window_recount(labels, window):
         counts = {cls: tail.count(cls) for cls in set(tail)}
         best = min(counts, key=lambda c: (-counts[c], CLASS_ORDER.index(c)))
         assert got is best
+    # the classifier's running counts, with the model's labels in an order of their own:
+    # IndexModel predicts the index planted for CLASS_ORDER[j], and order[j] is cls
+    order = CLASS_ORDER[::-1]
+    xapp = OnlineClassifier(IndexModel(), order, PolicyMap.default(window=window), delay_model=DelayModel())
+    planted = [CLASS_ORDER[order.index(cls)] for cls in labels]
+    served = [xapp.on_sample(sample_for(1, k * 100, c), k * 100_000) for k, c in enumerate(planted)]
+    assert [d.smoothed for d in served] == smoothed
 
 
 def test_smooth_window_one_is_identity():

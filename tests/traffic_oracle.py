@@ -2,15 +2,18 @@
 
 This is the generator that `ranguard.traffic.TrafficStream` replaced: it steps
 the channel as a new `ChannelState` per sample, draws every uniform through
-`rng.uniform` and reads each class parameter from the profile on every use.
-The served generator must match it draw for draw.
+`rng.uniform` and every normal through `rng.normal`, reads each class
+parameter from the profile on every use, and maps the SINR and the load to a
+CQI, an MCS and a drop probability through the helper functions below, where
+the served generator reads a per-CQI table. The served generator must match it
+draw for draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,12 +23,44 @@ from ranguard.traffic import (
     ChannelState,
     ScriptSegment,
     TrafficProfile,
-    _drop_prob,
-    cqi_from_sinr,
     dl_capacity_bps,
-    mcs_for_load,
     ul_capacity_bps,
 )
+
+
+def cqi_from_sinr(sinr_db: float) -> int:
+    """Wideband CQI report for a given SINR."""
+    return int(min(15, max(0, round((sinr_db + 6.0) / 1.9))))
+
+
+def mcs_for_load(cqi: int, offered_bps: float, capacity_bps: Callable[[int], float]) -> int:
+    """Scheduler MCS choice: channel-driven base, backed off when the link is idle.
+
+    Non-bijective with CQI on purpose: the same CQI maps to different MCS
+    depending on offered load, matching scheduler link adaptation.
+    """
+    base = round(cqi * 28 / 15)
+    cap = capacity_bps(base)
+    util = offered_bps / cap if cap > 0 else 0.0
+    if util <= 0.05:
+        mcs = base - 3
+    elif util <= 0.4:
+        mcs = base - 1
+    else:
+        mcs = base
+    return min(28, max(0, mcs))
+
+
+def _base_drop_prob(sinr_db: float) -> float:
+    p = 0.002 + max(0.0, 8.0 - sinr_db) * 0.004
+    return min(0.05, max(0.002, p))
+
+
+def _drop_prob(sinr_db: float, offered_bps: float, capacity_bps: float) -> float:
+    congestion = 0.0
+    if offered_bps > capacity_bps > 0:
+        congestion = 1.0 - capacity_bps / offered_bps
+    return min(0.95, _base_drop_prob(sinr_db) + congestion)
 
 
 def step_channel(state: ChannelState, rng: np.random.Generator) -> ChannelState:

@@ -7,19 +7,36 @@ commands in one method. `FrameRouteClassifier.on_measurement` is that method
 as it was, with its own copy of the decision step, so a fault in the served
 decision step shows as a difference against it. Only its output follows the
 served shape: a trace of the six uplink stamps, and a command issued at the
-trace's inference end. `fraction_within` is a reading of a time-to-correct
-result that only the tests take.
+trace's inference end. It smooths by recounting the window at every step
+(`window_majority`), where the served step keeps running counts.
+`fraction_within` is a reading of a time-to-correct result that only the
+tests take.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 from ranguard.databus import DatabusFrame, FrameKind, now_us
-from ranguard.kpm import KpmSample, TrafficCategory, category_of, feature_vector
+from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficCategory, TrafficClass, category_of, feature_vector
 from ranguard.ransim import RicCommand, build_station
-from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, TimeToCorrect, _UeTrack, window_majority
+from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, TimeToCorrect
+
+
+def window_majority(labels: Sequence[TrafficClass]) -> TrafficClass:
+    """Most frequent label; ties go to the lowest class index."""
+    if not labels:
+        raise ValueError("window_majority needs at least one label")
+    return max(CLASS_ORDER, key=labels.count)  # max keeps the first of equal counts
+
+
+@dataclass
+class _UeTrack:
+    window: deque
+    attack_run: int = 0
+    engaged: bool = False  # a command already covers the current episode
 
 
 def fraction_within(ttc: TimeToCorrect, budget_ms: float) -> float:
