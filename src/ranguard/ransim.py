@@ -166,11 +166,10 @@ class BaseStation:
             out.append(labeled)
         return out
 
-    def tick(self, now_ms: int, *, t_sent_us: int | None = None) -> list[DatabusFrame]:
-        """One measurement frame per Connected UE; default stamp is virtual (now_ms in us)."""
-        stamp = now_ms * 1000 if t_sent_us is None else t_sent_us
+    def tick(self, now_ms: int, *, t_sent_us: int) -> list[DatabusFrame]:
+        """One measurement frame per Connected UE, each stamped t_sent_us."""
         return [
-            DatabusFrame(FrameKind.MEASUREMENT, self.kpm_topic, stamp, s.sample.to_payload())
+            DatabusFrame(FrameKind.MEASUREMENT, self.kpm_topic, t_sent_us, s.sample.to_payload())
             for s in self.tick_samples(now_ms)
         ]
 
@@ -247,6 +246,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.period_ms <= 0:
             raise ValueError(f"period_ms must be > 0, got {self.period_ms}")
+        if self.transient_ms < 0:
+            raise ValueError(f"transient_ms must be >= 0, got {self.transient_ms}")
         if self.duration_ms < 0 or self.duration_ms % self.period_ms != 0:
             raise ValueError(
                 f"duration_ms must be a nonnegative multiple of period_ms, "

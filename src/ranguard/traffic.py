@@ -1,16 +1,17 @@
-"""Stochastic per-class traffic generators producing per-UE KPM measurement streams.
+"""Stochastic per-class traffic generator producing per-UE KPM measurement streams.
 
-Each traffic class is a parametric load model driven by a seeded RNG on top of a
-shared slow-fading channel. Every class ramps from zero to steady state over a
-configurable transient window after it starts, so early measurements of a fresh
-flow look ambiguous on purpose.
+Each UE works through a script of traffic classes. Each class is a parametric
+load model driven by the UE's seeded RNG on top of a slow-fading channel.
+Every flow ramps from zero to steady state over a configurable transient
+window after it starts, so early measurements of a fresh flow look ambiguous
+on purpose.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,24 +23,11 @@ DEFAULT_TRANSIENT_MS = 500
 
 # --- channel model -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelState:
-    """Slow-fading channel: a fixed base SINR plus a bounded random walk."""
-
-    sinr_base_db: float = 18.0
-    sinr_walk_db: float = 0.0
-    walk_cap_db: float = 6.0
-    walk_step_db: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.walk_cap_db < 0 or self.walk_step_db < 0:
-            raise ValueError("walk_cap_db and walk_step_db must be >= 0")
-        if abs(self.sinr_walk_db) > self.walk_cap_db:
-            raise ValueError(f"sinr_walk_db {self.sinr_walk_db} exceeds cap {self.walk_cap_db}")
-
-    @property
-    def sinr_db(self) -> float:
-        return self.sinr_base_db + self.sinr_walk_db
+# Slow fading: a fixed base SINR plus a random walk of uniform steps, bounded at the cap.
+SINR_BASE_DB = 18.0
+WALK_CAP_DB = 6.0
+WALK_STEP_DB = 0.5
+_STEP_LO, _STEP_SPAN = -WALK_STEP_DB, WALK_STEP_DB - -WALK_STEP_DB  # rng.uniform(-step, step)
 
 
 def ul_capacity_bps(mcs: int) -> float:
@@ -70,91 +58,71 @@ _UL_CAPACITY = tuple(ul_capacity_bps(mcs) for mcs in range(29))  # by MCS
 
 # --- per-class load parameters -------------------------------------------------
 
-_CLASS_DEFAULTS: dict[TrafficClass, dict[str, float]] = {
-    TrafficClass.WEB: dict(
-        page_rate_per_s=0.6,
-        page_size_mean_bytes=900_000.0,
-        page_size_sigma=0.6,
-        drain_frac_low=0.6,
-        drain_frac_high=0.9,
-        ul_fraction=0.05,
-        bg_dl_low_bps=15e3,
-        bg_dl_high_bps=70e3,
-        bg_ul_low_bps=4e3,
-        bg_ul_high_bps=20e3,
-        request_bits=30e3,
-        ack_every_bits=24e3,
-    ),
-    TrafficClass.VOIP: dict(
-        rate_low_bps=30e3,
-        rate_high_bps=160e3,
-        jitter_bps=2e3,
-        clamp_low_bps=25e3,
-        clamp_high_bps=165e3,
-        pkts_per_interval=5,
-    ),
-    TrafficClass.DDOS_RIPPER: dict(
-        pkts_mean=320.0,
-        pkts_sd=30.0,
-        pkt_bytes_low=380.0,
-        pkt_bytes_high=520.0,
-        dl_low_bps=30e3,
-        dl_high_bps=120e3,
-    ),
-    TrafficClass.DOS_HULK: dict(
-        pkts_mean=600.0,
-        pkts_sd=50.0,
-        pkt_bytes_low=950.0,
-        pkt_bytes_high=1250.0,
-        dl_low_bps=0.8e6,
-        dl_high_bps=2.5e6,
-    ),
-    TrafficClass.SLOWLORIS: dict(
-        extra_pkt_prob=0.3,
-        pkt_bytes_low=90.0,
-        pkt_bytes_high=140.0,
-        dl_high_bps=2.5e3,
-    ),
+# Load parameters by class, as floats: the way rng.uniform reads its bounds.
+CLASS_PARAMS: dict[TrafficClass, dict[str, float]] = {
+    cls: {key: float(value) for key, value in params.items()}
+    for cls, params in {
+        TrafficClass.WEB: dict(
+            page_rate_per_s=0.6,
+            page_size_mean_bytes=900_000.0,
+            page_size_sigma=0.6,
+            drain_frac_low=0.6,
+            drain_frac_high=0.9,
+            ul_fraction=0.05,
+            bg_dl_low_bps=15e3,
+            bg_dl_high_bps=70e3,
+            bg_ul_low_bps=4e3,
+            bg_ul_high_bps=20e3,
+            request_bits=30e3,
+            ack_every_bits=24e3,
+        ),
+        TrafficClass.VOIP: dict(
+            rate_low_bps=30e3,
+            rate_high_bps=160e3,
+            jitter_bps=2e3,
+            clamp_low_bps=25e3,
+            clamp_high_bps=165e3,
+            pkts_per_interval=5,
+        ),
+        TrafficClass.DDOS_RIPPER: dict(
+            pkts_mean=320.0,
+            pkts_sd=30.0,
+            pkt_bytes_low=380.0,
+            pkt_bytes_high=520.0,
+            dl_low_bps=30e3,
+            dl_high_bps=120e3,
+        ),
+        TrafficClass.DOS_HULK: dict(
+            pkts_mean=600.0,
+            pkts_sd=50.0,
+            pkt_bytes_low=950.0,
+            pkt_bytes_high=1250.0,
+            dl_low_bps=0.8e6,
+            dl_high_bps=2.5e6,
+        ),
+        TrafficClass.SLOWLORIS: dict(
+            extra_pkt_prob=0.3,
+            pkt_bytes_low=90.0,
+            pkt_bytes_high=140.0,
+            dl_high_bps=2.5e3,
+        ),
+    }.items()
 }
-
-
-@dataclass(frozen=True)
-class TrafficProfile:
-    """A traffic class plus its load parameters and ramp-up window."""
-
-    traffic_class: TrafficClass
-    transient_ms: int = DEFAULT_TRANSIENT_MS
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.transient_ms < 0:
-            raise ValueError(f"transient_ms must be >= 0, got {self.transient_ms}")
-        defaults = _CLASS_DEFAULTS[self.traffic_class]
-        unknown = set(self.params) - set(defaults)
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) for {self.traffic_class.value}: {sorted(unknown)}; "
-                f"valid: {sorted(defaults)}"
-            )
-        merged = dict(defaults)
-        merged.update(self.params)
-        for key, value in merged.items():
-            if not math.isfinite(value) or (not key.endswith("_db") and value < 0):
-                raise ValueError(f"{self.traffic_class.value}.{key} must be finite and >= 0, got {value}")
-            high = key.replace("_low", "_high")
-            if high != key and merged.get(high, value) < value:
-                raise ValueError(f"{self.traffic_class.value}.{key} {value} exceeds {high} {merged[high]}")
-        object.__setattr__(self, "params", merged)
 
 
 # --- the generator -------------------------------------------------------------
 
-class TrafficStream:
-    """Stateful single-UE generator for one traffic profile.
+class ScriptedStream:
+    """One UE working through a class script on a slow-fading channel.
+
+    Each segment starts a new flow of its class: the ramp restarts, the web
+    backlog empties and a VoIP call draws its rate, while the channel walk
+    carries on. Past the end of the script the final class keeps running at
+    steady state.
 
     Draw order per interval is fixed (channel step, SINR noise, class load,
-    loss realization) so a stream is fully determined by profile, channel
-    start state, and RNG seed. A uniform draw is written out as
+    loss realization) so a stream is fully determined by its script, period,
+    ramp and RNG seed. A uniform draw is written out as
     lo + (hi - lo) * rng.random(), which is how numpy computes
     rng.uniform(lo, hi), so it takes the same value from the same bits at a
     third of the call cost; a normal draw of mean 0 as s * rng.standard_normal(),
@@ -163,34 +131,39 @@ class TrafficStream:
 
     def __init__(
         self,
-        profile: TrafficProfile,
-        rng: np.random.Generator,
-        channel: ChannelState | None = None,
+        script: Sequence[ScriptSegment],
+        seed: int | np.random.Generator,
+        *,
         period_ms: int = DEFAULT_PERIOD_MS,
+        transient_ms: int = DEFAULT_TRANSIENT_MS,
     ) -> None:
+        if not script:
+            raise ValueError("script must not be empty")
         if period_ms <= 0:
             raise ValueError(f"period_ms must be > 0, got {period_ms}")
-        self._channel = channel if channel is not None else ChannelState()
-        self._walk = self._channel.sinr_walk_db
-        step = float(self._channel.walk_step_db)
-        self._step_lo, self._step_span = -step, step - -step  # rng.uniform(-step, step)
+        if transient_ms < 0:
+            raise ValueError(f"transient_ms must be >= 0, got {transient_ms}")
+        for i, seg in enumerate(script):
+            if seg.duration_ms % period_ms != 0:
+                raise ValueError(
+                    f"segment {i} duration {seg.duration_ms} is not a multiple of period {period_ms}"
+                )
+        self.script = tuple(script)
         self.period_ms = period_ms
+        self._transient_ms = transient_ms
         self._seconds = period_ms / 1000.0
-        self._rng = rng
-        self.switch_profile(profile)
+        self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        self._walk = 0.0  # the channel's walk in dB, which persists across segments
+        self._start_segment(0)
 
-    @property
-    def channel(self) -> ChannelState:
-        """The channel as it stands after the last sample."""
-        return replace(self._channel, sinr_walk_db=self._walk)
-
-    def switch_profile(self, profile: TrafficProfile) -> None:
-        """Start a new flow: per-class state and the ramp restart, channel persists."""
-        self.profile = profile
+    def _start_segment(self, idx: int) -> None:
+        """Start segment idx: a new flow of its class, ramp restarted."""
+        self._seg_idx = idx
+        seg = self.script[idx]
+        self.label = cls = seg.traffic_class  # the class of the samples until the next segment
+        self._left_ms = seg.duration_ms
         self._t_rel_ms = 0
-        # as floats, the way rng.uniform reads its bounds
-        self._p = p = {key: float(value) for key, value in profile.params.items()}
-        cls = profile.traffic_class
+        self._p = p = CLASS_PARAMS[cls]
         # a plain function, called as self._loads(self, scale): a bound method here would be a cycle
         self._loads = _CLASS_LOADS[cls]
         self._backlog_bytes = 0.0
@@ -261,16 +234,20 @@ class TrafficStream:
         ul = pkts * pkt_bytes * 8.0
         return ul, dl, pkts
 
-    def next_sample(self, timestamp_ms: int, bs_id: int, ue_id: int) -> KpmSample:
-        """Generate the measurement for the interval ending now, then advance."""
-        rng, cap = self._rng, self._channel.walk_cap_db
-        self._walk = min(cap, max(-cap, self._walk + (self._step_lo + self._step_span * rng.random())))
-        sinr = self._channel.sinr_base_db + self._walk
+    def next_sample(self, timestamp_ms: int, bs_id: int, ue_id: int) -> LabeledSample:
+        """Generate the labeled measurement for the interval ending now, then advance."""
+        if self._left_ms <= 0 and self._seg_idx + 1 < len(self.script):
+            self._start_segment(self._seg_idx + 1)
+        self._left_ms -= self.period_ms
+        rng = self._rng
+        walk = self._walk + (_STEP_LO + _STEP_SPAN * rng.random())
+        self._walk = walk = min(WALK_CAP_DB, max(-WALK_CAP_DB, walk))
+        sinr = SINR_BASE_DB + walk
         pusch = sinr + 0.3 * rng.standard_normal()
         pucch = sinr - 1.5 + 0.4 * rng.standard_normal()
         self._cqi = cqi = min(15, max(0, round((pusch + 6.0) / 1.9)))  # the wideband CQI report
 
-        t = self.profile.transient_ms
+        t = self._transient_ms
         scale = 1.0 if t <= 0 else min(1.0, self._t_rel_ms / t)
         ul_bits, dl_bits, ul_pkts = self._loads(self, scale)
         offered_ul_bps = ul_bits / self._seconds
@@ -293,17 +270,18 @@ class TrafficStream:
         ul_brate = offered_ul_bps * (1.0 - p_drop)
 
         self._t_rel_ms += self.period_ms
-        return KpmSample(  # by position, in field order: cheaper than by name
+        sample = KpmSample(  # by position, in field order: cheaper than by name
             timestamp_ms, bs_id, ue_id, cqi, dl_mcs, ul_mcs, pusch, pucch, offered_dl_bps, ul_brate, ok, nok
         )
+        return LabeledSample(sample, self.label)
 
 
 _CLASS_LOADS = {  # chosen once per flow
-    TrafficClass.WEB: TrafficStream._web_loads,
-    TrafficClass.VOIP: TrafficStream._voip_loads,
-    TrafficClass.DDOS_RIPPER: TrafficStream._flood_loads,
-    TrafficClass.DOS_HULK: TrafficStream._flood_loads,
-    TrafficClass.SLOWLORIS: TrafficStream._slowloris_loads,
+    TrafficClass.WEB: ScriptedStream._web_loads,
+    TrafficClass.VOIP: ScriptedStream._voip_loads,
+    TrafficClass.DDOS_RIPPER: ScriptedStream._flood_loads,
+    TrafficClass.DOS_HULK: ScriptedStream._flood_loads,
+    TrafficClass.SLOWLORIS: ScriptedStream._slowloris_loads,
 }
 
 
@@ -319,58 +297,6 @@ class ScriptSegment:
     def __post_init__(self) -> None:
         if self.duration_ms <= 0:
             raise ValueError(f"segment duration must be > 0, got {self.duration_ms}")
-
-
-class ScriptedStream:
-    """A UE working through a class script; each segment restarts the ramp.
-
-    Past the end of the script the final class keeps running at steady state.
-    """
-
-    def __init__(
-        self,
-        script: Sequence[ScriptSegment],
-        seed: int | np.random.Generator,
-        *,
-        period_ms: int = DEFAULT_PERIOD_MS,
-        transient_ms: int = DEFAULT_TRANSIENT_MS,
-        channel: ChannelState | None = None,
-        params: Mapping[TrafficClass, Mapping[str, float]] | None = None,
-    ) -> None:
-        if not script:
-            raise ValueError("script must not be empty")
-        for i, seg in enumerate(script):
-            if seg.duration_ms % period_ms != 0:
-                raise ValueError(
-                    f"segment {i} duration {seg.duration_ms} is not a multiple of period {period_ms}"
-                )
-        self.script = tuple(script)
-        self.period_ms = period_ms
-        self._transient_ms = transient_ms
-        self._params = dict(params or {})
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self._seg_idx = 0
-        self._left_ms = script[0].duration_ms
-        self._stream = TrafficStream(
-            self._profile_for(script[0].traffic_class), rng, channel, period_ms
-        )
-
-    def _profile_for(self, cls: TrafficClass) -> TrafficProfile:
-        return TrafficProfile(cls, self._transient_ms, dict(self._params.get(cls, {})))
-
-    @property
-    def label(self) -> TrafficClass:
-        return self.script[self._seg_idx].traffic_class
-
-    def next_sample(self, timestamp_ms: int, bs_id: int, ue_id: int) -> LabeledSample:
-        if self._left_ms <= 0 and self._seg_idx + 1 < len(self.script):
-            self._seg_idx += 1
-            seg = self.script[self._seg_idx]
-            self._left_ms = seg.duration_ms
-            self._stream.switch_profile(self._profile_for(seg.traffic_class))
-        self._left_ms -= self.period_ms
-        sample = self._stream.next_sample(timestamp_ms, bs_id, ue_id)
-        return LabeledSample(sample, self.label)
 
 
 def build_random_script(

@@ -141,8 +141,7 @@ def test_thousand_frames_in_order(broker):
     stats = broker.stats()
     assert stats.frames_in == 1000
     assert stats.frames_out == 1000
-    assert len(stats.delta_d_us) == stats.frames_out  # one delay record per delivery
-    assert all(d >= 0 for d in stats.delta_d_us)
+    assert all(f.payload["bus"]["out_us"] >= f.payload["bus"]["in_us"] for f in got)  # delta_d >= 0
 
 
 def test_wildcard_filters_topics(broker):
@@ -355,10 +354,11 @@ def test_publish_after_close_raises(broker):
 def test_loopback_delay_median_under_1ms(broker):
     with client(broker) as pub, client(broker) as recv:
         sub = recv.subscribe("kpm.1")
+        got = []
         for i in range(500):
             pub.publish(FrameKind.MEASUREMENT, "kpm.1", {"n": i})
-            sub.poll(timeout=2.0)
-    deltas = sorted(broker.stats().delta_d_us)
+            got.append(sub.poll(timeout=2.0))
+    deltas = sorted(f.payload["bus"]["out_us"] - f.payload["bus"]["in_us"] for f in got)
     median = deltas[len(deltas) // 2]
     assert median < 1000  # microseconds
 

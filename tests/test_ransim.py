@@ -125,7 +125,7 @@ def test_unknown_ue_yields_error_event_without_state_change():
 
 def test_two_connected_ues_two_frames_per_tick():
     bs = two_ue_station()
-    frames = bs.tick(0)
+    frames = bs.tick(0, t_sent_us=0)
     assert len(frames) == 2
     assert {f.payload["ue_id"] for f in frames} == {1, 2}
     assert all(f.topic == "kpm.1" and f.kind is FrameKind.MEASUREMENT for f in frames)
@@ -135,15 +135,15 @@ def test_all_idle_means_zero_frames():
     bs = two_ue_station()
     for ue_id in (1, 2):
         bs.apply_command(RicCommand(ue_id, CommandAction.RRC_RELEASE, issued_at_us=0), applied_at_us=0)
-    assert bs.tick(0) == []
+    assert bs.tick(0, t_sent_us=0) == []
 
 
 def test_released_ue_is_excluded_from_subsequent_ticks():
     bs = two_ue_station()
-    assert len(bs.tick(0)) == 2
+    assert len(bs.tick(0, t_sent_us=0)) == 2
     bs.apply_command(RicCommand(2, CommandAction.RRC_RELEASE, issued_at_us=0), applied_at_us=0)
     for k in range(1, 6):
-        frames = bs.tick(k * 100)
+        frames = bs.tick(k * 100, t_sent_us=0)
         assert [f.payload["ue_id"] for f in frames] == [1]
 
 
@@ -151,10 +151,10 @@ def test_drop_zeroes_uplink_counters_for_ten_ticks():
     bs = two_ue_station()
     # warm past the ramp so the attacker is loud, then start dropping
     for k in range(10):
-        bs.tick(k * 100)
+        bs.tick(k * 100, t_sent_us=0)
     bs.apply_command(RicCommand(2, CommandAction.DROP, issued_at_us=0), applied_at_us=0)
     for k in range(10, 20):
-        by_ue = {f.payload["ue_id"]: f.payload for f in bs.tick(k * 100)}
+        by_ue = {f.payload["ue_id"]: f.payload for f in bs.tick(k * 100, t_sent_us=0)}
         assert by_ue[2]["ul_pkts_ok"] == 0
         assert by_ue[2]["ul_pkts_nok"] == 0
         assert by_ue[2]["ul_brate_bps"] == 0.0
@@ -162,7 +162,7 @@ def test_drop_zeroes_uplink_counters_for_ten_ticks():
     # the generator kept running underneath: lifting Drop restores traffic at
     # steady state immediately, with no ramp restart
     bs.apply_command(RicCommand(2, CommandAction.FORWARD, issued_at_us=0), applied_at_us=0)
-    frames = {f.payload["ue_id"]: f.payload for f in bs.tick(2000)}
+    frames = {f.payload["ue_id"]: f.payload for f in bs.tick(2000, t_sent_us=0)}
     assert frames[2]["ul_pkts_ok"] > 100
 
 
@@ -192,14 +192,14 @@ def test_every_station_sample_crosses_the_trust_boundary_unchanged(classes, seed
 def test_tick_must_align_to_period():
     bs = two_ue_station()
     with pytest.raises(ValueError, match="aligned"):
-        bs.tick(150)
+        bs.tick(150, t_sent_us=0)
 
 
-def test_tick_stamp_defaults_to_virtual_and_accepts_override():
+def test_tick_stamps_each_frame_with_the_given_stamp():
     bs = two_ue_station()
-    assert all(f.t_sent_us == 0 for f in bs.tick(0))
-    assert all(f.t_sent_us == 100_000 for f in bs.tick(100))
-    assert all(f.t_sent_us == 777 for f in bs.tick(200, t_sent_us=777))
+    for t, stamp in ((0, 5), (100, 777), (200, 0)):
+        frames = bs.tick(t, t_sent_us=stamp)
+        assert len(frames) == 2 and all(f.t_sent_us == stamp for f in frames)
 
 
 def test_duplicate_ue_id_rejected():
@@ -216,7 +216,7 @@ def frame_stream(config: ScenarioConfig) -> Iterator[DatabusFrame]:
     ticks at every period, as run_scenario publishes them in virtual mode."""
     bs = build_station(config)
     for t in range(0, config.duration_ms, config.period_ms):
-        yield from bs.tick(t)
+        yield from bs.tick(t, t_sent_us=t * 1000)
 
 
 def one_ue_config(seed: int = 0, duration_ms: int = 60_000) -> ScenarioConfig:
@@ -359,6 +359,7 @@ def test_parse_defaults():
         ("duration_ms = 1000\nue.1.script = web:1000\nue.1.classes = voip\n", "only applies"),
         ("duration_ms = 1000\ntime_mode = warp\nue.1.script = web:1000\n", "time_mode"),
         ("duration_ms = 1000\nbroker = nope\nue.1.script = web:1000\n", "broker"),
+        ("duration_ms = 1000\ntransient_ms = -5\nue.1.script = web:1000\n", "transient_ms must be >= 0"),
         ("duration_ms = 1000\nue.1.script = web:1000\nbadline\n", "key = value"),
         ("duration_ms = 150\nue.1.script = web:100\n", "multiple of period_ms"),
         ("duration_ms = 1000\nue.1.script = web:150\n", "multiple of period"),

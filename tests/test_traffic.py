@@ -13,12 +13,9 @@ from ranguard.kpm import LabeledSample, TrafficClass
 from ranguard.traffic import (
     DEFAULT_PERIOD_MS,
     DEFAULT_TRANSIENT_MS,
-    ChannelState,
+    WALK_CAP_DB,
     ScriptedStream,
     ScriptSegment,
-    TrafficProfile,
-    TrafficStream,
-    _CLASS_DEFAULTS,
     build_random_script,
     dl_capacity_bps,
     ul_capacity_bps,
@@ -36,10 +33,14 @@ def schedule_execution(
         yield stream.next_sample(t, 1, 0)
 
 
-def steady_stream(cls: TrafficClass, seed: int, n: int, **profile_kw):
-    rng = np.random.default_rng(seed)
-    stream = TrafficStream(TrafficProfile(cls, transient_ms=0, **profile_kw), rng)
-    return [stream.next_sample(i * 100, 1, 0) for i in range(n)]
+def one_class_stream(cls: TrafficClass, seed: int, *, transient_ms: int) -> ScriptedStream:
+    """A single-segment script, so the class runs for as long as it is asked."""
+    return ScriptedStream([ScriptSegment(cls, 100)], seed, transient_ms=transient_ms)
+
+
+def steady_stream(cls: TrafficClass, seed: int, n: int):
+    stream = one_class_stream(cls, seed, transient_ms=0)
+    return [stream.next_sample(i * 100, 1, 0).sample for i in range(n)]
 
 
 # --- channel quality maps ------------------------------------------------------
@@ -82,19 +83,13 @@ def test_mcs_load_dependent_not_bijective():
     assert 0 <= mcs_for_load(8, 5e6, dl_capacity_bps) <= 28
 
 
-@given(
-    cap=st.floats(min_value=0.5, max_value=12.0),
-    step=st.floats(min_value=0.0, max_value=2.0),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
+@given(seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=40, deadline=None)
-def test_channel_walk_stays_bounded(cap, step, seed):
-    rng = np.random.default_rng(seed)
-    stream = TrafficStream(TrafficProfile(TrafficClass.SLOWLORIS), rng, ChannelState(18.0, 0.0, cap, step))
+def test_channel_walk_stays_bounded(seed):
+    stream = one_class_stream(TrafficClass.SLOWLORIS, seed, transient_ms=DEFAULT_TRANSIENT_MS)
     for i in range(300):
         stream.next_sample(i * 100, 1, 0)
-        assert abs(stream.channel.sinr_walk_db) <= cap + 1e-12
-        assert stream.channel.sinr_base_db == 18.0
+        assert abs(stream._walk) <= WALK_CAP_DB
 
 
 # --- steady-state class behaviour ----------------------------------------------
@@ -157,18 +152,15 @@ def test_slowloris_downlink_nearly_silent():
 
 @pytest.mark.parametrize("cls", list(TrafficClass))
 def test_first_interval_of_a_fresh_flow_is_silent(cls):
-    rng = np.random.default_rng(5)
-    stream = TrafficStream(TrafficProfile(cls, transient_ms=500), rng)
-    s = stream.next_sample(0, 1, 0)
+    s = one_class_stream(cls, 5, transient_ms=500).next_sample(0, 1, 0).sample
     assert s.ul_brate_bps == 0.0 and s.dl_brate_bps == 0.0
     assert s.ul_pkts_ok == 0 and s.ul_pkts_nok == 0
     assert 0 <= s.cqi <= 15  # radio stays up even with no traffic
 
 
 def test_ramp_reaches_steady_state_by_transient_end():
-    rng = np.random.default_rng(9)
-    stream = TrafficStream(TrafficProfile(TrafficClass.DOS_HULK, transient_ms=500), rng)
-    samples = [stream.next_sample(i * 100, 1, 0) for i in range(100)]
+    stream = one_class_stream(TrafficClass.DOS_HULK, 9, transient_ms=500)
+    samples = [stream.next_sample(i * 100, 1, 0).sample for i in range(100)]
     early = np.mean([s.ul_brate_bps for s in samples[:5]])
     steady = np.mean([s.ul_brate_bps for s in samples[10:]])
     assert early < 0.75 * steady
@@ -180,90 +172,14 @@ def test_zero_transient_starts_hot():
     assert s.ul_brate_bps > 1e6
 
 
-# --- profiles -------------------------------------------------------------------
-
-def test_profile_rejects_unknown_parameter():
-    with pytest.raises(ValueError, match="unknown parameter"):
-        TrafficProfile(TrafficClass.VOIP, params={"warp_speed": 9})
-
-
-def test_profile_rejects_negative_parameter():
-    with pytest.raises(ValueError, match="rate_low_bps"):
-        TrafficProfile(TrafficClass.VOIP, params={"rate_low_bps": -1.0})
-
-
-def test_profile_rejects_negative_transient():
-    with pytest.raises(ValueError, match="transient_ms"):
-        TrafficProfile(TrafficClass.WEB, transient_ms=-1)
-
-
-@pytest.mark.parametrize("value", [float("inf"), float("nan")])
-def test_profile_rejects_non_finite_parameter(value):
-    with pytest.raises(ValueError, match="jitter_bps must be finite"):
-        TrafficProfile(TrafficClass.VOIP, params={"jitter_bps": value})
-
-
-@pytest.mark.parametrize(
-    "cls, params",
-    [
-        (TrafficClass.VOIP, {"rate_low_bps": 200e3}),  # above the default rate_high_bps
-        (TrafficClass.WEB, {"drain_frac_low": 0.5, "drain_frac_high": 0.4}),
-        (TrafficClass.DOS_HULK, {"pkt_bytes_high": 100.0}),
-    ],
-)
-def test_profile_rejects_a_band_whose_low_end_exceeds_its_high_end(cls, params):
-    # a uniform draw over such a band has no value; numpy refuses it at the draw
-    with pytest.raises(ValueError, match="exceeds"):
-        TrafficProfile(cls, params=params)
-
-
-def test_profile_override_applies():
-    rows = steady_stream(TrafficClass.VOIP, 4, 50, params={"rate_low_bps": 150e3, "rate_high_bps": 160e3})
-    assert np.mean([s.ul_brate_bps for s in rows]) > 120e3
-
-
 # --- the generator against its oracle ---------------------------------------------
-
-BOUNDED_BELOW = {"ack_every_bits": 1.0, "page_size_mean_bytes": 1.0}  # divided by / logged
-
-
-@st.composite
-def class_params(draw, cls: TrafficClass) -> dict[str, float]:
-    """Valid overrides for cls: finite, >= 0, within three times the defaults, bands in order."""
-    defaults = _CLASS_DEFAULTS[cls]
-    params: dict[str, float] = {}
-    for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True)):
-        lo, hi = BOUNDED_BELOW.get(key, 0.0), max(3.0 * defaults[key], 1.0)
-        params[key] = draw(st.floats(lo, hi) | st.integers(int(lo), int(hi)))
-    merged = {**defaults, **params}
-    for key in defaults:
-        high = key.replace("_low", "_high")
-        if high != key and merged[high] < merged[key]:
-            params[key], params[high] = merged[high], merged[key]
-    return params
-
-
-@st.composite
-def channels(draw) -> ChannelState | None:
-    if draw(st.booleans()):
-        return None
-    cap = draw(st.floats(0.0, 12.0))
-    return ChannelState(
-        draw(st.floats(-20.0, 40.0)), draw(st.floats(-cap, cap)), cap, draw(st.floats(0.0, 3.0))
-    )
-
 
 @st.composite
 def scripted_setups(draw) -> tuple[list[ScriptSegment], dict]:
     """(script, ScriptedStream keyword options) over all five classes."""
     period = draw(st.sampled_from([50, 100, 200]))
     legs = draw(st.lists(st.tuples(st.sampled_from(list(TrafficClass)), st.integers(1, 8)), min_size=1, max_size=4))
-    options = dict(
-        period_ms=period,
-        transient_ms=draw(st.integers(0, 1000)),
-        channel=draw(channels()),
-        params={cls: draw(class_params(cls)) for cls, _ in legs},
-    )
+    options = dict(period_ms=period, transient_ms=draw(st.integers(0, 1000)))
     return [ScriptSegment(cls, n * period) for cls, n in legs], options
 
 
@@ -312,6 +228,11 @@ def test_each_segment_restarts_the_ramp():
 def test_empty_script_rejected():
     with pytest.raises(ValueError, match="empty"):
         list(schedule_execution([], seed=1))
+
+
+def test_negative_transient_rejected():
+    with pytest.raises(ValueError, match="transient_ms"):
+        ScriptedStream([ScriptSegment(TrafficClass.WEB, 100)], 1, transient_ms=-1)
 
 
 def test_non_multiple_segment_rejected():

@@ -1,28 +1,29 @@
 """Reference traffic generator, one numpy call per draw, as the tests' oracle.
 
-This is the generator that `ranguard.traffic.TrafficStream` replaced: it steps
-the channel as a new `ChannelState` per sample, draws every uniform through
-`rng.uniform` and every normal through `rng.normal`, reads each class
-parameter from the profile on every use, and maps the SINR and the load to a
-CQI, an MCS and a drop probability through the helper functions below, where
-the served generator reads a per-CQI table. The served generator must match it
-draw for draw.
+This is the generator that `ranguard.traffic.ScriptedStream` replaced: it
+steps the channel walk through its own function per sample, draws every
+uniform through `rng.uniform` and every normal through `rng.normal`, reads
+each class parameter from the table on every use, and maps the SINR and the
+load to a CQI, an MCS and a drop probability through the helper functions
+below, where the served generator reads a per-CQI table. It takes the channel
+and class constants from `ranguard.traffic`. The served generator must match
+it draw for draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ranguard.kpm import KpmSample, LabeledSample, TrafficClass
 from ranguard.traffic import (
-    DEFAULT_PERIOD_MS,
-    ChannelState,
+    CLASS_PARAMS,
+    SINR_BASE_DB,
+    WALK_CAP_DB,
+    WALK_STEP_DB,
     ScriptSegment,
-    TrafficProfile,
     dl_capacity_bps,
     ul_capacity_bps,
 )
@@ -63,55 +64,44 @@ def _drop_prob(sinr_db: float, offered_bps: float, capacity_bps: float) -> float
     return min(0.95, _base_drop_prob(sinr_db) + congestion)
 
 
-def step_channel(state: ChannelState, rng: np.random.Generator) -> ChannelState:
-    walk = state.sinr_walk_db + rng.uniform(-state.walk_step_db, state.walk_step_db)
-    walk = min(state.walk_cap_db, max(-state.walk_cap_db, walk))
-    return replace(state, sinr_walk_db=walk)
+def step_channel(walk_db: float, rng: np.random.Generator) -> float:
+    """The channel walk one interval on: a uniform step, clamped at the cap."""
+    walk_db = walk_db + rng.uniform(-WALK_STEP_DB, WALK_STEP_DB)
+    return min(WALK_CAP_DB, max(-WALK_CAP_DB, walk_db))
 
 
 class TrafficStream:
-    """Stateful single-UE generator for one traffic profile.
+    """Stateful single-UE generator for one traffic class at a time.
 
     Draw order per interval is fixed (channel step, SINR noise, class load,
-    loss realization) so a stream is fully determined by profile, channel
-    start state, and RNG seed.
+    loss realization) so a stream is fully determined by its classes, ramp,
+    period and RNG seed.
     """
 
     def __init__(
-        self,
-        profile: TrafficProfile,
-        rng: np.random.Generator,
-        channel: ChannelState | None = None,
-        period_ms: int = DEFAULT_PERIOD_MS,
+        self, cls: TrafficClass, rng: np.random.Generator, *, period_ms: int, transient_ms: int
     ) -> None:
-        if period_ms <= 0:
-            raise ValueError(f"period_ms must be > 0, got {period_ms}")
-        self.profile = profile
-        self.channel = channel if channel is not None else ChannelState()
         self.period_ms = period_ms
+        self.transient_ms = transient_ms
+        self.walk_db = 0.0
         self._rng = rng
-        self._t_rel_ms = 0
-        self._cqi = cqi_from_sinr(self.channel.sinr_db)
+        self._cqi = cqi_from_sinr(SINR_BASE_DB)
         self._class_state: dict[str, float] = {}
-        self._init_class_state()
+        self.switch_class(cls)
 
-    def _init_class_state(self) -> None:
-        self._class_state.clear()
-        if self.profile.traffic_class is TrafficClass.WEB:
-            self._class_state["backlog_bytes"] = 0.0
-        elif self.profile.traffic_class is TrafficClass.VOIP:
-            self._class_state["call_rate_bps"] = self._rng.uniform(
-                self.profile.params["rate_low_bps"], self.profile.params["rate_high_bps"]
-            )
-
-    def switch_profile(self, profile: TrafficProfile) -> None:
+    def switch_class(self, cls: TrafficClass) -> None:
         """Start a new flow: per-class state and the ramp restart, channel persists."""
-        self.profile = profile
+        self.traffic_class = cls
         self._t_rel_ms = 0
-        self._init_class_state()
+        self._class_state.clear()
+        if cls is TrafficClass.WEB:
+            self._class_state["backlog_bytes"] = 0.0
+        elif cls is TrafficClass.VOIP:
+            p = CLASS_PARAMS[cls]
+            self._class_state["call_rate_bps"] = self._rng.uniform(p["rate_low_bps"], p["rate_high_bps"])
 
     def _scale(self) -> float:
-        t = self.profile.transient_ms
+        t = self.transient_ms
         if t <= 0:
             return 1.0
         return min(1.0, self._t_rel_ms / t)
@@ -119,9 +109,9 @@ class TrafficStream:
     def _class_loads(self, scale: float) -> tuple[float, float, int]:
         """Offered (ul_bits, dl_bits, ul_pkts) for one interval, ramp applied."""
         rng = self._rng
-        p = self.profile.params
+        cls = self.traffic_class
+        p = CLASS_PARAMS[cls]
         seconds = self.period_ms / 1000.0
-        cls = self.profile.traffic_class
 
         if cls is TrafficClass.WEB:
             request_bits = 0.0
@@ -173,8 +163,8 @@ class TrafficStream:
 
     def next_sample(self, timestamp_ms: int, bs_id: int, ue_id: int) -> KpmSample:
         """Generate the measurement for the interval ending now, then advance."""
-        self.channel = step_channel(self.channel, self._rng)
-        sinr = self.channel.sinr_db
+        self.walk_db = step_channel(self.walk_db, self._rng)
+        sinr = SINR_BASE_DB + self.walk_db
         pusch = sinr + self._rng.normal(0.0, 0.3)
         pucch = sinr - 1.5 + self._rng.normal(0.0, 0.4)
         self._cqi = cqi_from_sinr(pusch)
@@ -217,16 +207,10 @@ def scripted_samples(
     *,
     period_ms: int,
     transient_ms: int,
-    channel: ChannelState | None,
-    params: Mapping[TrafficClass, Mapping[str, float]],
 ) -> list[LabeledSample]:
     """n labeled samples of a UE working through script, as `ScriptedStream` plays it:
     each segment starts a new flow, and the final class keeps running past the end."""
-
-    def profile(cls: TrafficClass) -> TrafficProfile:
-        return TrafficProfile(cls, transient_ms, dict(params.get(cls, {})))
-
-    stream = TrafficStream(profile(script[0].traffic_class), rng, channel, period_ms)
+    stream = TrafficStream(script[0].traffic_class, rng, period_ms=period_ms, transient_ms=transient_ms)
     starts = {}  # sample index -> segment index starting there
     at = 0
     for i, seg in enumerate(script):
@@ -237,7 +221,7 @@ def scripted_samples(
     for k in range(n):
         if k in starts and starts[k] > 0:
             seg_idx = starts[k]
-            stream.switch_profile(profile(script[seg_idx].traffic_class))
+            stream.switch_class(script[seg_idx].traffic_class)
         sample = stream.next_sample(k * period_ms, 1, 0)
         out.append(LabeledSample(sample, script[seg_idx].traffic_class))
     return out
