@@ -31,16 +31,11 @@ from .xapp import PolicyError, PolicyMap, parse_policy
 
 
 def _scenario_from_args(args: argparse.Namespace, *, default_preset: str) -> ScenarioConfig:
+    overrides = {k: v for k, v in (("seed", args.seed), ("duration_ms", args.duration_ms)) if v is not None}
     if args.scenario is not None:
-        config = load_scenario(args.scenario)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-    else:
-        preset = PRESETS[args.preset or default_preset]
-        config = preset(args.seed) if args.seed is not None else preset()
-    if getattr(args, "duration_ms", None) is not None:
-        config = replace(config, duration_ms=args.duration_ms)
-    return config
+        return replace(load_scenario(args.scenario), **overrides)
+    # the preset builds with the overrides, so its own checks of the duration apply
+    return PRESETS[args.preset or default_preset](**overrides)
 
 
 def _policy_from_args(args: argparse.Namespace) -> PolicyMap | None:
@@ -74,7 +69,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         min_samples_leaf=args.min_samples_leaf,
         k=args.k,
         rounds=args.rounds,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed if args.seed is not None else TrainOptions.seed,
     )
     summary = train(args.dataset, args.out, options)
     print(
@@ -205,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("train", help="train a classifier on a dataset CSV")
     sub.add_argument("--dataset", required=True)
     sub.add_argument("--out", required=True, help="output model path")
-    sub.add_argument("--algo", choices=ALGO_CHOICES, default="rf")
-    sub.add_argument("--trees", type=int, default=100)
-    sub.add_argument("--max-depth", type=int, default=15)
-    sub.add_argument("--min-samples-split", type=int, default=5)
-    sub.add_argument("--min-samples-leaf", type=int, default=1)
-    sub.add_argument("--k", type=int, default=5)
-    sub.add_argument("--rounds", type=int, default=50)
+    sub.add_argument("--algo", choices=ALGO_CHOICES, default=TrainOptions.algo)
+    sub.add_argument("--trees", type=int, default=TrainOptions.trees)
+    sub.add_argument("--max-depth", type=int, default=TrainOptions.max_depth)
+    sub.add_argument("--min-samples-split", type=int, default=TrainOptions.min_samples_split)
+    sub.add_argument("--min-samples-leaf", type=int, default=TrainOptions.min_samples_leaf)
+    sub.add_argument("--k", type=int, default=TrainOptions.k)
+    sub.add_argument("--rounds", type=int, default=TrainOptions.rounds)
     sub.set_defaults(func=_cmd_train)
 
     sub = commands.add_parser("evaluate", help="score a model against a dataset CSV")

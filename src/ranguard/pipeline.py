@@ -391,10 +391,11 @@ def closed_loop(
 ) -> ClosedLoopResult:
     """Station, bus semantics, and classifier composed synchronously in virtual time.
 
-    Each tick's samples go straight to OnlineClassifier.on_sample, stamped by
-    the delay model as if they had crossed the bus, and any command is applied
-    at its modeled arrival time, so the released UE disappears from the next
-    tick exactly as it would on a live bus.
+    The loop owns the virtual clock: each tick gets one delay-model trace, as
+    if its samples had crossed the bus, and each sample goes straight to
+    OnlineClassifier.on_sample with it. Any command is applied T_d after the
+    send, so the released UE disappears from the next tick exactly as it
+    would on a live bus.
     """
     if config.time_mode is not TimeMode.VIRTUAL:
         raise ValueError("closed_loop is a virtual-time harness; use run_scenario for real time")
@@ -403,7 +404,7 @@ def closed_loop(
     delay_model = delay_model if delay_model is not None else DelayModel()
     bs = build_station(config)
     segments = tuple(ground_truth_segments(bs, config.duration_ms))
-    xapp = OnlineClassifier(model, class_labels, policy, delay_model=delay_model)
+    xapp = OnlineClassifier(model, class_labels, policy)
 
     decisions: list[Decision] = []
     truths: list[TrafficClass] = []
@@ -411,14 +412,15 @@ def closed_loop(
     false_releases: list[int] = []
     release_ms: dict[int, float] = {}  # each UE's first release, applied t_d_us after its send
     for t in range(0, config.duration_ms, config.period_ms):
+        trace = delay_model.trace(t * 1000)
         for labeled in bs.tick_samples(t):
-            decision = xapp.on_sample(labeled.sample, t * 1000)
+            decision = xapp.on_sample(labeled.sample, trace)
             decisions.append(decision)
             truths.append(labeled.label)
             cmd = decision.command
             if cmd is not None:
                 commands.append(cmd)
-                applied_us = decision.trace.t_bs_send_us + delay_model.t_d_us
+                applied_us = trace.t_bs_send_us + trace.t_d_us
                 bs.apply_command(cmd, applied_at_us=applied_us)
                 if cmd.action is CommandAction.RRC_RELEASE:
                     release_ms.setdefault(cmd.ue_id, applied_us / 1000.0)

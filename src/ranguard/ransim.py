@@ -199,8 +199,8 @@ class BaseStation:
 
 
 class TimeMode(Enum):
-    VIRTUAL = "virtual"  # deterministic, no pacing, virtual timestamps
-    REAL = "real"  # wall-clock pacing, monotonic timestamps
+    VIRTUAL = "virtual"  # collect and closed_loop: deterministic, no pacing, virtual timestamps
+    REAL = "real"  # run_scenario: wall-clock pacing, monotonic timestamps
 
 
 class ScenarioError(ValueError):
@@ -522,35 +522,34 @@ def handle_command_frame(
 
 
 def run_scenario(config: ScenarioConfig, *, client: BusClient | None = None) -> ScenarioReport:
-    """Play the scenario against the databus, executing commands between ticks.
+    """Play the scenario against the databus in real time, executing commands between ticks.
 
-    Virtual mode runs as fast as possible with virtual stamps (now_ms * 1000);
-    real mode paces ticks on the wall clock and stamps with the monotonic clock.
+    Ticks are paced on the wall clock, and every frame and event is stamped
+    with the monotonic clock the broker and the xApp stamp with. A virtual
+    scenario is refused: its stamps would mix with theirs (closed_loop plays it).
     """
+    if config.time_mode is not TimeMode.REAL:
+        raise ValueError("run_scenario plays real time; use closed_loop for a virtual-time scenario")
     bs = build_station(config)
     own_client = client is None
     if client is None:
         port = config.broker_port if config.broker_port is not None else default_port()
         client = connect_with_retry(config.broker_host, port)
     ticks = frames_published = events_published = commands_applied = 0
-    virtual = config.time_mode is TimeMode.VIRTUAL
     try:
         commands = client.subscribe(bs.ctrl_topic)
         start = time.monotonic()
         for t in range(0, config.duration_ms, config.period_ms):
-            if not virtual:
-                wait = start + t / 1000.0 - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
+            wait = start + t / 1000.0 - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
             while (cmd_frame := commands.poll(timeout=0)) is not None:
-                stamp = t * 1000 if virtual else now_us()
-                event, ok = handle_command_frame(bs, cmd_frame, applied_at_us=stamp)
+                event, ok = handle_command_frame(bs, cmd_frame, applied_at_us=now_us())
                 commands_applied += int(ok)
                 if event is not None:
                     client.publish(event.kind, event.topic, event.payload, event.t_sent_us)
                     events_published += 1
-            stamp = t * 1000 if virtual else now_us()
-            for frame in bs.tick(t, t_sent_us=stamp):
+            for frame in bs.tick(t, t_sent_us=now_us()):
                 client.publish(frame.kind, frame.topic, frame.payload, frame.t_sent_us)
                 frames_published += 1
             ticks += 1

@@ -3,9 +3,9 @@
 Every measurement, a bus frame or a sample the program made itself, becomes
 one Decision: the raw model prediction, the window-majority smoothed verdict,
 an optional mitigation command (emitted once per sustained attack episode),
-and a LatencyTrace capturing where the control loop spent its time. Each
-entry point stamps with one clock: on_measurement with the wall clock (bus
-frames), on_sample with a DelayModel (deterministic virtual runs).
+and a LatencyTrace capturing where the control loop spent its time. Only
+on_measurement reads a clock, the wall clock of bus frames; on_sample takes
+the trace its caller made, such as a DelayModel's in a virtual run.
 """
 
 from __future__ import annotations
@@ -123,14 +123,6 @@ class DelayModel:
                 raise ValueError(f"{name} must be an int, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-
-    @property
-    def t_n_us(self) -> int:
-        return 2 * (self.delta_bd_us + self.delta_dr_us)
-
-    @property
-    def t_d_us(self) -> int:
-        return self.t_n_us + 2 * self.delta_d_us + self.delta_i_us
 
     def trace(self, t_bs_send_us: int) -> LatencyTrace:
         """Fully synthetic trace: every stamp a fixed offset from the send stamp."""
@@ -321,37 +313,24 @@ class OnlineClassifier:
     """Consumes measurements, emits at most one command per attack episode.
 
     on_measurement takes bus frames, checks them and stamps with the wall
-    clock; on_sample takes samples the program made itself and stamps with
-    the delay model. Both end in the same decision step, which reads no clock.
+    clock; on_sample takes samples the program made itself with the trace
+    its caller stamped. Both end in the same decision step, which reads no
+    clock.
 
     The smoothed verdict is the window's most frequent raw label, ties to the
     lowest class index, read from per-UE counts kept as the window slides.
     """
 
-    def __init__(
-        self,
-        model,
-        class_labels: Sequence[TrafficClass],
-        policy: PolicyMap | None = None,
-        *,
-        delay_model: DelayModel | None = None,
-    ) -> None:
+    def __init__(self, model, class_labels: Sequence[TrafficClass], policy: PolicyMap | None = None) -> None:
         if not hasattr(model, "predict"):
             raise TypeError("model must expose predict(features) -> class index")
         self.model = model
         self.class_labels = tuple(class_labels)
         self._positions = tuple(CLASS_ORDER.index(c) for c in self.class_labels)
         self.policy = policy if policy is not None else PolicyMap.default()
-        self._delay_model = delay_model
-        self._tick_trace: LatencyTrace | None = None  # the delay model's trace of the last sample's send
         self.malformed = 0  # frames skipped: not a measurement, or bad bus stamps
         self._tracks: dict[tuple[int, int], _UeTrack] = {}  # by (bs_id, ue_id): UE ids repeat across stations
         self._next_cmd_id = 1
-
-    @property
-    def delay_model(self) -> DelayModel | None:
-        """The virtual-time stamps of on_sample, fixed when the classifier is made."""
-        return self._delay_model
 
     def on_measurement(self, frame: DatabusFrame) -> Decision | None:
         """Classify one bus frame, stamped by the wall clock; None for a bad frame.
@@ -383,20 +362,14 @@ class OnlineClassifier:
         trace = LatencyTrace(t_send, t_bus_in, t_bus_out, t_recv, t_infer_start, t_infer_end)
         return self._decide(sample, raw_idx, trace)
 
-    def on_sample(self, sample: KpmSample, t_sent_us: int) -> Decision:
-        """Classify one sample this program made itself, stamped by the delay model.
+    def on_sample(self, sample: KpmSample, trace: LatencyTrace) -> Decision:
+        """Classify one sample this program made itself, with the trace its caller stamped.
 
         The virtual loop's entry: the sample was checked when it was made, so
         no bus frame is built and the payload is not checked a second time.
-        Needs a delay model. The samples of one tick share a send stamp, so
-        they share one trace: a trace is a function of the stamp alone.
+        The loop makes one trace per tick, and every sample of the tick shares it.
         """
-        raw_idx = int(self.model.predict(feature_vector(sample)))
-        trace = self._tick_trace
-        if trace is None or trace.t_bs_send_us != t_sent_us or type(t_sent_us) is not int:
-            trace = self._delay_model.trace(t_sent_us)
-            self._tick_trace = trace if type(t_sent_us) is int else None
-        return self._decide(sample, raw_idx, trace)
+        return self._decide(sample, int(self.model.predict(feature_vector(sample))), trace)
 
     def _decide(self, sample: KpmSample, raw_idx: int, trace: LatencyTrace) -> Decision:
         """Smooth the raw label into the UE's window, and command once per sustained episode.

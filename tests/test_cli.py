@@ -169,6 +169,20 @@ def test_closed_loop_duration_override(trained, capsys):
     assert "decisions:" in out
 
 
+def test_duration_override_goes_through_the_preset_checks(trained, capsys):
+    # seed 3's attacker turns hostile after its lead-in, so 1 s leaves no attack to detect
+    with pytest.raises(ValueError, match="must leave >= 4 s of attack") as preset_error:
+        pipeline.attack_demo_scenario(3, duration_ms=1000)
+    _, model = trained
+    code = cli.main(
+        ["--seed", "3", "closed-loop", "--model", str(model), "--duration-ms", "1000", "--assert"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"error: {preset_error.value}\n"
+    assert "PASS" not in out
+
+
 def test_bench_latency_gate(trained, capsys):
     _, model = trained
     code = cli.main(
@@ -181,7 +195,7 @@ def test_bench_latency_gate(trained, capsys):
         ]
     )
     out, err = capsys.readouterr()
-    assert code == 0, err
+    assert code == 0, out + err  # a p99 past the gate is reported on stdout
     assert out.rstrip().endswith("PASS")
     assert "T_d" in out
 

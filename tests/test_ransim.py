@@ -5,11 +5,13 @@ from __future__ import annotations
 import threading
 import time
 from typing import Iterator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranguard import ransim
 from ranguard.databus import Broker, BusClient, DatabusFrame, FrameKind
 from ranguard.kpm import KpmSample, TrafficClass
 from ranguard.ransim import (
@@ -213,7 +215,7 @@ def test_duplicate_ue_id_rejected():
 
 def frame_stream(config: ScenarioConfig) -> Iterator[DatabusFrame]:
     """Virtual-time measurement frames for a whole scenario, no bus: the station's
-    ticks at every period, as run_scenario publishes them in virtual mode."""
+    ticks at every period, each stamped with its tick time."""
     bs = build_station(config)
     for t in range(0, config.duration_ms, config.period_ms):
         yield from bs.tick(t, t_sent_us=t * 1000)
@@ -420,6 +422,7 @@ def test_run_scenario_publishes_all_frames():
             config = ScenarioConfig(
                 duration_ms=3000,
                 seed=5,
+                time_mode=TimeMode.REAL,
                 broker_host=host,
                 broker_port=port,
                 ues=(
@@ -448,6 +451,7 @@ def test_run_scenario_counts_match_frame_stream():
         config = ScenarioConfig(
             duration_ms=2000,
             seed=11,
+            time_mode=TimeMode.REAL,
             broker_host=host,
             broker_port=port,
             ues=(UeSpec(7, None),),
@@ -455,6 +459,20 @@ def test_run_scenario_counts_match_frame_stream():
         expected = len(list(frame_stream(config)))
         report = run_scenario(config)
         assert report.frames_published == expected == 20
+
+
+def test_run_scenario_refuses_a_virtual_scenario_before_it_connects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_scenario touched the bus")
+
+    monkeypatch.setattr(ransim, "connect_with_retry", refuse)
+    client = mock.Mock(spec=BusClient)
+    config = ScenarioConfig(duration_ms=1000, ues=(UeSpec(1, (ScriptSegment(TrafficClass.WEB, 1000),)),))
+    assert config.time_mode is TimeMode.VIRTUAL
+    for given_client in (None, client):
+        with pytest.raises(ValueError, match="real time"):
+            run_scenario(config, client=given_client)
+    assert client.mock_calls == []
 
 
 def test_run_scenario_applies_commands_mid_flight():

@@ -16,6 +16,7 @@ from ranguard import xapp as xapp_module
 from ranguard.databus import DatabusFrame, FrameKind, decode_frame, encode_frame, now_us
 from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficCategory, TrafficClass, category_of
 from ranguard.ml import DecisionTree
+from ranguard.pipeline import closed_loop
 from ranguard.ransim import (
     CommandAction,
     ScenarioConfig,
@@ -79,12 +80,7 @@ def frame_for(ue_id: int, t_ms: int, cls: TrafficClass) -> DatabusFrame:
 
 
 def modeled_xapp(window: int = 5, dwell: int = 3) -> OnlineClassifier:
-    return OnlineClassifier(
-        IndexModel(),
-        CLASS_ORDER,
-        PolicyMap.default(window=window, dwell=dwell),
-        delay_model=DelayModel(),
-    )
+    return OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=window, dwell=dwell))
 
 
 def wall_xapp() -> OnlineClassifier:
@@ -93,7 +89,7 @@ def wall_xapp() -> OnlineClassifier:
 
 def feed(xapp: OnlineClassifier, ue_id: int, t_ms: int, cls: TrafficClass) -> Decision:
     """One modeled decision on the sample of class cls, sent at t_ms."""
-    return xapp.on_sample(sample_for(ue_id, t_ms, cls), t_ms * 1000)
+    return xapp.on_sample(sample_for(ue_id, t_ms, cls), DelayModel().trace(t_ms * 1000))
 
 
 # -- latency traces --
@@ -141,12 +137,15 @@ def test_trace_rejects_out_of_order_stamps():
 
 
 def test_delay_model_defaults_hit_reference_totals():
-    model = DelayModel()
-    assert model.t_n_us == 670
-    assert model.t_d_us == 3620
-    trace = model.trace(1_000_000)
+    trace = DelayModel().trace(1_000_000)
     assert astuple(trace) == (1_000_000, 1_000_167, 1_000_212, 1_000_380, 1_000_380, 1_003_240)
+    assert trace.t_n_us == 670
     assert trace.t_d_us == 3620
+
+
+def test_delay_model_refuses_a_float_send_stamp():
+    with pytest.raises(ValueError, match="t_bs_send_us must be a nonnegative integer, got 200000.0"):
+        DelayModel().trace(200_000.0)
 
 
 def test_delay_model_rejects_negative_legs():
@@ -162,14 +161,23 @@ def test_delay_model_refuses_a_leg_that_is_not_an_int(leg, value):
         DelayModel(**{leg: value})
 
 
+class WebModel:
+    def predict(self, x) -> int:
+        return IDX[WEB]
+
+
 def test_samples_of_one_tick_share_one_trace():
-    xapp, model = modeled_xapp(), DelayModel()
-    first = [feed(xapp, ue, 100, WEB) for ue in (1, 2, 3)]
-    later = feed(xapp, 1, 200, WEB)
-    assert first[0].trace is first[1].trace is first[2].trace
-    assert first[0].trace == model.trace(100_000) and later.trace == model.trace(200_000)
-    with pytest.raises(ValueError, match="t_bs_send_us must be a nonnegative integer, got 200000.0"):
-        xapp.on_sample(sample_for(2, 200, WEB), 200_000.0)  # equal to the last stamp, but not an int
+    # closed_loop stamps each tick once, and on_sample keeps the trace it is given
+    config = ScenarioConfig(duration_ms=1000, ues=tuple(UeSpec(ue, None) for ue in (1, 2, 3)))
+    model = DelayModel(10, 20, 30, 40)
+    result = closed_loop(config, WebModel(), CLASS_ORDER, delay_model=model)
+    by_tick: dict[int, list[Decision]] = {}
+    for d in result.decisions:
+        by_tick.setdefault(d.timestamp_ms, []).append(d)
+    assert sorted(by_tick) == list(range(0, 1000, 100))
+    for t_ms, tick in by_tick.items():
+        assert len(tick) == 3 and tick[0].trace is tick[1].trace is tick[2].trace
+        assert tick[0].trace == model.trace(t_ms * 1000)
 
 
 def test_latency_report_matches_direct_recomputation():
@@ -253,9 +261,9 @@ def test_smooth_equals_window_recount(labels, window):
     # the classifier's running counts, with the model's labels in an order of their own:
     # IndexModel predicts the index planted for CLASS_ORDER[j], and order[j] is cls
     order = CLASS_ORDER[::-1]
-    xapp = OnlineClassifier(IndexModel(), order, PolicyMap.default(window=window), delay_model=DelayModel())
+    xapp = OnlineClassifier(IndexModel(), order, PolicyMap.default(window=window))
     planted = [CLASS_ORDER[order.index(cls)] for cls in labels]
-    served = [xapp.on_sample(sample_for(1, k * 100, c), k * 100_000) for k, c in enumerate(planted)]
+    served = [feed(xapp, 1, k * 100, c) for k, c in enumerate(planted)]
     assert [d.smoothed for d in served] == smoothed
 
 
@@ -367,7 +375,7 @@ def test_an_attacker_is_released_while_its_ue_id_is_benign_on_another_station():
     commands = []
     for t in range(20):
         for bs_id, cls in ((1, HULK), (2, WEB)):
-            d = xapp.on_sample(on_station(bs_id, 7, t * 100, cls), t * 100_000)
+            d = xapp.on_sample(on_station(bs_id, 7, t * 100, cls), DelayModel().trace(t * 100_000))
             if d.command is not None:
                 commands.append((bs_id, d.command.ue_id, d.command.action))
     assert commands == [(1, 7, CommandAction.RRC_RELEASE)]
@@ -389,8 +397,8 @@ def test_two_stations_with_the_same_ue_ids_decide_as_each_would_alone(rows):
         return d.ue_id, d.timestamp_ms, d.raw, d.smoothed, action, d.trace
 
     for t, (bs_id, ue_id, cls) in enumerate(rows):
-        sample = on_station(bs_id, ue_id, t * 100, cls)
-        assert view(shared.on_sample(sample, t * 100_000)) == view(alone[bs_id].on_sample(sample, t * 100_000))
+        sample, trace = on_station(bs_id, ue_id, t * 100, cls), DelayModel().trace(t * 100_000)
+        assert view(shared.on_sample(sample, trace)) == view(alone[bs_id].on_sample(sample, trace))
     assert len(shared._tracks) == sum(len(xapp._tracks) for xapp in alone.values())
 
 
@@ -467,7 +475,7 @@ def test_infinite_timestamp_from_the_wire_is_malformed(number):
 
 
 def test_out_of_range_prediction_is_an_error():
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER[:2], delay_model=DelayModel())
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER[:2])
     with pytest.raises(ValueError, match="labels are mapped"):
         xapp.on_measurement(frame_for(1, 0, HULK))  # index 3, only 2 labels
     with pytest.raises(ValueError, match="labels are mapped"):
@@ -505,7 +513,7 @@ def test_each_entry_point_reads_one_clock():
     # on_measurement reads the wall clock three times, the receive stamp first;
     # on_sample and the decision step read none
     clock = iter([70_000, 71_000, 72_000])
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1), delay_model=DelayModel())
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
     with mock.patch.object(xapp_module, "now_us", lambda: next(clock)):
         d = xapp.on_measurement(frame_for(1, 50, HULK))
     assert astuple(d.trace) == (50_000, 50_000, 50_000, 70_000, 71_000, 72_000)
@@ -606,14 +614,15 @@ LEGS = st.lists(st.integers(0, 5000), min_size=4, max_size=4)
 )
 def test_on_sample_stamps_exactly_the_delay_model(legs, t_sent_us, labels):
     delay_model = DelayModel(*legs)
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1), delay_model=delay_model)
+    bd, dr, d_bus, i = legs
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
     commands = 0
     with mock.patch.object(xapp_module, "now_us", lambda: pytest.fail("on_sample read the wall clock")):
         for k, cls in enumerate(labels):
             t = t_sent_us + k * 100_000
-            d = xapp.on_sample(sample_for(1, k * 100, cls), t)
+            d = xapp.on_sample(sample_for(1, k * 100, cls), delay_model.trace(t))
             assert d.trace == delay_model.trace(t)
-            assert d.trace.t_d_us == delay_model.t_d_us
+            assert d.trace.t_d_us == 2 * (bd + dr) + 2 * d_bus + i
             if d.command is not None:
                 commands += 1
                 assert d.command.issued_at_us == d.trace.t_infer_end_us

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ranguard.databus import DatabusFrame, FrameKind, now_us
 from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficCategory, TrafficClass, category_of, feature_vector
 from ranguard.ransim import RicCommand, build_station
-from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, TimeToCorrect
+from ranguard.xapp import Decision, DelayModel, LatencyTrace, OnlineClassifier, TimeToCorrect
 
 
 def window_majority(labels: Sequence[TrafficClass]) -> TrafficClass:
@@ -47,7 +47,15 @@ def fraction_within(ttc: TimeToCorrect, budget_ms: float) -> float:
 
 
 class FrameRouteClassifier(OnlineClassifier):
-    """OnlineClassifier whose on_measurement decides inline, as before on_sample existed."""
+    """OnlineClassifier whose on_measurement decides inline, as before on_sample existed.
+
+    It keeps the delay model the served classifier once kept: given one, it
+    stamps each frame with the model's trace of the frame's send stamp.
+    """
+
+    def __init__(self, model, class_labels, policy=None, *, delay_model: DelayModel | None = None) -> None:
+        super().__init__(model, class_labels, policy)
+        self.delay_model = delay_model
 
     def on_measurement(self, frame: DatabusFrame) -> Decision | None:
         try:
@@ -130,5 +138,6 @@ def frame_route_decisions(config, model, class_labels, policy, delay_model) -> l
                 raise RuntimeError("classifier rejected a frame the station produced")
             decisions.append(decision)
             if decision.command is not None:
-                bs.apply_command(decision.command, applied_at_us=decision.trace.t_bs_send_us + delay_model.t_d_us)
+                trace = decision.trace
+                bs.apply_command(decision.command, applied_at_us=trace.t_bs_send_us + trace.t_d_us)
     return decisions
