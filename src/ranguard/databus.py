@@ -30,10 +30,10 @@ import socket
 import threading
 import time
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Mapping
 
 from .records import record
 

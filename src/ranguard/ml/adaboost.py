@@ -48,11 +48,12 @@ class AdaBoost(TreeModel):
         n, d = X.shape
         codes = rank_codes(X)
         w = np.full(n, 1.0 / n)
+        draws = np.ones(n, dtype=np.int64)
         stumps: list[DecisionTree] = []
         alphas: list[float] = []
         chance = 1.0 - 1.0 / n_classes
         for _ in range(config.rounds):
-            stump = _grow(X, codes, y, w, n_classes, _STUMP, None, None)
+            stump = _grow(X, codes, y, w, n_classes, _STUMP, None, None, draws)
             miss = stump.predict_batch(X) != y
             err = float(w[miss].sum())
             if err >= chance:

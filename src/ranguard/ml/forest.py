@@ -51,7 +51,7 @@ class RandomForest(TreeModel):
         config: ForestConfig = ForestConfig(),
         seed: int = 0,
     ) -> "RandomForest":
-        X, y, w = _validate_training_data(X, y, n_classes, None)
+        X, y, _ = _validate_training_data(X, y, n_classes, None)
         n, d = X.shape
         codes = rank_codes(X)
         m = config.feature_subsample if config.feature_subsample is not None else math.isqrt(d - 1) + 1
@@ -60,8 +60,12 @@ class RandomForest(TreeModel):
         trees = []
         for child in np.random.SeedSequence(seed).spawn(config.n_trees):
             rng = np.random.default_rng(child)
-            boot = rng.integers(0, n, size=n)
-            trees.append(_grow(X[boot], codes[:, boot], y[boot], w[boot], n_classes, tree_cfg, m, rng))
+            # each row drawn at least once, weighted by its draw count: the tree of all n draws
+            draws = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            rows = np.flatnonzero(draws)
+            draws = draws[rows]
+            w = draws.astype(np.float64)
+            trees.append(_grow(X[rows], codes[:, rows], y[rows], w, n_classes, tree_cfg, m, rng, draws))
         return cls(trees, d, n_classes)
 
     def to_dict(self) -> dict:

@@ -86,28 +86,36 @@ def _split_costs(
     features: np.ndarray,
     node_counts: np.ndarray,
     min_leaf: int,
+    draws: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """Weighted Gini cost of every candidate split of a node, all features at once.
 
     Returns (order, at, fi, cost), or None when no boundary leaves min_leaf samples
-    on each side. Row i of `order` sorts the node's samples by `features[i]`;
-    candidate j splits row fi[j] after its sample `order.flat[at[j]]`. Candidates
-    run feature-major, then by threshold. Class sums add one class at a time in
-    increasing class order, the association of a `.sum(axis=1)` over fewer than 8
-    classes; an absent class would add exact zeros, so it is skipped.
+    on each side. Sample i counts as `draws[i]` samples toward min_leaf. Row i of
+    `order` sorts the node's samples by `features[i]`; candidate j splits row fi[j]
+    after its sample `order.flat[at[j]]`. Candidates run feature-major, then by
+    threshold. Class sums add one class at a time in increasing class order, the
+    association of a `.sum(axis=1)` over fewer than 8 classes; an absent class
+    would add exact zeros, so it is skipped.
     """
     n = idx.size
     node_codes = codes[features[:, None], idx]
     order = np.argsort(node_codes, axis=1, kind="stable")
     ranked = node_codes[np.arange(features.size)[:, None], order]
-    # boundaries that leave at least min_leaf samples on each side, by their last left-side sample
-    fi, at = np.nonzero(ranked[:, min_leaf : n - min_leaf + 1] != ranked[:, min_leaf - 1 : n - min_leaf])
+    # boundaries between distinct codes, by their last left-side sample
+    legal = ranked[:, 1:] != ranked[:, :-1]
+    if min_leaf > 1:
+        # that leave at least min_leaf samples on each side
+        left_n = np.cumsum(draws[idx][order], axis=1)
+        total = int(left_n[0, -1])
+        left_n = left_n[:, :-1]
+        legal &= (left_n >= min_leaf) & (left_n <= total - min_leaf)
+    fi, at = np.nonzero(legal)
     if fi.size == 0:
         return None
-    del node_codes, ranked
+    del node_codes, ranked, legal
     row_end = fi * n
     at += row_end
-    at += min_leaf - 1
     row_end += n - 1
     y_node = y[idx]
     w_node = w[idx]
@@ -140,9 +148,10 @@ def _best_split(
     features: np.ndarray,
     node_counts: np.ndarray,
     min_leaf: int,
+    draws: np.ndarray,
 ) -> tuple[int, float] | None:
     """Lowest-cost (feature, midpoint threshold) over the given feature set, or None."""
-    found = _split_costs(codes, y, w, idx, features, node_counts, min_leaf)
+    found = _split_costs(codes, y, w, idx, features, node_counts, min_leaf, draws)
     if found is None:
         return None
     order, at, fi, cost = found
@@ -204,7 +213,8 @@ class DecisionTree(TreeModel):
                 raise ValueError(f"feature_subsample must be in [1, {d}], got {feature_subsample}")
             if rng is None:
                 raise ValueError("feature_subsample requires an rng")
-        return _grow(X, rank_codes(X), y, w, n_classes, config, feature_subsample, rng)
+        draws = np.ones(X.shape[0], dtype=np.int64)
+        return _grow(X, rank_codes(X), y, w, n_classes, config, feature_subsample, rng, draws)
 
     def to_dict(self) -> dict:
         return {
@@ -239,8 +249,12 @@ def _grow(
     config: TreeConfig,
     feature_subsample: int | None,
     rng: np.random.Generator | None,
+    draws: np.ndarray,
 ) -> DecisionTree:
-    """Grow one tree depth first on checked data and its `rank_codes`, left subtree first."""
+    """Grow one tree depth first on checked data and its `rank_codes`, left subtree first.
+
+    Row i stands for `draws[i]` samples in `min_samples_split` and `min_samples_leaf`.
+    """
     n, d = X.shape
     feature: list[int] = []
     threshold: list[float] = []
@@ -263,7 +277,8 @@ def _grow(
         node, idx, depth = stack.pop()
         node_counts = np.bincount(y[idx], weights=w[idx], minlength=n_classes)
         counts[node] = node_counts
-        if depth >= config.max_depth or idx.size < config.min_samples_split:
+        n_samples = int(draws[idx].sum())
+        if depth >= config.max_depth or n_samples < config.min_samples_split:
             continue
         if np.count_nonzero(node_counts) <= 1:
             continue
@@ -271,7 +286,7 @@ def _grow(
             feats = np.sort(rng.permutation(d)[:feature_subsample])
         else:
             feats = all_features
-        split = _best_split(X, codes, y, w, idx, feats, node_counts, config.min_samples_leaf)
+        split = _best_split(X, codes, y, w, idx, feats, node_counts, config.min_samples_leaf, draws)
         if split is None:
             continue
         f, thr = split

@@ -410,35 +410,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-def format_scenario(config: ScenarioConfig) -> str:
-    """Config back to parseable text; parse_scenario(format_scenario(c)) == c."""
-    lines = [
-        f"bs_id = {config.bs_id}",
-        f"seed = {config.seed}",
-        f"duration_ms = {config.duration_ms}",
-        f"period_ms = {config.period_ms}",
-        f"transient_ms = {config.transient_ms}",
-        f"time_mode = {config.time_mode.value}",
-    ]
-    if config.broker_port is not None:
-        lines.append(f"broker = {config.broker_host}:{config.broker_port}")
-    for spec in config.ues:
-        if spec.script is None:
-            lines.append(f"ue.{spec.ue_id}.script = random")
-            if spec.classes:
-                joined = ",".join(c.value for c in spec.classes)
-                lines.append(f"ue.{spec.ue_id}.classes = {joined}")
-        else:
-            joined = " ".join(f"{s.traffic_class.value}:{s.duration_ms}" for s in spec.script)
-            lines.append(f"ue.{spec.ue_id}.script = {joined}")
-        if (spec.min_segment_ms, spec.max_segment_ms) != (
-            DEFAULT_MIN_SEGMENT_MS,
-            DEFAULT_MAX_SEGMENT_MS,
-        ):
-            lines.append(f"ue.{spec.ue_id}.segment_ms = {spec.min_segment_ms}:{spec.max_segment_ms}")
-    return "\n".join(lines) + "\n"
-
-
 def build_station(config: ScenarioConfig) -> BaseStation:
     """Station with one seeded stream per UE; same config, same station behaviour."""
     bs = BaseStation(config.bs_id, period_ms=config.period_ms)

@@ -11,11 +11,11 @@ the trace its caller made, such as a DelayModel's in a virtual run.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import Field, dataclass, field, fields
 from itertools import chain
 from math import inf
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -276,13 +276,6 @@ def parse_policy(text: str) -> PolicyMap:
         raise PolicyError(str(exc)) from None
 
 
-def format_policy(policy: PolicyMap) -> str:
-    """PolicyMap back to parseable text; parse_policy(format_policy(p)) == p."""
-    lines = [f"window = {policy.window}", f"dwell = {policy.dwell}"]
-    lines += [f"{cls.value} = {policy.actions[cls].value}" for cls in TrafficClass]
-    return "\n".join(lines) + "\n"
-
-
 # -- the online classifier --
 
 
@@ -374,7 +367,9 @@ class OnlineClassifier:
     def _decide(self, sample: KpmSample, raw_idx: int, trace: LatencyTrace) -> Decision:
         """Smooth the raw label into the UE's window, and command once per sustained episode.
 
-        A command is stamped issued at the end of inference.
+        No command is issued before the UE's window is full, so a fresh flow's
+        first labels alone cannot release it. A command is stamped issued at
+        the end of inference.
         """
         if not 0 <= raw_idx < len(self.class_labels):
             raise ValueError(
@@ -398,7 +393,8 @@ class OnlineClassifier:
         track.attack_run = track.attack_run + 1 if attack else 0
 
         command = None
-        if attack and track.attack_run >= self.policy.dwell and not track.engaged:
+        full = len(window) == window.maxlen
+        if attack and track.attack_run >= self.policy.dwell and not track.engaged and full:
             track.engaged = True
             command = RicCommand(
                 ue_id=sample.ue_id,

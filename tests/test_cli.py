@@ -13,8 +13,9 @@ import pytest
 from ranguard import cli, pipeline
 from ranguard.databus import Broker, BusClient, FrameKind, now_us
 from ranguard.kpm import CLASS_ORDER, read_dataset
-from ranguard.ransim import build_station, format_scenario
-from ranguard.xapp import PolicyMap, format_policy
+from ranguard.ransim import build_station
+from ranguard.xapp import PolicyMap
+from config_oracle import format_policy, format_scenario
 
 
 @pytest.fixture(scope="module")

@@ -87,6 +87,22 @@ def test_forest_replicates_manual_bootstrap(blob_data):
     assert rf.trees[0].to_dict() == manual.to_dict()
 
 
+@pytest.mark.parametrize("min_split, min_leaf", [(4, 1), (2, 2)])
+def test_forest_counts_draws_not_distinct_rows(min_split, min_leaf):
+    # seed 28's bootstrap draws rows 0, 0, 1, 2: three distinct rows, four draws. Only the
+    # second draw of row 0 meets min_samples_split=4 and gives the left side of x <= 0.5
+    # the two samples min_samples_leaf=2 asks for.
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 1, 1, 1])
+    child = np.random.SeedSequence(28).spawn(1)[0]
+    assert np.random.default_rng(child).integers(0, 4, size=4).tolist() == [0, 0, 1, 2]
+    config = ForestConfig(n_trees=1, max_depth=3, min_samples_split=min_split, min_samples_leaf=min_leaf)
+    tree = RandomForest.train(X, y, 2, config, seed=28).trees[0]
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold[0] == 0.5
+    assert tree.counts.tolist() == [[2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]
+
+
 def test_forest_default_subsample_is_ceil_sqrt_d():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(100, 10))

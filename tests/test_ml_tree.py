@@ -289,7 +289,7 @@ def test_split_costs_equal_the_oracle_bit_for_bit(data, draw):
     assume(idx.size >= 2 and features.size >= 1)
     min_leaf = draw.draw(st.integers(1, 4))
     node_counts = np.bincount(y[idx], weights=w[idx], minlength=n_classes)
-    found = _split_costs(rank_codes(X), y, w, idx, features, node_counts, min_leaf)
+    found = _split_costs(rank_codes(X), y, w, idx, features, node_counts, min_leaf, np.ones(n, np.int64))
     ref = list(oracle_costs(X, y, w, idx, features, min_leaf, n_classes))
     if not ref:
         assert found is None

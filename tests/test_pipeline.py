@@ -643,12 +643,25 @@ def test_dataset_models_and_reports_are_byte_identical(tmp_path):
 # sha256 of a 10-tree forest's model file on the same 120 s dataset; taken before the split
 # search moved to per-column rank codes, and unchanged by it (numpy 2.x, CPython 3.11)
 FOREST_DIGEST = "ef76068763f84375e648c42a6db062433d84dcc1cd04213c932b8f5917ed197a"
+# the same with min_samples_leaf=3 and min_samples_split=8; taken while each tree still grew
+# on all n rows of its bootstrap, duplicates included (numpy 2.x, CPython 3.11)
+FOREST_FLOORS_DIGEST = "f65601ec3aa223af2b72978bab944505cc515189dc3bb02e283c8e70bb5147e5"
+
+
+def forest_file_digest(tmp_path: Path, **options) -> str:
+    pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=120_000), tmp_path / "train.csv")
+    model, _ = pipeline.train_model(
+        read_dataset(tmp_path / "train.csv"), pipeline.TrainOptions(algo="rf", trees=10, **options)
+    )
+    save_model(model, tmp_path / "rf.model", [c.value for c in CLASS_ORDER])
+    return hashlib.sha256((tmp_path / "rf.model").read_bytes()).hexdigest()
 
 
 def test_forest_model_file_is_byte_identical(tmp_path):
-    pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=120_000), tmp_path / "train.csv")
-    model, _ = pipeline.train_model(
-        read_dataset(tmp_path / "train.csv"), pipeline.TrainOptions(algo="rf", trees=10)
-    )
-    save_model(model, tmp_path / "rf.model", [c.value for c in CLASS_ORDER])
-    assert hashlib.sha256((tmp_path / "rf.model").read_bytes()).hexdigest() == FOREST_DIGEST
+    assert forest_file_digest(tmp_path) == FOREST_DIGEST
+
+
+def test_forest_model_file_with_leaf_and_split_floors_is_byte_identical(tmp_path):
+    # the draw counts, not the distinct bootstrap rows, meet both floors
+    digest = forest_file_digest(tmp_path, min_samples_leaf=3, min_samples_split=8)
+    assert digest == FOREST_FLOORS_DIGEST

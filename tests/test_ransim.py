@@ -26,12 +26,12 @@ from ranguard.ransim import (
     UeSpec,
     build_station,
     connect_with_retry,
-    format_scenario,
     labeled_stream,
     parse_scenario,
     run_scenario,
 )
 from ranguard.traffic import ScriptSegment
+from config_oracle import format_scenario
 
 
 def two_ue_station(period_ms: int = 100) -> BaseStation:

@@ -34,12 +34,12 @@ from ranguard.xapp import (
     OnlineClassifier,
     PolicyError,
     PolicyMap,
-    format_policy,
     ground_truth_segments,
     latency_report,
     parse_policy,
     time_to_correct,
 )
+from config_oracle import format_policy
 from xapp_oracle import FrameRouteClassifier, fraction_within, window_majority
 
 IDX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
@@ -313,6 +313,16 @@ def test_dwell_gates_the_single_command():
     assert commands[0].action is CommandAction.RRC_RELEASE
     assert commands[0].ue_id == 7
     assert commands[0].cmd_id == 1
+
+
+def test_no_command_before_the_window_fills():
+    # an attack from a UE's first sample meets dwell 3 at the third decision, but the
+    # five-label window fills only at the fifth: a fresh flow's ramp alone releases nothing
+    expected = [False] * 4 + [True] + [False] * 3
+    served = modeled_xapp(window=5, dwell=3)
+    assert [feed(served, 7, t * 100, SLOW).command is not None for t in range(8)] == expected
+    oracle = FrameRouteClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=5, dwell=3))
+    assert [oracle.on_measurement(frame_for(7, t * 100, SLOW)).command is not None for t in range(8)] == expected
 
 
 def test_benign_gap_rearms_for_a_second_episode():

@@ -6,9 +6,10 @@ the classifier parses and checks it again, then predicts, smooths and
 commands in one method. `FrameRouteClassifier.on_measurement` is that method
 as it was, with its own copy of the decision step, so a fault in the served
 decision step shows as a difference against it. Only its output follows the
-served shape: a trace of the six uplink stamps, and a command issued at the
-trace's inference end. It smooths by recounting the window at every step
-(`window_majority`), where the served step keeps running counts.
+served shape: a trace of the six uplink stamps, a command issued at the
+trace's inference end, and no command before the UE's window is full. It
+smooths by recounting the window at every step (`window_majority`), where the
+served step keeps running counts.
 `fraction_within` is a reading of a time-to-correct result that only the
 tests take.
 """
@@ -103,7 +104,8 @@ class FrameRouteClassifier(OnlineClassifier):
         track.attack_run = track.attack_run + 1 if attack else 0
 
         command = None
-        if attack and track.attack_run >= self.policy.dwell and not track.engaged:
+        full = len(track.window) == track.window.maxlen
+        if attack and track.attack_run >= self.policy.dwell and not track.engaged and full:
             track.engaged = True
             command = RicCommand(
                 ue_id=sample.ue_id,
