@@ -30,13 +30,12 @@ from ranguard.pipeline import (
     write_closed_loop_report,
 )
 from ranguard.ransim import BaseStation, ScenarioConfig, UeSpec, build_station, run_scenario
-from ranguard.xapp import DelayModel, LatencyTrace, OnlineClassifier, PolicyMap
+from ranguard.xapp import LatencyTrace, OnlineClassifier, PolicyMap
 
 __all__ = [
     "CLASS_ORDER",
     "FEATURE_NAMES",
     "BaseStation",
-    "DelayModel",
     "KpmSample",
     "LabeledSample",
     "LatencyTrace",

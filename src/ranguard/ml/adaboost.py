@@ -44,7 +44,7 @@ class AdaBoost(TreeModel):
     def train(
         cls, X: np.ndarray, y: np.ndarray, n_classes: int, config: BoostConfig = BoostConfig()
     ) -> "AdaBoost":
-        X, y, _ = _validate_training_data(X, y, n_classes, None)
+        X, y = _validate_training_data(X, y, n_classes)
         n, d = X.shape
         codes = rank_codes(X)
         w = np.full(n, 1.0 / n)

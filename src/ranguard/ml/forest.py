@@ -18,14 +18,11 @@ class ForestConfig:
     max_depth: int = 15
     min_samples_split: int = 5
     min_samples_leaf: int = 1
-    feature_subsample: int | None = None  # None -> ceil(sqrt(d)) at train time
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         TreeConfig(self.max_depth, self.min_samples_split, self.min_samples_leaf)
-        if self.feature_subsample is not None and self.feature_subsample < 1:
-            raise ValueError(f"feature_subsample must be >= 1, got {self.feature_subsample}")
 
     def tree_config(self) -> TreeConfig:
         return TreeConfig(self.max_depth, self.min_samples_split, self.min_samples_leaf)
@@ -51,11 +48,10 @@ class RandomForest(TreeModel):
         config: ForestConfig = ForestConfig(),
         seed: int = 0,
     ) -> "RandomForest":
-        X, y, _ = _validate_training_data(X, y, n_classes, None)
+        X, y = _validate_training_data(X, y, n_classes)
         n, d = X.shape
         codes = rank_codes(X)
-        m = config.feature_subsample if config.feature_subsample is not None else math.isqrt(d - 1) + 1
-        m = min(m, d)
+        m = math.isqrt(d - 1) + 1  # ceil(sqrt(d)) features tried at each split
         tree_cfg = config.tree_config()
         trees = []
         for child in np.random.SeedSequence(seed).spawn(config.n_trees):

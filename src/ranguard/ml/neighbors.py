@@ -35,7 +35,7 @@ class KnnClassifier:
         self._sq_norms: np.ndarray | None = None  # squared norm of each scaled training row
 
     def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int) -> "KnnClassifier":
-        X, y, _ = _validate_training_data(X, y, n_classes, None)
+        X, y = _validate_training_data(X, y, n_classes)
         if self.k > X.shape[0]:
             raise ValueError(f"k={self.k} exceeds training set size {X.shape[0]}")
         self.n_features = X.shape[1]

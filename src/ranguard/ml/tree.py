@@ -35,9 +35,7 @@ class TreeConfig:
             raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 
 
-def _validate_training_data(
-    X: np.ndarray, y: np.ndarray, n_classes: int, sample_weight: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _validate_training_data(X: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -55,15 +53,7 @@ def _validate_training_data(
     y = y.astype(np.int64)
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError(f"labels must be in [0, {n_classes}), got range [{y.min()}, {y.max()}]")
-    if sample_weight is None:
-        w = np.ones(X.shape[0], dtype=np.float64)
-    else:
-        w = np.asarray(sample_weight, dtype=np.float64)
-        if w.shape != (X.shape[0],):
-            raise ValueError(f"sample_weight shape {w.shape} does not match {X.shape[0]} samples")
-        if (w <= 0).any() or not np.isfinite(w).all():
-            raise ValueError("sample weights must be finite and > 0")
-    return X, y, w
+    return X, y
 
 
 def rank_codes(X: np.ndarray) -> np.ndarray:
@@ -196,25 +186,12 @@ class DecisionTree(TreeModel):
 
     @classmethod
     def train(
-        cls,
-        X: np.ndarray,
-        y: np.ndarray,
-        n_classes: int,
-        config: TreeConfig = TreeConfig(),
-        *,
-        sample_weight: np.ndarray | None = None,
-        feature_subsample: int | None = None,
-        rng: np.random.Generator | None = None,
+        cls, X: np.ndarray, y: np.ndarray, n_classes: int, config: TreeConfig = TreeConfig()
     ) -> "DecisionTree":
-        X, y, w = _validate_training_data(X, y, n_classes, sample_weight)
-        d = X.shape[1]
-        if feature_subsample is not None:
-            if not 1 <= feature_subsample <= d:
-                raise ValueError(f"feature_subsample must be in [1, {d}], got {feature_subsample}")
-            if rng is None:
-                raise ValueError("feature_subsample requires an rng")
-        draws = np.ones(X.shape[0], dtype=np.int64)
-        return _grow(X, rank_codes(X), y, w, n_classes, config, feature_subsample, rng, draws)
+        X, y = _validate_training_data(X, y, n_classes)
+        n = X.shape[0]
+        draws = np.ones(n, dtype=np.int64)
+        return _grow(X, rank_codes(X), y, np.ones(n), n_classes, config, None, None, draws)
 
     def to_dict(self) -> dict:
         return {

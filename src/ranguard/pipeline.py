@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .databus import Broker, BusClient, BusDisconnected, FrameKind, now_us
 from .kpm import (
     CLASS_ORDER,
     CSV_HEADER,
-    FEATURE_COUNT,
     LabeledSample,
     TrafficCategory,
     TrafficClass,
@@ -56,7 +55,6 @@ from .ransim import (
 from .traffic import ScriptSegment
 from .xapp import (
     Decision,
-    DelayModel,
     GroundTruthSegment,
     LatencyReport,
     OnlineClassifier,
@@ -65,6 +63,7 @@ from .xapp import (
     ground_truth_segments,
     latency_report,
     time_to_correct,
+    virtual_trace,
 )
 
 ATTACK_CLASSES = tuple(c for c in TrafficClass if category_of(c) is TrafficCategory.ATTACK)
@@ -387,11 +386,10 @@ def closed_loop(
     class_labels: Sequence[TrafficClass],
     *,
     policy: PolicyMap | None = None,
-    delay_model: DelayModel | None = None,
 ) -> ClosedLoopResult:
     """Station, bus semantics, and classifier composed synchronously in virtual time.
 
-    The loop owns the virtual clock: each tick gets one delay-model trace, as
+    The loop owns the virtual clock: each tick gets one `virtual_trace`, as
     if its samples had crossed the bus, and each sample goes straight to
     OnlineClassifier.on_sample with it. Any command is applied T_d after the
     send, so the released UE disappears from the next tick exactly as it
@@ -401,7 +399,6 @@ def closed_loop(
         raise ValueError("closed_loop is a virtual-time harness; use run_scenario for real time")
     if not hasattr(model, "predict"):
         raise ValueError("closed_loop needs a model with predict(features) -> class index")
-    delay_model = delay_model if delay_model is not None else DelayModel()
     bs = build_station(config)
     segments = tuple(ground_truth_segments(bs, config.duration_ms))
     xapp = OnlineClassifier(model, class_labels, policy)
@@ -412,7 +409,7 @@ def closed_loop(
     false_releases: list[int] = []
     release_ms: dict[int, float] = {}  # each UE's first release, applied t_d_us after its send
     for t in range(0, config.duration_ms, config.period_ms):
-        trace = delay_model.trace(t * 1000)
+        trace = virtual_trace(t * 1000)
         for labeled in bs.tick_samples(t):
             decision = xapp.on_sample(labeled.sample, trace)
             decisions.append(decision)

@@ -38,24 +38,11 @@ class RrcState(Enum):
     IDLE = "idle"
 
 
-class UePolicy(Enum):
-    FORWARD = "forward"
-    PRIORITIZE = "prioritize"
-    DROP = "drop"
-
-
 class CommandAction(Enum):
     FORWARD = "forward"
     PRIORITIZE = "prioritize"
     DROP = "drop"
     RRC_RELEASE = "rrc_release"
-
-
-_POLICY_FOR_ACTION = {
-    CommandAction.FORWARD: UePolicy.FORWARD,
-    CommandAction.PRIORITIZE: UePolicy.PRIORITIZE,
-    CommandAction.DROP: UePolicy.DROP,
-}
 
 
 @dataclass(frozen=True)
@@ -103,7 +90,7 @@ class UeContext:
     ue_id: int
     stream: ScriptedStream
     rrc_state: RrcState = RrcState.CONNECTED
-    policy: UePolicy = UePolicy.FORWARD
+    policy: CommandAction = CommandAction.FORWARD  # FORWARD, PRIORITIZE or DROP
 
     @property
     def label(self) -> TrafficClass:
@@ -159,7 +146,7 @@ class BaseStation:
             if ue.rrc_state is not RrcState.CONNECTED:
                 continue
             labeled = ue.stream.next_sample(now_ms, self.bs_id, ue.ue_id)
-            if ue.policy is UePolicy.DROP:
+            if ue.policy is CommandAction.DROP:
                 # the UE still transmits; the BS discards, so upstream sees no uplink
                 zeroed = replace(labeled.sample, ul_brate_bps=0.0, ul_pkts_ok=0, ul_pkts_nok=0)
                 labeled = LabeledSample(zeroed, labeled.label)
@@ -190,11 +177,10 @@ class BaseStation:
                 return None  # already released; idempotent
             ue.rrc_state = RrcState.IDLE
             return dict(record, rrc_state=RrcState.IDLE.value, prev_rrc_state=RrcState.CONNECTED.value)
-        new_policy = _POLICY_FOR_ACTION[cmd.action]
-        if ue.policy is new_policy:
+        if ue.policy is cmd.action:
             return None  # policy commands are idempotent
-        payload = dict(record, policy=new_policy.value, prev_policy=ue.policy.value)
-        ue.policy = new_policy
+        payload = dict(record, policy=cmd.action.value, prev_policy=ue.policy.value)
+        ue.policy = cmd.action
         return payload
 
 
@@ -448,22 +434,15 @@ def labeled_stream(config: ScenarioConfig) -> Iterator[LabeledSample]:
         yield from bs.tick_samples(t)
 
 
-def connect_with_retry(
-    host: str, port: int, *, attempts: int = 6, base_delay_s: float = 0.05
-) -> BusClient:
-    """Dial the broker, backing off between attempts; raises after the last failure."""
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    delay = base_delay_s
-    for attempt in range(attempts):
+def connect_with_retry(host: str, port: int) -> BusClient:
+    """Dial the broker up to 6 times, sleeping 0.05 s, then twice as long after each
+    failure; raises the last failure."""
+    for delay in (0.05, 0.1, 0.2, 0.4, 0.8):
         try:
             return BusClient.connect(host, port)
         except OSError:
-            if attempt == attempts - 1:
-                raise
             time.sleep(delay)
-            delay *= 2
-    raise AssertionError("unreachable")
+    return BusClient.connect(host, port)
 
 
 @dataclass(frozen=True)

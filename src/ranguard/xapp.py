@@ -5,7 +5,7 @@ one Decision: the raw model prediction, the window-majority smoothed verdict,
 an optional mitigation command (emitted once per sustained attack episode),
 and a LatencyTrace capturing where the control loop spent its time. Only
 on_measurement reads a clock, the wall clock of bus frames; on_sample takes
-the trace its caller made, such as a DelayModel's in a virtual run.
+the trace its caller made, such as `virtual_trace`'s in a virtual run.
 """
 
 from __future__ import annotations
@@ -103,33 +103,20 @@ _STAMP_NAMES = tuple(f.name for f in fields(LatencyTrace))
 _stamps = attrgetter(*_STAMP_NAMES)
 
 
-@dataclass(frozen=True)
-class DelayModel:
-    """Fixed per-leg delays for deterministic virtual-time stamping.
+# Fixed per-leg delays of the virtual loop: a 670 us network round trip,
+# 45 us bus processing and a 2.86 ms inference make a 3.62 ms control loop.
+DELTA_BD_US = 167
+DELTA_DR_US = 168
+DELTA_D_US = 45
+DELTA_I_US = 2860
 
-    Defaults give a 670 us network round trip, 45 us bus processing, and a
-    2.86 ms inference: a 3.62 ms control loop.
-    """
 
-    delta_bd_us: int = 167
-    delta_dr_us: int = 168
-    delta_d_us: int = 45
-    delta_i_us: int = 2860
-
-    def __post_init__(self) -> None:
-        for name in ("delta_bd_us", "delta_dr_us", "delta_d_us", "delta_i_us"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool or a float would make every trace fail its check
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-
-    def trace(self, t_bs_send_us: int) -> LatencyTrace:
-        """Fully synthetic trace: every stamp a fixed offset from the send stamp."""
-        t_bus_in = t_bs_send_us + self.delta_bd_us
-        t_bus_out = t_bus_in + self.delta_d_us
-        t_recv = t_bus_out + self.delta_dr_us
-        return LatencyTrace(t_bs_send_us, t_bus_in, t_bus_out, t_recv, t_recv, t_recv + self.delta_i_us)
+def virtual_trace(t_bs_send_us: int) -> LatencyTrace:
+    """Fully synthetic trace: every stamp a fixed leg offset from the send stamp."""
+    t_bus_in = t_bs_send_us + DELTA_BD_US
+    t_bus_out = t_bus_in + DELTA_D_US
+    t_recv = t_bus_out + DELTA_DR_US
+    return LatencyTrace(t_bs_send_us, t_bus_in, t_bus_out, t_recv, t_recv, t_recv + DELTA_I_US)
 
 
 @dataclass(frozen=True)
@@ -145,13 +132,12 @@ class LatencyReport:
     delta_d: QuantilePair
     t_n: QuantilePair
     t_d: QuantilePair
-    budget_us: int
     over_budget: int  # traces whose total delay exceeds the budget
     worst_t_d_us: int
 
     @property
     def p99_margin_us(self) -> float:
-        return self.budget_us - self.t_d.p99_us
+        return BUDGET_US - self.t_d.p99_us
 
     def summary_lines(self) -> list[str]:
         def fmt(name: str, pair: QuantilePair) -> str:
@@ -163,13 +149,13 @@ class LatencyReport:
             fmt("delta_d", self.delta_d),
             fmt("t_n", self.t_n),
             fmt("T_d", self.t_d),
-            f"budget:   {self.budget_us/1000:.0f} ms, margin at p99 {self.p99_margin_us/1000:.3f} ms",
+            f"budget:   {BUDGET_US/1000:.0f} ms, margin at p99 {self.p99_margin_us/1000:.3f} ms",
             f"over budget: {self.over_budget} (worst T_d {self.worst_t_d_us/1000:.3f} ms)",
         ]
         return lines
 
 
-def latency_report(traces: Sequence[LatencyTrace], *, budget_us: int = BUDGET_US) -> LatencyReport:
+def latency_report(traces: Sequence[LatencyTrace]) -> LatencyReport:
     """Median/p99 of each delay component plus margin against the loop budget.
 
     The six stamps of every trace go into one int64 matrix, and one percentile
@@ -201,8 +187,7 @@ def latency_report(traces: Sequence[LatencyTrace], *, budget_us: int = BUDGET_US
         delta_d=delta_d_q,
         t_n=t_n_q,
         t_d=t_d_q,
-        budget_us=budget_us,
-        over_budget=int(np.count_nonzero(t_d > budget_us)),
+        over_budget=int(np.count_nonzero(t_d > BUDGET_US)),
         worst_t_d_us=int(t_d.max()),
     )
 
@@ -232,7 +217,7 @@ class PolicyMap:
             raise ValueError(f"dwell must be >= 1, got {self.dwell}")
 
     @classmethod
-    def default(cls, *, window: int = DEFAULT_WINDOW, dwell: int = DEFAULT_DWELL) -> "PolicyMap":
+    def default(cls) -> "PolicyMap":
         """Benign traffic forwards; any attack class releases the RRC connection."""
         actions = {
             c: (
@@ -242,7 +227,7 @@ class PolicyMap:
             )
             for c in TrafficClass
         }
-        return cls(actions, window=window, dwell=dwell)
+        return cls(actions)
 
 
 class PolicyError(ValueError):

@@ -117,7 +117,7 @@ class Decision:
     trace: LatencyTrace
 
 
-def latency_report(traces: Sequence, *, budget_us: int = BUDGET_US) -> LatencyReport:
+def latency_report(traces: Sequence) -> LatencyReport:
     """Each component's median and p99 in its own percentile call, read through the trace's properties."""
     if not traces:
         raise ValueError("latency_report needs at least one trace")
@@ -133,7 +133,6 @@ def latency_report(traces: Sequence, *, budget_us: int = BUDGET_US) -> LatencyRe
         delta_d=quantiles([t.delta_d_us for t in traces]),
         t_n=quantiles([t.t_n_us for t in traces]),
         t_d=quantiles(t_d),
-        budget_us=budget_us,
-        over_budget=sum(1 for v in t_d if v > budget_us),
+        over_budget=sum(1 for v in t_d if v > BUDGET_US),
         worst_t_d_us=max(t_d),
     )

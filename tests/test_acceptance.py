@@ -7,14 +7,13 @@ Shared fixtures build the seed-fixed datasets and the four classifiers once.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import pytest
 
 from ranguard import pipeline
 from ranguard.kpm import CLASS_ORDER, TrafficClass, read_dataset
 from ranguard.ransim import CommandAction
-from ranguard.xapp import DelayModel, PolicyMap
+from ranguard.xapp import PolicyMap
 from xapp_oracle import fraction_within
 
 TRAIN_SEED = 0

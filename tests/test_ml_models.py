@@ -12,6 +12,7 @@ from ranguard.ml.adaboost import AdaBoost, BoostConfig
 from ranguard.ml.forest import ForestConfig, RandomForest
 from ranguard.ml.neighbors import KnnClassifier
 from ranguard.ml.tree import DecisionTree, TreeConfig
+from tree_oracle import oracle_tree
 
 
 def leaf_tree(label: int, n_features: int = 2, n_classes: int = 3) -> DecisionTree:
@@ -81,9 +82,8 @@ def test_forest_replicates_manual_bootstrap(blob_data):
     child = np.random.SeedSequence(3).spawn(1)[0]
     rng = np.random.default_rng(child)
     boot = rng.integers(0, len(y), size=len(y))
-    manual = DecisionTree.train(
-        X[boot], y[boot], 4, TreeConfig(5, 5, 1), feature_subsample=2, rng=rng
-    )
+    # ceil(sqrt(2)) = 2 features a split: all of them, so no subset is drawn
+    manual = DecisionTree.train(X[boot], y[boot], 4, TreeConfig(5, 5, 1))
     assert rf.trees[0].to_dict() == manual.to_dict()
 
 
@@ -104,13 +104,21 @@ def test_forest_counts_draws_not_distinct_rows(min_split, min_leaf):
 
 
 def test_forest_default_subsample_is_ceil_sqrt_d():
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(100, 10))
-    y = rng.integers(0, 2, size=100)
-    # just verifies training runs with the derived default; 10 features -> 4
-    rf = RandomForest.train(X, y, 2, ForestConfig(n_trees=2, max_depth=3), seed=1)
-    assert rf.n_features == 10
-    assert math.isqrt(9) + 1 == 4
+    # the third tree of a 10-feature forest, rebuilt by hand: its bootstrap, then
+    # ceil(sqrt(10)) = 4 features drawn at each split from the same tape
+    data = np.random.default_rng(0)
+    X = data.normal(size=(100, 10))
+    y = (X[:, 1] + X[:, 6] - X[:, 8] > 0).astype(int) + (X[:, 3] > 1)
+    config = ForestConfig(n_trees=3, max_depth=4)
+    rf = RandomForest.train(X, y, 3, config, seed=1)
+
+    def by_hand(m: int) -> DecisionTree:
+        rng = np.random.default_rng(np.random.SeedSequence(1).spawn(3)[2])
+        boot = rng.integers(0, len(y), size=len(y))
+        return oracle_tree(X[boot], y[boot], 3, config.tree_config(), feature_subsample=m, rng=rng)
+
+    assert rf.trees[2].to_dict() == by_hand(4).to_dict()
+    assert all(rf.trees[2].to_dict() != by_hand(m).to_dict() for m in (3, 5))
 
 
 def test_forest_monotone_rescale_invariance(blob_data):
@@ -132,8 +140,6 @@ def test_forest_batch_matches_single(blob_data):
 def test_forest_config_validation():
     with pytest.raises(ValueError):
         ForestConfig(n_trees=0)
-    with pytest.raises(ValueError):
-        ForestConfig(feature_subsample=0)
     with pytest.raises(ValueError):
         RandomForest([], 2, 3)
 

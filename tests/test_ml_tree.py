@@ -10,10 +10,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ranguard.ml import AdaBoost, BoostConfig, ForestConfig, KnnClassifier, RandomForest
-from ranguard.ml.tree import DecisionTree, TreeConfig, _split_costs, rank_codes
+from ranguard.ml.tree import DecisionTree, TreeConfig, _grow, _split_costs, rank_codes
 from tree_oracle import decision_path, gini, oracle_adaboost, oracle_costs, oracle_forest, oracle_tree, tree_depth
 
 SMALL = TreeConfig(max_depth=15, min_samples_split=2, min_samples_leaf=1)
+
+
+def grow(X, y, n_classes, config, w=None, subsample=None, rng=None) -> DecisionTree:
+    """One tree grown as the forest and AdaBoost grow theirs: weighted rows, and maybe
+    `subsample` features drawn from `rng` at each split. Each row counts once toward the
+    sample floors."""
+    n = X.shape[0]
+    w = np.ones(n) if w is None else w
+    draws = np.ones(n, dtype=np.int64)
+    return _grow(X, rank_codes(X), np.asarray(y, np.int64), w, n_classes, config, subsample, rng, draws)
 
 
 # --- gini (the oracle's impurity) ------------------------------------------------
@@ -168,7 +178,7 @@ def test_weighting_equals_duplication():
     w = np.ones(60)
     w[:20] = 2.0
     t_dup = DecisionTree.train(dup[0], dup[1], 3, TreeConfig(4, 2, 2))
-    t_w = DecisionTree.train(X, y, 3, TreeConfig(4, 2, 1), sample_weight=w)
+    t_w = grow(X, y, 3, TreeConfig(4, 2, 1), w)
     # same impurity surface -> same first split
     assert t_dup.feature[0] == t_w.feature[0]
     assert t_dup.threshold[0] == t_w.threshold[0]
@@ -309,10 +319,13 @@ def test_tree_equals_the_oracle_grower(data, config, draw):
     w = None if w is None else w / w.sum()
     subsample = draw.draw(st.none() | st.integers(1, d))
     seed = draw.draw(st.integers(0, 2**32 - 1))
-    kwargs = dict(sample_weight=w, feature_subsample=subsample)
-    ours = DecisionTree.train(X, y, n_classes, config, rng=np.random.default_rng(seed), **kwargs)
-    ref = oracle_tree(X, y, n_classes, config, rng=np.random.default_rng(seed), **kwargs)
+    ours = grow(X, y, n_classes, config, w, subsample, np.random.default_rng(seed))
+    ref = oracle_tree(
+        X, y, n_classes, config, sample_weight=w, feature_subsample=subsample, rng=np.random.default_rng(seed)
+    )
     assert same_model(ours, ref)
+    if w is None and subsample is None:
+        assert same_model(DecisionTree.train(X, y, n_classes, config), ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,7 +337,6 @@ def test_tree_equals_the_oracle_grower(data, config, draw):
         st.integers(1, 8),
         st.integers(2, 6),
         st.integers(1, 4),
-        st.none() | st.integers(1, 5),
     ),
     st.integers(0, 2**32 - 1),
 )
@@ -364,7 +376,7 @@ def test_tree_with_more_ranks_than_uint16_equals_the_oracle_grower(seed, n_class
     y = np.minimum((X[:, 0] > n / 6) + (X[:, 1] == 2) + rng.integers(0, 2, n), n_classes - 1)
     w = rng.uniform(0.1, 3.0, n) / n if weighted else None
     assert rank_codes(X).dtype == np.uint32
-    ours = DecisionTree.train(X, y, n_classes, config, sample_weight=w)
+    ours = DecisionTree.train(X, y, n_classes, config) if w is None else grow(X, y, n_classes, config, w)
     assert same_model(ours, oracle_tree(X, y, n_classes, config, sample_weight=w))
 
 
@@ -420,18 +432,6 @@ def test_rejects_non_finite_features():
     X = np.array([[1.0], [np.nan]])
     with pytest.raises(ValueError, match="finite"):
         DecisionTree.train(X, np.array([0, 1]), 2, SMALL)
-
-
-def test_rejects_bad_weights():
-    X = np.array([[1.0], [2.0]])
-    with pytest.raises(ValueError, match="weights"):
-        DecisionTree.train(X, np.array([0, 1]), 2, SMALL, sample_weight=np.array([1.0, 0.0]))
-
-
-def test_rejects_subsample_without_rng():
-    X = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(ValueError, match="rng"):
-        DecisionTree.train(X, np.array([0, 1]), 2, SMALL, feature_subsample=1)
 
 
 def test_rejects_bad_config():

@@ -25,9 +25,9 @@ from ranguard.kpm import (
     category_of,
     read_dataset,
 )
-from ranguard.ml import DecisionTree, TreeConfig, load_model, save_model
-from ranguard.ransim import CommandAction, TimeMode, UeSpec, build_station
-from ranguard.xapp import DelayModel, PolicyMap
+from ranguard.ml import load_model, save_model
+from ranguard.ransim import CommandAction, TimeMode, build_station
+from ranguard.xapp import PolicyMap
 from xapp_oracle import frame_route_decisions
 
 
@@ -319,7 +319,7 @@ def test_closed_loop_latency_trace_identity(demo_result):
     for decision in demo_result.decisions:
         trace = decision.trace
         assert trace.t_d_us == trace.t_n_us + 2 * trace.delta_d_us + trace.delta_i_us
-        assert trace.t_d_us == 3620  # the default DelayModel's legs
+        assert trace.t_d_us == 3620  # the virtual loop's fixed legs
     assert demo_result.latency.count == len(demo_result.decisions)
     assert demo_result.latency.over_budget == 0
 
@@ -387,15 +387,13 @@ def tree_models(train_rows):
     window=st.integers(1, 8),
     dwell=st.integers(1, 6),
     actions=st.lists(st.sampled_from(list(CommandAction)), min_size=len(TrafficClass), max_size=len(TrafficClass)),
-    legs=st.lists(st.integers(0, 5000), min_size=4, max_size=4),
 )
-def test_closed_loop_decides_as_the_frame_route(tree_models, seed, algo, window, dwell, actions, legs):
+def test_closed_loop_decides_as_the_frame_route(tree_models, seed, algo, window, dwell, actions):
     config = pipeline.attack_demo_scenario(seed)
     policy = PolicyMap(dict(zip(TrafficClass, actions)), window=window, dwell=dwell)
-    delay_model = DelayModel(*legs)
     model = tree_models[algo]
-    result = pipeline.closed_loop(config, model, CLASS_ORDER, policy=policy, delay_model=delay_model)
-    assert list(result.decisions) == frame_route_decisions(config, model, CLASS_ORDER, policy, delay_model)
+    result = pipeline.closed_loop(config, model, CLASS_ORDER, policy=policy)
+    assert list(result.decisions) == frame_route_decisions(config, model, CLASS_ORDER, policy)
 
 
 def test_attack_spans_merge_adjacent_segments():

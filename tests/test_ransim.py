@@ -22,7 +22,6 @@ from ranguard.ransim import (
     ScenarioConfig,
     ScenarioError,
     TimeMode,
-    UePolicy,
     UeSpec,
     build_station,
     connect_with_retry,
@@ -102,14 +101,14 @@ def test_release_moves_ue_to_idle_and_is_idempotent():
 
 def test_policy_commands_are_idempotent():
     bs = two_ue_station()
-    assert bs.ue(1).policy is UePolicy.FORWARD
+    assert bs.ue(1).policy is CommandAction.FORWARD
     noop = RicCommand(1, CommandAction.FORWARD, issued_at_us=0)
     assert bs.apply_command(noop, applied_at_us=10) is None
     event = bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0), applied_at_us=20)
     assert event is not None
     assert event["policy"] == "drop"
     assert event["prev_policy"] == "forward"
-    assert bs.ue(1).policy is UePolicy.DROP
+    assert bs.ue(1).policy is CommandAction.DROP
     assert bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0), applied_at_us=30) is None
 
 
@@ -188,7 +187,7 @@ def test_every_station_sample_crosses_the_trust_boundary_unchanged(classes, seed
             crossed = KpmSample.from_payload(sample.to_payload())
             assert crossed == sample
             assert repr(crossed) == repr(sample)  # same types too: 0 against 0.0 would show
-    assert bs.ue(2).policy is UePolicy.DROP
+    assert bs.ue(2).policy is CommandAction.DROP
 
 
 def test_tick_must_align_to_period():
@@ -523,11 +522,35 @@ def test_run_scenario_applies_commands_mid_flight():
             assert set(seen_after_event) == {1}
 
 
-def test_connect_with_retry_gives_up_after_attempts():
-    t0 = time.monotonic()
-    with pytest.raises(OSError):
-        connect_with_retry("127.0.0.1", 1, attempts=3, base_delay_s=0.01)
-    assert time.monotonic() - t0 < 5.0
+def test_connect_with_retry_gives_up_after_attempts(monkeypatch):
+    # a refused dial is retried after 0.05 s, doubling, and the sixth failure is raised
+    sleeps, dials = [], []
+
+    def refuse(host, port):
+        dials.append((host, port))
+        raise ConnectionRefusedError(f"refused #{len(dials)}")
+
+    monkeypatch.setattr(ransim.time, "sleep", sleeps.append)
+    monkeypatch.setattr(BusClient, "connect", staticmethod(refuse))
+    with pytest.raises(ConnectionRefusedError, match="refused #6"):
+        connect_with_retry("127.0.0.1", 1)
+    assert dials == [("127.0.0.1", 1)] * 6
+    assert sleeps == [0.05, 0.1, 0.2, 0.4, 0.8]
+
+
+def test_connect_with_retry_returns_the_first_client_that_connects(monkeypatch):
+    sleeps, outcomes = [], [OSError("down"), OSError("down"), "client"]
+
+    def dial(host, port):
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, OSError):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(ransim.time, "sleep", sleeps.append)
+    monkeypatch.setattr(BusClient, "connect", staticmethod(dial))
+    assert connect_with_retry("127.0.0.1", 1) == "client"
+    assert sleeps == [0.05, 0.1] and outcomes == []
 
 
 def test_command_frame_yields_one_event_frame_per_state_change():
@@ -561,7 +584,7 @@ def test_malformed_command_frame_reports_error_event():
     assert not ok
     assert event is not None
     assert "bad command payload" in event.payload["error"]
-    assert bs.ue(1).policy is UePolicy.FORWARD
+    assert bs.ue(1).policy is CommandAction.FORWARD
 
 
 def test_command_wire_body_with_infinity_reports_error_event():

@@ -27,8 +27,11 @@ from ranguard.ransim import (
 from ranguard.traffic import ScriptSegment
 from ranguard.xapp import (
     BUDGET_US,
+    DELTA_BD_US,
+    DELTA_D_US,
+    DELTA_DR_US,
+    DELTA_I_US,
     Decision,
-    DelayModel,
     GroundTruthSegment,
     LatencyTrace,
     OnlineClassifier,
@@ -38,6 +41,7 @@ from ranguard.xapp import (
     latency_report,
     parse_policy,
     time_to_correct,
+    virtual_trace,
 )
 from config_oracle import format_policy
 from xapp_oracle import FrameRouteClassifier, fraction_within, window_majority
@@ -79,8 +83,13 @@ def frame_for(ue_id: int, t_ms: int, cls: TrafficClass) -> DatabusFrame:
     return DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", t_ms * 1000, sample_for(ue_id, t_ms, cls).to_payload())
 
 
+def policy_with(**knobs) -> PolicyMap:
+    """The default policy with other window or dwell knobs."""
+    return replace(PolicyMap.default(), **knobs)
+
+
 def modeled_xapp(window: int = 5, dwell: int = 3) -> OnlineClassifier:
-    return OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=window, dwell=dwell))
+    return OnlineClassifier(IndexModel(), CLASS_ORDER, policy_with(window=window, dwell=dwell))
 
 
 def wall_xapp() -> OnlineClassifier:
@@ -89,7 +98,7 @@ def wall_xapp() -> OnlineClassifier:
 
 def feed(xapp: OnlineClassifier, ue_id: int, t_ms: int, cls: TrafficClass) -> Decision:
     """One modeled decision on the sample of class cls, sent at t_ms."""
-    return xapp.on_sample(sample_for(ue_id, t_ms, cls), DelayModel().trace(t_ms * 1000))
+    return xapp.on_sample(sample_for(ue_id, t_ms, cls), virtual_trace(t_ms * 1000))
 
 
 # -- latency traces --
@@ -137,7 +146,7 @@ def test_trace_rejects_out_of_order_stamps():
 
 
 def test_delay_model_defaults_hit_reference_totals():
-    trace = DelayModel().trace(1_000_000)
+    trace = virtual_trace(1_000_000)
     assert astuple(trace) == (1_000_000, 1_000_167, 1_000_212, 1_000_380, 1_000_380, 1_003_240)
     assert trace.t_n_us == 670
     assert trace.t_d_us == 3620
@@ -145,20 +154,7 @@ def test_delay_model_defaults_hit_reference_totals():
 
 def test_delay_model_refuses_a_float_send_stamp():
     with pytest.raises(ValueError, match="t_bs_send_us must be a nonnegative integer, got 200000.0"):
-        DelayModel().trace(200_000.0)
-
-
-def test_delay_model_rejects_negative_legs():
-    with pytest.raises(ValueError):
-        DelayModel(delta_d_us=-1)
-
-
-@pytest.mark.parametrize("leg", ["delta_bd_us", "delta_dr_us", "delta_d_us", "delta_i_us"])
-@pytest.mark.parametrize("value", [2.5, 3.0, True, False, "5", None])
-def test_delay_model_refuses_a_leg_that_is_not_an_int(leg, value):
-    # a float leg once passed here and failed only at the first decision's trace
-    with pytest.raises(ValueError, match=f"{leg} must be an int, got {value!r}"):
-        DelayModel(**{leg: value})
+        virtual_trace(200_000.0)
 
 
 class WebModel:
@@ -169,15 +165,14 @@ class WebModel:
 def test_samples_of_one_tick_share_one_trace():
     # closed_loop stamps each tick once, and on_sample keeps the trace it is given
     config = ScenarioConfig(duration_ms=1000, ues=tuple(UeSpec(ue, None) for ue in (1, 2, 3)))
-    model = DelayModel(10, 20, 30, 40)
-    result = closed_loop(config, WebModel(), CLASS_ORDER, delay_model=model)
+    result = closed_loop(config, WebModel(), CLASS_ORDER)
     by_tick: dict[int, list[Decision]] = {}
     for d in result.decisions:
         by_tick.setdefault(d.timestamp_ms, []).append(d)
     assert sorted(by_tick) == list(range(0, 1000, 100))
     for t_ms, tick in by_tick.items():
         assert len(tick) == 3 and tick[0].trace is tick[1].trace is tick[2].trace
-        assert tick[0].trace == model.trace(t_ms * 1000)
+        assert tick[0].trace == virtual_trace(t_ms * 1000)
 
 
 def test_latency_report_matches_direct_recomputation():
@@ -208,9 +203,10 @@ def test_latency_report_zero_trace_full_margin():
 
 
 def test_latency_report_flags_budget_violations():
-    small = DelayModel().trace(0)
+    small = virtual_trace(0)
+    on_budget = LatencyTrace(0, 0, 0, 0, 0, BUDGET_US)
     huge = LatencyTrace(0, 0, 0, 0, 0, 2_000_000)
-    report = latency_report([small, huge])
+    report = latency_report([small, on_budget, huge])
     assert report.over_budget == 1
     assert report.worst_t_d_us == 2_000_000
 
@@ -261,7 +257,7 @@ def test_smooth_equals_window_recount(labels, window):
     # the classifier's running counts, with the model's labels in an order of their own:
     # IndexModel predicts the index planted for CLASS_ORDER[j], and order[j] is cls
     order = CLASS_ORDER[::-1]
-    xapp = OnlineClassifier(IndexModel(), order, PolicyMap.default(window=window))
+    xapp = OnlineClassifier(IndexModel(), order, policy_with(window=window))
     planted = [CLASS_ORDER[order.index(cls)] for cls in labels]
     served = [feed(xapp, 1, k * 100, c) for k, c in enumerate(planted)]
     assert [d.smoothed for d in served] == smoothed
@@ -294,7 +290,7 @@ def test_policy_must_cover_every_class():
 @pytest.mark.parametrize("kwargs", [{"window": 0}, {"dwell": 0}])
 def test_policy_rejects_bad_knobs(kwargs):
     with pytest.raises(ValueError):
-        PolicyMap.default(**kwargs)
+        policy_with(**kwargs)
 
 
 # -- the decision state machine --
@@ -321,7 +317,7 @@ def test_no_command_before_the_window_fills():
     expected = [False] * 4 + [True] + [False] * 3
     served = modeled_xapp(window=5, dwell=3)
     assert [feed(served, 7, t * 100, SLOW).command is not None for t in range(8)] == expected
-    oracle = FrameRouteClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=5, dwell=3))
+    oracle = FrameRouteClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default())
     assert [oracle.on_measurement(frame_for(7, t * 100, SLOW)).command is not None for t in range(8)] == expected
 
 
@@ -385,7 +381,7 @@ def test_an_attacker_is_released_while_its_ue_id_is_benign_on_another_station():
     commands = []
     for t in range(20):
         for bs_id, cls in ((1, HULK), (2, WEB)):
-            d = xapp.on_sample(on_station(bs_id, 7, t * 100, cls), DelayModel().trace(t * 100_000))
+            d = xapp.on_sample(on_station(bs_id, 7, t * 100, cls), virtual_trace(t * 100_000))
             if d.command is not None:
                 commands.append((bs_id, d.command.ue_id, d.command.action))
     assert commands == [(1, 7, CommandAction.RRC_RELEASE)]
@@ -407,7 +403,7 @@ def test_two_stations_with_the_same_ue_ids_decide_as_each_would_alone(rows):
         return d.ue_id, d.timestamp_ms, d.raw, d.smoothed, action, d.trace
 
     for t, (bs_id, ue_id, cls) in enumerate(rows):
-        sample, trace = on_station(bs_id, ue_id, t * 100, cls), DelayModel().trace(t * 100_000)
+        sample, trace = on_station(bs_id, ue_id, t * 100, cls), virtual_trace(t * 100_000)
         assert view(shared.on_sample(sample, trace)) == view(alone[bs_id].on_sample(sample, trace))
     assert len(shared._tracks) == sum(len(xapp._tracks) for xapp in alone.values())
 
@@ -493,13 +489,12 @@ def test_out_of_range_prediction_is_an_error():
 
 
 def test_modeled_traces_are_exact():
-    model = DelayModel()
     xapp = modeled_xapp(window=1, dwell=1)
     benign = feed(xapp, 1, 200, WEB)
-    assert benign.trace == model.trace(200_000)
+    assert benign.trace == virtual_trace(200_000)
     attack = feed(xapp, 1, 300, HULK)
     assert attack.command is not None
-    assert attack.trace == model.trace(300_000)
+    assert attack.trace == virtual_trace(300_000)
     assert attack.command.issued_at_us == attack.trace.t_infer_end_us == 300_000 + 380 + 2860
 
 
@@ -507,7 +502,7 @@ def test_wall_mode_uses_bus_stamps():
     sample_payload = frame_for(1, 50, HULK).payload
     payload = dict(sample_payload, bus={"in_us": 60_000, "out_us": 61_000})
     frame = DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 50_000, payload)
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, policy_with(window=1, dwell=1))
     d = xapp.on_measurement(frame)
     assert d.trace.t_bs_send_us == 50_000
     assert d.trace.t_bus_in_us == 60_000
@@ -523,7 +518,7 @@ def test_each_entry_point_reads_one_clock():
     # on_measurement reads the wall clock three times, the receive stamp first;
     # on_sample and the decision step read none
     clock = iter([70_000, 71_000, 72_000])
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, policy_with(window=1, dwell=1))
     with mock.patch.object(xapp_module, "now_us", lambda: next(clock)):
         d = xapp.on_measurement(frame_for(1, 50, HULK))
     assert astuple(d.trace) == (50_000, 50_000, 50_000, 70_000, 71_000, 72_000)
@@ -553,7 +548,7 @@ def bus_frame(bus, *, t_sent_us: int = 50_000) -> DatabusFrame:
     ids=["text", "null", "inf", "float", "bool", "negative", "sender_ahead", "out_before_in"],
 )
 def test_bad_bus_stamp_is_malformed(bus, t_sent_us):
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, policy_with(window=1, dwell=1))
     assert xapp.on_measurement(bus_frame(bus, t_sent_us=t_sent_us)) is None
     assert xapp.malformed == 1
     assert xapp.on_measurement(bus_frame({"in_us": 60_000, "out_us": 61_000})) is not None
@@ -569,7 +564,7 @@ JSON = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(JSON | st.fixed_dictionaries({}, optional={"in_us": JSON, "out_us": JSON}), st.integers(0, 10**7))
 def test_wall_mode_never_raises_on_any_bus_value(bus, t_sent_us):
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, policy_with(window=1, dwell=1))
     decision = xapp.on_measurement(bus_frame(bus, t_sent_us=t_sent_us))
     assert (decision is None) == (xapp.malformed == 1)
 
@@ -613,26 +608,20 @@ def test_on_measurement_never_raises_on_any_payload(changes, keep):
         assert without_clock_reads(decision) == without_clock_reads(expected)
 
 
-LEGS = st.lists(st.integers(0, 5000), min_size=4, max_size=4)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    legs=LEGS,
     t_sent_us=st.integers(0, 10**12),
     labels=st.lists(st.sampled_from(list(TrafficClass)), min_size=1, max_size=20),
 )
-def test_on_sample_stamps_exactly_the_delay_model(legs, t_sent_us, labels):
-    delay_model = DelayModel(*legs)
-    bd, dr, d_bus, i = legs
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+def test_on_sample_stamps_exactly_the_delay_model(t_sent_us, labels):
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, policy_with(window=1, dwell=1))
     commands = 0
     with mock.patch.object(xapp_module, "now_us", lambda: pytest.fail("on_sample read the wall clock")):
         for k, cls in enumerate(labels):
             t = t_sent_us + k * 100_000
-            d = xapp.on_sample(sample_for(1, k * 100, cls), delay_model.trace(t))
-            assert d.trace == delay_model.trace(t)
-            assert d.trace.t_d_us == 2 * (bd + dr) + 2 * d_bus + i
+            d = xapp.on_sample(sample_for(1, k * 100, cls), virtual_trace(t))
+            assert d.trace == virtual_trace(t)
+            assert d.trace.t_d_us == 2 * (DELTA_BD_US + DELTA_DR_US) + 2 * DELTA_D_US + DELTA_I_US
             if d.command is not None:
                 commands += 1
                 assert d.command.issued_at_us == d.trace.t_infer_end_us
@@ -651,7 +640,7 @@ def test_wall_mode_trace_is_monotone_and_carries_the_frame_stamps(t_sent_us, gap
     t_in = t_sent_us + gaps[0]
     t_out = t_in + gaps[1]
     payload = dict(frame_for(1, 50, cls).payload, bus={"in_us": t_in, "out_us": t_out})
-    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, PolicyMap.default(window=1, dwell=1))
+    xapp = OnlineClassifier(IndexModel(), CLASS_ORDER, policy_with(window=1, dwell=1))
     before = now_us()
     d = xapp.on_measurement(DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", t_sent_us, payload))
     after = now_us()
@@ -673,7 +662,6 @@ def seg(ue_id: int, start: int, end: int, label: TrafficClass) -> GroundTruthSeg
 
 
 def decisions_for(ue_id: int, labels: list[TrafficClass], *, start_ms: int = 0) -> list[Decision]:
-    model = DelayModel()
     out = []
     for k, label in enumerate(labels):
         t = start_ms + k * 100
@@ -684,7 +672,7 @@ def decisions_for(ue_id: int, labels: list[TrafficClass], *, start_ms: int = 0) 
                 raw=label,
                 smoothed=label,
                 command=None,
-                trace=model.trace(t * 1000),
+                trace=virtual_trace(t * 1000),
             )
         )
     return out
@@ -804,7 +792,7 @@ def test_segments_agree_with_labeled_stream():
 
 
 def test_policy_round_trip_default():
-    policy = PolicyMap.default(window=7, dwell=2)
+    policy = policy_with(window=7, dwell=2)
     assert parse_policy(format_policy(policy)) == policy
 
 

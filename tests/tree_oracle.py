@@ -159,8 +159,7 @@ def oracle_forest(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
-    m = config.feature_subsample if config.feature_subsample is not None else math.isqrt(d - 1) + 1
-    m = min(m, d)
+    m = math.isqrt(d - 1) + 1  # ceil(sqrt(d))
     trees = []
     for child in np.random.SeedSequence(seed).spawn(config.n_trees):
         rng = np.random.default_rng(child)

@@ -17,13 +17,13 @@ tests take.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from ranguard.databus import DatabusFrame, FrameKind, now_us
 from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficCategory, TrafficClass, category_of, feature_vector
 from ranguard.ransim import RicCommand, build_station
-from ranguard.xapp import Decision, DelayModel, LatencyTrace, OnlineClassifier, TimeToCorrect
+from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, TimeToCorrect, virtual_trace
 
 
 def window_majority(labels: Sequence[TrafficClass]) -> TrafficClass:
@@ -50,13 +50,16 @@ def fraction_within(ttc: TimeToCorrect, budget_ms: float) -> float:
 class FrameRouteClassifier(OnlineClassifier):
     """OnlineClassifier whose on_measurement decides inline, as before on_sample existed.
 
-    It keeps the delay model the served classifier once kept: given one, it
-    stamps each frame with the model's trace of the frame's send stamp.
+    It keeps the modeled stamping the served classifier once did: given a
+    `stamp` function, such as `virtual_trace`, it stamps each frame with
+    `stamp` of the frame's send stamp.
     """
 
-    def __init__(self, model, class_labels, policy=None, *, delay_model: DelayModel | None = None) -> None:
+    def __init__(
+        self, model, class_labels, policy=None, *, stamp: Callable[[int], LatencyTrace] | None = None
+    ) -> None:
         super().__init__(model, class_labels, policy)
-        self.delay_model = delay_model
+        self.stamp = stamp
 
     def on_measurement(self, frame: DatabusFrame) -> Decision | None:
         try:
@@ -66,10 +69,9 @@ class FrameRouteClassifier(OnlineClassifier):
             self.malformed += 1
             return None
 
-        modeled = self.delay_model
-        if modeled is not None:
+        if self.stamp is not None:
             raw_idx = int(self.model.predict(features))
-            trace = modeled.trace(frame.t_sent_us)
+            trace = self.stamp(frame.t_sent_us)
         else:
             t_send = frame.t_sent_us
             bus = frame.payload.get("bus")
@@ -127,10 +129,10 @@ class FrameRouteClassifier(OnlineClassifier):
         )
 
 
-def frame_route_decisions(config, model, class_labels, policy, delay_model) -> list[Decision]:
+def frame_route_decisions(config, model, class_labels, policy) -> list[Decision]:
     """Decisions of the virtual loop run over the frame route; commands applied as closed_loop does."""
     bs = build_station(config)
-    xapp = FrameRouteClassifier(model, class_labels, policy, delay_model=delay_model)
+    xapp = FrameRouteClassifier(model, class_labels, policy, stamp=virtual_trace)
     decisions = []
     for t in range(0, config.duration_ms, config.period_ms):
         for labeled in bs.tick_samples(t):
