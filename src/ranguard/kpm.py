@@ -8,8 +8,9 @@ from dataclasses import Field, field, fields
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
+from .files import atomic_write
 from .records import define, record
 
 
@@ -228,18 +229,34 @@ class DatasetFormatError(ValueError):
 _values = attrgetter(*_NAMES)
 
 
+def write_dataset_rows(fh: TextIO, items: Iterable[LabeledSample]) -> int:
+    """Write the CSV header, then one row per labeled sample as it is read, to an
+    open text file. Returns the row count."""
+    count = 0
+
+    def rows() -> Iterator[list[str]]:
+        nonlocal count
+        # str() of a float is its shortest round-trip repr, so read(write(x)) is exact.
+        for count, item in enumerate(items, 1):
+            yield [*map(str, _values(item.sample)), item.label.value]
+
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rows())
+    return count
+
+
 def write_dataset(path: str | Path, items: Iterable[LabeledSample]) -> int:
-    """Write labeled samples as CSV. Returns the row count; refuses empty input."""
-    # str() of a float is its shortest round-trip repr, so read(write(x)) is exact.
-    rows = [[*map(str, _values(item.sample)), item.label.value] for item in items]
-    if not rows:
-        raise ValueError("refusing to write an empty dataset")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-    return len(rows)
+    """Write labeled samples as CSV. Returns the row count; refuses empty input.
+
+    Rows stream to a temporary file that replaces `path` only once all are
+    written, so a failure leaves `path` as it was.
+    """
+    with atomic_write(path, newline="") as fh:
+        n = write_dataset_rows(fh, items)
+        if n == 0:
+            raise ValueError("refusing to write an empty dataset")
+    return n
 
 
 _PARSERS = [(n, int, "an integer") if _IS_INT[n] else (n, float, "a number") for n in _NAMES]

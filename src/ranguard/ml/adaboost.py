@@ -73,11 +73,13 @@ class AdaBoost(TreeModel):
         return cls(stumps, alphas, d, n_classes)
 
     def to_dict(self) -> dict:
+        """The model file payload. `stumps` is an iterator that makes each stump's
+        dict as it is read, so a writer holds one stump at a time."""
         return {
             "n_features": self.n_features,
             "n_classes": self.n_classes,
             "alphas": self.alphas,
-            "stumps": [s.to_dict() for s in self.stumps],
+            "stumps": map(DecisionTree.to_dict, self.stumps),
         }
 
     @classmethod

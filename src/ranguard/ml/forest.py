@@ -65,10 +65,12 @@ class RandomForest(TreeModel):
         return cls(trees, d, n_classes)
 
     def to_dict(self) -> dict:
+        """The model file payload. `trees` is an iterator that makes each tree's
+        dict as it is read, so a writer holds one tree at a time."""
         return {
             "n_features": self.n_features,
             "n_classes": self.n_classes,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": map(DecisionTree.to_dict, self.trees),
         }
 
     @classmethod

@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .databus import Broker, BusClient, BusDisconnected, FrameKind, now_us
+from .files import atomic_write
 from .kpm import (
     CLASS_ORDER,
-    CSV_HEADER,
+    FEATURE_COUNT,
     LabeledSample,
     TrafficCategory,
     TrafficClass,
@@ -27,7 +28,7 @@ from .kpm import (
     class_from_label,
     feature_vector,
     read_dataset,
-    write_dataset,
+    write_dataset_rows,
 )
 from .ml import (
     AdaBoost,
@@ -139,20 +140,12 @@ PRESETS = {
 def collect(config: ScenarioConfig, out_path: str | Path) -> int:
     """Labeled dataset CSV from a virtual-time run; returns the row count.
 
-    A failed run never leaves a partial file behind; a zero-duration run
-    leaves a header-only file.
+    Rows are written as the run makes them, to a temporary file that replaces
+    out_path at the end: a failed run leaves out_path as it was, and a
+    zero-duration run leaves a header-only file.
     """
-    out_path = Path(out_path)
-    try:
-        rows = list(labeled_stream(config))
-        if not rows:
-            with out_path.open("w", newline="") as fh:
-                csv.writer(fh).writerow(CSV_HEADER)
-            return 0
-        return write_dataset(out_path, rows)
-    except BaseException:
-        out_path.unlink(missing_ok=True)
-        raise
+    with atomic_write(out_path, newline="") as fh:
+        return write_dataset_rows(fh, labeled_stream(config))
 
 
 # -- training --
@@ -189,8 +182,11 @@ def dataset_matrix(rows: Sequence[LabeledSample]) -> tuple[np.ndarray, np.ndarra
     """Feature matrix and class-index vector in CLASS_ORDER."""
     if not rows:
         raise ValueError("dataset has no rows")
-    X = np.array([feature_vector(r.sample) for r in rows], dtype=np.float64)
-    y = np.array([CLASS_ORDER.index(r.label) for r in rows], dtype=np.int64)
+    # fromiter fills the arrays row by row: no list of row lists is built first
+    X = np.fromiter(
+        (feature_vector(r.sample) for r in rows), dtype=(np.float64, FEATURE_COUNT), count=len(rows)
+    )
+    y = np.fromiter((CLASS_ORDER.index(r.label) for r in rows), dtype=np.int64, count=len(rows))
     return X, y
 
 

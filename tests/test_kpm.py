@@ -25,6 +25,7 @@ from ranguard.kpm import (
     read_dataset,
     write_dataset,
 )
+from file_oracle import write_dataset_whole
 
 
 def make_sample(**overrides) -> KpmSample:
@@ -273,15 +274,19 @@ labeled = st.builds(LabeledSample, sample=samples, label=st.sampled_from(list(Tr
 @given(st.lists(labeled, min_size=1, max_size=40))
 def test_dataset_round_trip_is_exact(tmp_path_factory, items):
     # full-precision floats: read(write(x)) == x bit for bit
-    path = tmp_path_factory.mktemp("ds") / "data.csv"
-    n = write_dataset(path, items)
+    folder = tmp_path_factory.mktemp("ds")
+    n = write_dataset(folder / "data.csv", iter(items))  # one pass over the input
     assert n == len(items)
-    assert read_dataset(path) == items
+    assert read_dataset(folder / "data.csv") == items
+    write_dataset_whole(folder / "whole.csv", items)
+    assert (folder / "data.csv").read_bytes() == (folder / "whole.csv").read_bytes()
 
 
 def test_write_empty_dataset_refused(tmp_path):
-    with pytest.raises(ValueError, match="empty"):
-        write_dataset(tmp_path / "x.csv", [])
+    for empty in ([], iter([])):
+        with pytest.raises(ValueError, match="empty"):
+            write_dataset(tmp_path / "x.csv", empty)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_missing_file(tmp_path):

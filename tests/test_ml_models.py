@@ -12,6 +12,7 @@ from ranguard.ml.adaboost import AdaBoost, BoostConfig
 from ranguard.ml.forest import ForestConfig, RandomForest
 from ranguard.ml.neighbors import KnnClassifier
 from ranguard.ml.tree import DecisionTree, TreeConfig
+from file_oracle import whole_payload
 from tree_oracle import oracle_tree
 
 
@@ -71,8 +72,8 @@ def test_forest_training_deterministic_given_seed(blob_data):
     a = RandomForest.train(X, y, 4, ForestConfig(n_trees=8, max_depth=5), seed=9)
     b = RandomForest.train(X, y, 4, ForestConfig(n_trees=8, max_depth=5), seed=9)
     c = RandomForest.train(X, y, 4, ForestConfig(n_trees=8, max_depth=5), seed=10)
-    assert a.to_dict() == b.to_dict()
-    assert a.to_dict() != c.to_dict()
+    assert whole_payload(a) == whole_payload(b)
+    assert whole_payload(a) != whole_payload(c)
 
 
 def test_forest_replicates_manual_bootstrap(blob_data):

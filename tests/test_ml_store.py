@@ -21,6 +21,7 @@ from ranguard.ml import (
     load_model,
     save_model,
 )
+from file_oracle import save_model_whole, traced_peak
 
 LABELS = ["web", "voip", "ddos_ripper", "dos_hulk", "slowloris"]
 
@@ -136,6 +137,65 @@ def test_thresholds_round_trip_exactly(models, tmp_path):
     loaded = load_model(path).model
     assert loaded.threshold.tolist() == model.threshold.tolist()
     assert loaded.counts.tolist() == model.counts.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algo=st.sampled_from(["dt", "rf", "ada", "knn"]),
+    trees=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    n=st.integers(12, 120),
+    labels=st.lists(st.text(max_size=4), min_size=3, max_size=3),
+)
+def test_saved_file_equals_one_dumps_of_the_envelope(tmp_path_factory, algo, trees, seed, n, labels):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-6, 7, size=4)
+    y = (X[:, 0] > 0) + (X[:, 1] > 0) * (rng.random(n) < 0.8)  # learnable, with noise
+    if algo == "dt":
+        model = DecisionTree.train(X, y, 3, TreeConfig(6, 2, 1))
+    elif algo == "rf":
+        model = RandomForest.train(X, y, 3, ForestConfig(n_trees=trees, max_depth=6), seed=seed)
+    elif algo == "ada":
+        model = AdaBoost.train(X, y, 3, BoostConfig(rounds=trees))
+    else:
+        model = KnnClassifier(3).fit(X, y, 3)
+    folder = tmp_path_factory.mktemp("save")
+    save_model(model, folder / "streamed.json", labels)
+    save_model_whole(model, folder / "whole.json", labels)
+    assert (folder / "streamed.json").read_bytes() == (folder / "whole.json").read_bytes()
+
+
+def test_failed_save_keeps_the_existing_model(models, tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save_model(models["dt"], path, LABELS)
+    before = path.read_bytes()
+    real = DecisionTree.to_dict
+    made = []
+
+    def third_tree_fails(tree):
+        made.append(tree)
+        if len(made) == 3:
+            raise RuntimeError("disk on fire")
+        return real(tree)
+
+    monkeypatch.setattr(DecisionTree, "to_dict", third_tree_fails)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        save_model(models["rf"], path, LABELS)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+
+
+def test_save_memory_does_not_grow_with_the_trees(tmp_path):
+    # one dumps of the whole envelope peaked at 1.2 MB for 10 trees and 4.4 MB for 40
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(2000, 6))
+    forest = RandomForest.train(X, rng.integers(0, 5, size=2000), 5, ForestConfig(10, 15), seed=0)
+
+    def peak(copies: int) -> int:
+        model = RandomForest(forest.trees * copies, forest.n_features, forest.n_classes)
+        return traced_peak(lambda: save_model(model, tmp_path / f"{copies}.json", LABELS))
+
+    assert peak(4) - peak(1) < 500_000
 
 
 def save_mutated(model, path, mutate) -> None:

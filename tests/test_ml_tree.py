@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from ranguard.ml import AdaBoost, BoostConfig, ForestConfig, KnnClassifier, RandomForest
 from ranguard.ml.tree import DecisionTree, TreeConfig, _grow, _split_costs, rank_codes
+from file_oracle import whole_payload
 from tree_oracle import decision_path, gini, oracle_adaboost, oracle_costs, oracle_forest, oracle_tree, tree_depth
 
 SMALL = TreeConfig(max_depth=15, min_samples_split=2, min_samples_leaf=1)
@@ -283,7 +284,7 @@ tree_configs = st.builds(TreeConfig, st.integers(1, 8), st.integers(2, 6), st.in
 
 def same_model(a, b) -> bool:
     # repr keeps the sign of a zero threshold, which == on floats would not
-    return repr(a.to_dict()) == repr(b.to_dict())
+    return repr(whole_payload(a)) == repr(whole_payload(b))
 
 
 @settings(max_examples=300, deadline=None)

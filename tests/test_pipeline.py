@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import stat
 import threading
 import time
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,9 @@ from ranguard.kpm import (
     read_dataset,
 )
 from ranguard.ml import load_model, save_model
-from ranguard.ransim import CommandAction, TimeMode, build_station
+from ranguard.ransim import CommandAction, TimeMode, build_station, labeled_stream
 from ranguard.xapp import PolicyMap
+from file_oracle import traced_peak, write_dataset_whole
 from xapp_oracle import frame_route_decisions
 
 
@@ -130,17 +133,89 @@ def test_collect_zero_duration_writes_header_only(tmp_path):
     assert lines == [",".join(CSV_HEADER)]
 
 
-def test_collect_failure_leaves_no_partial_file(tmp_path, monkeypatch):
-    path = tmp_path / "partial.csv"
+def fail_mid_write(monkeypatch, target: Path) -> None:
+    """Make collect's stream raise after 300 rows, once some are on disk beside `target`."""
 
-    def explode(out_path, rows):
-        Path(out_path).write_text("half a header")
+    def stream(config):
+        yield from islice(labeled_stream(config), 300)
+        # about 30 KB of rows: more than the file buffer, so the write is under way
+        assert any(f != target and f.stat().st_size > 0 for f in target.parent.iterdir())
         raise RuntimeError("disk on fire")
 
-    monkeypatch.setattr(pipeline, "write_dataset", explode)
+    monkeypatch.setattr(pipeline, "labeled_stream", stream)
+
+
+def test_collect_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    path = tmp_path / "partial.csv"
+    fail_mid_write(monkeypatch, path)
     with pytest.raises(RuntimeError, match="disk on fire"):
-        pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=1000), path)
-    assert not path.exists()
+        pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=60_000), path)
+    assert list(tmp_path.iterdir()) == []  # neither the target nor the temporary file
+
+
+def test_failed_collect_keeps_the_existing_dataset(tmp_path, monkeypatch):
+    path = tmp_path / "existing.csv"
+    path.write_text("the dataset of an earlier run\n")
+    fail_mid_write(monkeypatch, path)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=60_000), path)
+    assert path.read_text() == "the dataset of an earlier run\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_collect_replaces_an_existing_dataset(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("the dataset of an earlier run\n")
+    assert pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=1000), path) == 10
+    assert len(read_dataset(path)) == 10
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_collect_writes_through_a_symlink(tmp_path):
+    # a link (or a device such as /dev/null) is written in place, not replaced by a rename
+    target, link = tmp_path / "ds.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert pipeline.collect(pipeline.one_ue_scenario(0, duration_ms=1000), link) == 10
+    assert link.is_symlink()
+    assert len(read_dataset(target)) == 10
+
+
+def test_collect_file_has_the_mode_of_a_plain_open(tmp_path):
+    config = pipeline.one_ue_scenario(0, duration_ms=1000)
+    pipeline.collect(config, tmp_path / "ds.csv")
+    (tmp_path / "plain.csv").open("w").close()
+    assert (tmp_path / "ds.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+    # an existing file keeps its own mode when collect replaces it
+    (tmp_path / "private.csv").write_text("the dataset of an earlier run\n")
+    (tmp_path / "private.csv").chmod(0o600)
+    pipeline.collect(config, tmp_path / "private.csv")
+    assert stat.S_IMODE((tmp_path / "private.csv").stat().st_mode) == 0o600
+    assert len(read_dataset(tmp_path / "private.csv")) == 10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    preset=st.sampled_from(["one_ue", "two_ue"]),
+    seed=st.integers(0, 2**16),
+    periods=st.one_of(st.just(0), st.integers(0, 200)),
+)
+def test_collect_equals_the_whole_list_writer(tmp_path_factory, preset, seed, periods):
+    config = pipeline.PRESETS[preset](seed, duration_ms=periods * 100)
+    folder = tmp_path_factory.mktemp("collect")
+    n = pipeline.collect(config, folder / "streamed.csv")
+    rows = list(labeled_stream(config))
+    write_dataset_whole(folder / "whole.csv", rows)
+    assert n == len(rows)
+    assert (folder / "streamed.csv").read_bytes() == (folder / "whole.csv").read_bytes()
+
+
+def test_collect_memory_does_not_grow_with_the_run(tmp_path):
+    # the whole-list writer peaked at 2.25 MB over 120 s and 13.8 MB over 1200 s
+    def peak(seconds: int) -> int:
+        config = pipeline.one_ue_scenario(0, duration_ms=seconds * 1000)
+        return traced_peak(lambda: pipeline.collect(config, tmp_path / f"{seconds}.csv"))
+
+    assert peak(1200) - peak(120) < 500_000
 
 
 # -- training --

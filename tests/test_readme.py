@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -32,3 +33,11 @@ def test_readme_examples_parse(heading, parse):
     assert blocks, f"no ini block under {heading!r}"
     for block in blocks:
         parse(block)
+
+
+def test_readme_library_imports_resolve():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"\n## Library use\n\n```python\n(.*?)```", text, re.S).group(1)
+    imports = [node for node in ast.parse(block).body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
