@@ -24,7 +24,6 @@ _EXPORTS = {
         "category_of",
         "feature_vector",
         "read_dataset",
-        "write_dataset",
     ),
     "ranguard.pipeline": (
         "TrainOptions",

@@ -10,7 +10,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .files import atomic_write
 from .records import define, record
 
 
@@ -246,24 +245,11 @@ def write_dataset_rows(fh: TextIO, items: Iterable[LabeledSample]) -> int:
     return count
 
 
-def write_dataset(path: str | Path, items: Iterable[LabeledSample]) -> int:
-    """Write labeled samples as CSV. Returns the row count; refuses empty input.
-
-    Rows stream to a temporary file that replaces `path` only once all are
-    written, so a failure leaves `path` as it was.
-    """
-    with atomic_write(path, newline="") as fh:
-        n = write_dataset_rows(fh, items)
-        if n == 0:
-            raise ValueError("refusing to write an empty dataset")
-    return n
-
-
 _PARSERS = [(n, int, "an integer") if _IS_INT[n] else (n, float, "a number") for n in _NAMES]
 
 
 def read_dataset(path: str | Path) -> list[LabeledSample]:
-    """Parse a dataset CSV written by write_dataset. Errors carry line/column context."""
+    """Parse a dataset CSV written by write_dataset_rows. Errors carry line/column context."""
     path = Path(path)
     items: list[LabeledSample] = []
     with path.open("r", newline="") as fh:

@@ -1,17 +1,20 @@
-"""One flat node table that serves every tree model: a decision tree, a forest, boosted stumps.
+"""The one base of the tree models: a decision tree, a forest, boosted stumps.
 
-Every walk goes left on x <= threshold, so a NaN feature goes right, and adds
-each tree's weight to its leaf class in tree order; the argmax breaks ties
-toward the lowest class index. A row runs the trees as generated Python code,
-nested if/else blocks per tree, as in Asadi et al. (TKDE 2014), and a matrix
-runs its rows through that code one at a time. When every weight is 1 (a
-tree, a forest), that vote stops as soon as one class holds a strict majority
-of the trees, the early exit of Cambazoglu et al. (WSDM 2010); the label is
-the one the full vote gives.
+A model is a list of trees with one weight per tree (a DecisionTree is its
+own only tree, of weight 1), and its vote is compiled from each tree's own
+node arrays. Every walk goes left on x <= threshold, so a NaN feature goes
+right, and adds each tree's weight to its leaf class in tree order; the
+argmax breaks ties toward the lowest class index. A row runs the trees as
+generated Python code, nested if/else blocks per tree, as in Asadi et al.
+(TKDE 2014), and a matrix runs its rows through that code one at a time.
+When every weight is 1 (a tree, a forest), that vote stops as soon as one
+class holds a strict majority of the trees, the early exit of Cambazoglu et
+al. (WSDM 2010); the label is the one the full vote gives.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -54,15 +57,17 @@ def check_tree(tree: DecisionTree) -> None:
             raise ValueError(f"node {i} has child {int(child[i])}, expected one in ({i}, {n})")
 
 
-class TreeEnsemble:
-    """All trees of one model in one flat node table, with a weight per tree.
+class TreeModel:
+    """Base of the tree models: a vote over `trees`, with one entry of `weights` per tree.
 
-    The trees' structure was checked when each DecisionTree was made.
+    A forest or an AdaBoost model is made from trees whose structure was checked
+    when each DecisionTree was made; a DecisionTree is its own only tree.
     """
 
     def __init__(
         self, trees: Sequence[DecisionTree], weights: Sequence[float], n_features: int, n_classes: int
     ) -> None:
+        trees, weights = list(trees), [float(w) for w in weights]
         if not trees or len(trees) != len(weights):
             raise ValueError("need one weight per tree, at least one tree")
         for tree in trees:
@@ -71,21 +76,12 @@ class TreeEnsemble:
                     f"tree has {tree.n_features} features and {tree.n_classes} classes, "
                     f"model has {n_features} and {n_classes}"
                 )
-        weights = np.asarray(weights, dtype=np.float64)
-        if not np.isfinite(weights).all():
+        if not all(map(math.isfinite, weights)):
             raise ValueError("non-finite tree weight")
+        self.trees = trees
+        self.weights = weights
         self.n_features = n_features
         self.n_classes = n_classes
-
-        sizes = [len(t.feature) for t in trees]
-        self.roots = np.cumsum([0] + sizes[:-1])
-        offset = np.repeat(self.roots, sizes)
-        self.feature = np.concatenate([t.feature for t in trees])  # -1 marks a leaf
-        self.left = np.concatenate([t.left for t in trees]) + offset  # read only at internal nodes
-        self.right = np.concatenate([t.right for t in trees]) + offset
-        self.threshold = np.concatenate([t.threshold for t in trees])
-        self.klass = np.concatenate([t.klass for t in trees])
-        self.weights = weights
 
     @cached_property
     def _vote(self) -> list:
@@ -104,13 +100,8 @@ class TreeEnsemble:
         load checks passed: feature and class indices as int, thresholds and
         weights as repr(float).
         """
-        feature, threshold, klass = self.feature.tolist(), self.threshold.tolist(), self.klass.tolist()
-        left, right = self.left.tolist(), self.right.tolist()
-        roots = self.roots.tolist()
-        ends = roots[1:] + [len(feature)]
-        weights = self.weights.tolist()
         # sums of unit weights are exact, so a class past half the total has won: stop there
-        majority = len(roots) / 2 if all(w == 1.0 for w in weights) else None
+        majority = len(self.weights) / 2 if all(w == 1.0 for w in self.weights) else None
         funcs: list = [[]]  # body lines of each function, until it is compiled
         used = [0]  # nodes in each function
         head = "def vote(s, x):\n [" + ", ".join(f"x{i}" for i in range(self.n_features)) + "] = x\n"
@@ -120,8 +111,10 @@ class TreeEnsemble:
             used.append(0)
             return len(funcs) - 1
 
-        def emit(k: int, root: int) -> list[tuple[int, int]]:
-            """Append root's subtree to function k; (function, node) of each subtree cut off."""
+        def emit(k: int, root: int, tree: list[list]) -> list[tuple[int, int]]:
+            """Append the subtree at root of tree's (feature, threshold, klass, left, right)
+            lists to function k; (function, node) of each subtree cut off."""
+            feature, threshold, klass, left, right = tree
             lines, cuts = funcs[k], []
             stack = [(root, 1)]  # (node, level); node -1 is the else of its level
             while stack:
@@ -147,20 +140,21 @@ class TreeEnsemble:
             exec(compile(head + "\n".join(funcs[k] + [last_line]), f"<tree vote {k}>", "exec"), namespace)
             funcs[k] = namespace["vote"]
 
-        last = len(roots) - 1
-        for t, (root, end) in enumerate(zip(roots, ends)):
+        last = len(self.trees) - 1
+        for t, (tree, weight) in enumerate(zip(self.trees, self.weights)):
+            lists = [a.tolist() for a in (tree.feature, tree.threshold, tree.klass, tree.left, tree.right)]
             k = len(funcs) - 1
-            if used[k] and used[k] + end - root > _FUNC_NODES:  # a tree that fits one function gets one
+            if used[k] and used[k] + len(tree.feature) > _FUNC_NODES:  # a tree that fits one function gets one
                 close(k, f" return {new_function()}")
                 k += 1
-            tail = [f" s[c] += {weights[t]!r}"]
+            tail = [f" s[c] += {weight!r}"]
             if majority is not None:
                 tail.append(f" if s[c] > {majority!r}: return ~c")
-            work, touched = [(k, root)], []
+            work, touched = [(k, 0)], []
             while work:
                 j, node = work.pop()
                 touched.append(j)
-                work += emit(j, node)
+                work += emit(j, node, lists)
             for j in touched:
                 funcs[j] += tail
             if t == last or len(touched) > 1:  # each function of a cut tree hands over to the next tree
@@ -190,14 +184,3 @@ class TreeEnsemble:
         # one row at a time: a list copy of the whole matrix would take several times its bytes
         return np.fromiter(map(self.predict, X), dtype=np.intp, count=len(X))
 
-
-class TreeModel:
-    """Base of the tree models: every prediction goes through self.engine."""
-
-    engine: TreeEnsemble
-
-    def predict(self, x: Sequence[float]) -> int:
-        return self.engine.predict(x)
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.engine.predict_batch(X)

@@ -9,6 +9,7 @@ from typing import Iterator, Sequence, TextIO
 
 from ranguard.files import atomic_write
 from ranguard.ml.adaboost import AdaBoost
+from ranguard.ml.ensemble import TreeModel
 from ranguard.ml.forest import RandomForest
 from ranguard.ml.neighbors import KnnClassifier
 from ranguard.ml.tree import DecisionTree
@@ -20,7 +21,7 @@ _ALGOS = {
     cls.algo_name: cls for cls in (DecisionTree, RandomForest, KnnClassifier, AdaBoost)
 }
 
-Model = DecisionTree | RandomForest | KnnClassifier | AdaBoost
+Model = TreeModel | KnnClassifier
 
 
 class ModelFormatError(ValueError):

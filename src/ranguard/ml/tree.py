@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from ranguard.ml.ensemble import TreeEnsemble, TreeModel, check_tree
+from ranguard.ml.ensemble import TreeModel, check_tree
 
 
 @dataclass(frozen=True)
@@ -156,9 +155,13 @@ def _best_split(
 
 
 class DecisionTree(TreeModel):
-    """Flat-array binary tree. feature[i] == -1 marks node i as a leaf."""
+    """Flat-array binary tree. feature[i] == -1 marks node i as a leaf.
+
+    As a tree model it is its own only tree, of weight 1.
+    """
 
     algo_name = "decision_tree"
+    weights = (1.0,)
 
     def __init__(
         self,
@@ -180,9 +183,9 @@ class DecisionTree(TreeModel):
         check_tree(self)
         self.klass = np.argmax(counts, axis=1).astype(np.int32)  # ties -> lowest class index
 
-    @cached_property
-    def engine(self) -> TreeEnsemble:
-        return TreeEnsemble([self], [1.0], self.n_features, self.n_classes)
+    @property
+    def trees(self) -> tuple["DecisionTree"]:
+        return (self,)
 
     @classmethod
     def train(

@@ -32,10 +32,8 @@ from .kpm import (
 )
 from .ml import (
     AdaBoost,
-    BoostConfig,
     ConfusionMatrix,
     DecisionTree,
-    ForestConfig,
     KnnClassifier,
     RandomForest,
     TreeConfig,
@@ -199,14 +197,11 @@ def train_model(rows: Sequence[LabeledSample], options: TrainOptions = TrainOpti
     if options.algo == "dt":
         model = DecisionTree.train(X, y, n_classes, tree_cfg)
     elif options.algo == "rf":
-        forest_cfg = ForestConfig(
-            options.trees, options.max_depth, options.min_samples_split, options.min_samples_leaf
-        )
-        model = RandomForest.train(X, y, n_classes, forest_cfg, seed=options.seed)
+        model = RandomForest.train(X, y, n_classes, tree_cfg, options.trees, seed=options.seed)
     elif options.algo == "knn":
         model = KnnClassifier(options.k).fit(X, y, n_classes)
     else:
-        model = AdaBoost.train(X, y, n_classes, BoostConfig(options.rounds))
+        model = AdaBoost.train(X, y, n_classes, options.rounds)
     elapsed = time.perf_counter() - t0
     return model, TrainSummary(options.algo, len(rows), X.shape[1], elapsed)
 
@@ -293,7 +288,7 @@ def evaluate(
     """Confusion matrices, headline metrics, and the per-sample inference benchmark."""
     if not rows:
         raise ValueError("evaluation dataset has no rows")
-    X = np.array([feature_vector(r.sample) for r in rows], dtype=np.float64)
+    X, _ = dataset_matrix(rows)
     n_features = getattr(model, "n_features", X.shape[1])
     if n_features != X.shape[1]:
         raise ValueError(f"model expects {n_features} features, dataset has {X.shape[1]}")

@@ -10,6 +10,7 @@ the trace its caller made, such as `virtual_trace`'s in a virtual run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import Field, dataclass, field, fields
@@ -490,25 +491,21 @@ def time_to_correct(
     by_ue: dict[int, list[Decision]] = {}
     for d in decisions:
         by_ue.setdefault(d.ue_id, []).append(d)
-    for rows in by_ue.values():
+    stamps: dict[int, list[int]] = {}
+    for ue_id, rows in by_ue.items():
         rows.sort(key=lambda d: d.timestamp_ms)
+        stamps[ue_id] = [d.timestamp_ms for d in rows]
 
     times: list[float] = []
     for seg in segments:
-        rows = [
-            d
-            for d in by_ue.get(seg.ue_id, [])
-            if seg.start_ms <= d.timestamp_ms < seg.end_ms
-        ]
-        if not rows:
+        rows, ts = by_ue.get(seg.ue_id, []), stamps.get(seg.ue_id, [])
+        # the segment's decisions are rows[lo:hi], found by bisection of the sorted stamps
+        lo, hi = bisect_left(ts, seg.start_ms), bisect_left(ts, seg.end_ms)
+        last_wrong = next((i for i in range(hi - 1, lo - 1, -1) if rows[i].smoothed is not seg.label), None)
+        if lo == hi or last_wrong == hi - 1:
             times.append(inf)
-            continue
-        wrong = [i for i, d in enumerate(rows) if d.smoothed is not seg.label]
-        if not wrong:
+        elif last_wrong is None:
             times.append(0.0)
-        elif wrong[-1] == len(rows) - 1:
-            times.append(inf)
         else:
-            first_correct = rows[wrong[-1] + 1]
-            times.append(float(first_correct.timestamp_ms - seg.start_ms + period_ms))
+            times.append(float(rows[last_wrong + 1].timestamp_ms - seg.start_ms + period_ms))
     return TimeToCorrect(tuple(times))

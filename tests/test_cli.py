@@ -47,6 +47,24 @@ def test_unknown_algo_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trees", "0"], "n_trees must be >= 1, got 0"),
+        (["--algo", "ada", "--rounds", "0"], "rounds must be >= 1, got 0"),
+        (["--max-depth", "0"], "max_depth must be >= 1, got 0"),
+        (["--algo", "knn", "--k", "0"], "k must be >= 1, got 0"),
+    ],
+    ids=["trees", "rounds", "max_depth", "k"],
+)
+def test_train_refuses_a_zero_size(trained, tmp_path, capsys, flags, message):
+    dataset, _ = trained
+    out = tmp_path / "m.json"
+    assert cli.main(["train", "--dataset", str(dataset), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_collect_reports_row_count(tmp_path, capsys):
     out = tmp_path / "ds.csv"
     assert cli.main(["collect", "--duration-ms", "5000", "--out", str(out)]) == 0

@@ -23,8 +23,9 @@ from ranguard.kpm import (
     class_from_label,
     feature_vector,
     read_dataset,
-    write_dataset,
+    write_dataset_rows,
 )
+from ranguard.files import atomic_write
 from file_oracle import write_dataset_whole
 
 
@@ -275,18 +276,12 @@ labeled = st.builds(LabeledSample, sample=samples, label=st.sampled_from(list(Tr
 def test_dataset_round_trip_is_exact(tmp_path_factory, items):
     # full-precision floats: read(write(x)) == x bit for bit
     folder = tmp_path_factory.mktemp("ds")
-    n = write_dataset(folder / "data.csv", iter(items))  # one pass over the input
+    with atomic_write(folder / "data.csv", newline="") as fh:
+        n = write_dataset_rows(fh, iter(items))  # one pass over the input
     assert n == len(items)
     assert read_dataset(folder / "data.csv") == items
     write_dataset_whole(folder / "whole.csv", items)
     assert (folder / "data.csv").read_bytes() == (folder / "whole.csv").read_bytes()
-
-
-def test_write_empty_dataset_refused(tmp_path):
-    for empty in ([], iter([])):
-        with pytest.raises(ValueError, match="empty"):
-            write_dataset(tmp_path / "x.csv", empty)
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_missing_file(tmp_path):

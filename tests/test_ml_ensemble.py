@@ -1,4 +1,5 @@
-"""The flat node table against the one-node-at-a-time oracle walks, on random trees."""
+"""The vote, compiled from each tree's own arrays, against the one-node-at-a-time
+oracle walks, on random trees."""
 
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ def queries(n_features: int):
     ).map(lambda rows: np.array(rows, dtype=np.float64))
 
 
-def assert_engine_matches_oracle(model, X: np.ndarray) -> None:
+def assert_vote_matches_oracle(model, X: np.ndarray) -> None:
     batch = model.predict_batch(X).tolist()
     for x, b in zip(X, batch):
         expected = oracle_predict(model, x)
@@ -77,7 +78,7 @@ def assert_engine_matches_oracle(model, X: np.ndarray) -> None:
 @given(st.data(), st.integers(1, 3), st.integers(2, 4))
 def test_tree_matches_oracle(data, n_features, n_classes):
     tree = data.draw(random_trees(n_features, n_classes))
-    assert_engine_matches_oracle(tree, data.draw(queries(n_features)))
+    assert_vote_matches_oracle(tree, data.draw(queries(n_features)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,7 +90,7 @@ def test_forest_matches_oracle(data, n_features, n_classes, n_trees):
     tree_or_favourite = random_trees(n_features, n_classes) | st.just(favourite)
     trees = [data.draw(tree_or_favourite) for _ in range(n_trees)]
     forest = RandomForest(trees, n_features, n_classes)
-    assert_engine_matches_oracle(forest, data.draw(queries(n_features)))
+    assert_vote_matches_oracle(forest, data.draw(queries(n_features)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -99,7 +100,7 @@ def test_adaboost_matches_oracle(data, n_features, n_classes, rounds):
     stumps = [data.draw(random_trees(n_features, n_classes, max_splits=1)) for _ in range(rounds)]
     alphas = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0]), min_size=rounds, max_size=rounds))
     model = AdaBoost(stumps, alphas, n_features, n_classes)
-    assert_engine_matches_oracle(model, data.draw(queries(n_features)))
+    assert_vote_matches_oracle(model, data.draw(queries(n_features)))
 
 
 def one_split_tree(**changes) -> dict:
@@ -144,7 +145,7 @@ def test_forest_tie_goes_to_lowest_class(votes):
 
 def test_forest_vote_stops_at_strict_majority():
     forest = RandomForest([leaf_tree(2, 2, 1)] * 3 + [DecisionTree.from_dict(one_split_tree())] * 2, 2, 2)
-    assert len(forest.engine._vote) == 1  # all five trees in one generated function
+    assert len(forest._vote) == 1  # all five trees in one generated function
     # the last two trees compare x1 with a float: reaching either would raise TypeError
     assert forest.predict([0.0, "never compared"]) == 1
 
@@ -196,7 +197,7 @@ def fail(*_args):
 def test_forest_vote_across_function_boundaries(monkeypatch, votes, expected, decided_in):
     cut_small(monkeypatch)
     forest = RandomForest([chain_vote(v) for v in votes], 2, 3)
-    vote = forest.engine._vote
+    vote = forest._vote
     assert len(vote) == 3 * len(votes)  # one split per function, three per tree
     if decided_in is not None:
         vote[3 * decided_in :] = [fail] * (len(vote) - 3 * decided_in)
@@ -217,7 +218,7 @@ def test_adaboost_vote_across_function_boundaries(monkeypatch, depth, nodes, fun
     # 3.0 then -3.0 must both be added, never stopped early
     stumps = [chain_vote(label) for label in (1, 1, 1, 0, 2, 2)]
     model = AdaBoost(stumps, [0.1, 0.2, 0.3, 0.6, 3.0, -3.0], 2, 3)
-    assert len(model.engine._vote) == functions
+    assert len(model._vote) == functions
     x = np.zeros(2)
     assert model.predict(x) == model.predict_batch(x[None])[0] == oracle_predict(model, x) == 1
 
@@ -227,7 +228,7 @@ def test_chain_deeper_than_any_generated_function():
     thresholds = [float(i) for i in range(depth)]
     tree = chain_tree(thresholds, [i % 3 for i in range(depth)], 2, 3)
     assert tree_depth(tree) == depth
-    assert len(tree.engine._vote) >= depth // ensemble._FUNC_DEPTH
+    assert len(tree._vote) >= depth // ensemble._FUNC_DEPTH
     x0 = [-1.0, 0.0, 0.5, 39.5, 40.0, 2499.5, 4998.0, 4999.0, 4999.5, 1e9, np.nan, np.inf, -np.inf]
     expected = [next((i % 3 for i in range(depth) if v <= i), 2) for v in x0]
     X = np.array([[v, 0.0] for v in x0])
@@ -245,7 +246,7 @@ def test_vote_cut_into_small_functions_matches_oracle(data, n_features, n_classe
         alphas = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, -1.0]), min_size=n_trees, max_size=n_trees))
         model = AdaBoost(trees, alphas, n_features, n_classes)
     with mock.patch.object(ensemble, "_FUNC_DEPTH", depth), mock.patch.object(ensemble, "_FUNC_NODES", nodes):
-        assert_engine_matches_oracle(model, data.draw(queries(n_features)))
+        assert_vote_matches_oracle(model, data.draw(queries(n_features)))
 
 
 def test_adaboost_with_a_negative_alpha_sums_every_stump():

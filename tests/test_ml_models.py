@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ranguard.ml.adaboost import AdaBoost, BoostConfig
-from ranguard.ml.forest import ForestConfig, RandomForest
+from ranguard.ml.adaboost import AdaBoost
+from ranguard.ml.forest import RandomForest
 from ranguard.ml.neighbors import KnnClassifier
 from ranguard.ml.tree import DecisionTree, TreeConfig
 from file_oracle import whole_payload
@@ -44,14 +44,14 @@ def blob_data():
 
 def test_forest_of_one_tree_votes_like_that_tree(blob_data):
     X, y = blob_data
-    rf = RandomForest.train(X, y, 4, ForestConfig(n_trees=1, max_depth=6), seed=5)
+    rf = RandomForest.train(X, y, 4, TreeConfig(max_depth=6), n_trees=1, seed=5)
     queries = X[:100]
     assert (rf.predict_batch(queries) == rf.trees[0].predict_batch(queries)).all()
 
 
 def test_forest_vote_equals_explicit_tally(blob_data):
     X, y = blob_data
-    rf = RandomForest.train(X, y, 4, ForestConfig(n_trees=25, max_depth=6), seed=6)
+    rf = RandomForest.train(X, y, 4, TreeConfig(max_depth=6), n_trees=25, seed=6)
     queries = X[:150]
     tally = np.zeros((len(queries), 4), dtype=int)
     for tree in rf.trees:
@@ -69,9 +69,9 @@ def test_forest_vote_tie_goes_to_lowest_class_index():
 
 def test_forest_training_deterministic_given_seed(blob_data):
     X, y = blob_data
-    a = RandomForest.train(X, y, 4, ForestConfig(n_trees=8, max_depth=5), seed=9)
-    b = RandomForest.train(X, y, 4, ForestConfig(n_trees=8, max_depth=5), seed=9)
-    c = RandomForest.train(X, y, 4, ForestConfig(n_trees=8, max_depth=5), seed=10)
+    a = RandomForest.train(X, y, 4, TreeConfig(max_depth=5), n_trees=8, seed=9)
+    b = RandomForest.train(X, y, 4, TreeConfig(max_depth=5), n_trees=8, seed=9)
+    c = RandomForest.train(X, y, 4, TreeConfig(max_depth=5), n_trees=8, seed=10)
     assert whole_payload(a) == whole_payload(b)
     assert whole_payload(a) != whole_payload(c)
 
@@ -79,7 +79,7 @@ def test_forest_training_deterministic_given_seed(blob_data):
 def test_forest_replicates_manual_bootstrap(blob_data):
     # one tree, replicated by hand from the same seed tape
     X, y = blob_data
-    rf = RandomForest.train(X, y, 4, ForestConfig(n_trees=1, max_depth=5), seed=3)
+    rf = RandomForest.train(X, y, 4, TreeConfig(max_depth=5), n_trees=1, seed=3)
     child = np.random.SeedSequence(3).spawn(1)[0]
     rng = np.random.default_rng(child)
     boot = rng.integers(0, len(y), size=len(y))
@@ -97,8 +97,8 @@ def test_forest_counts_draws_not_distinct_rows(min_split, min_leaf):
     y = np.array([0, 1, 1, 1])
     child = np.random.SeedSequence(28).spawn(1)[0]
     assert np.random.default_rng(child).integers(0, 4, size=4).tolist() == [0, 0, 1, 2]
-    config = ForestConfig(n_trees=1, max_depth=3, min_samples_split=min_split, min_samples_leaf=min_leaf)
-    tree = RandomForest.train(X, y, 2, config, seed=28).trees[0]
+    config = TreeConfig(max_depth=3, min_samples_split=min_split, min_samples_leaf=min_leaf)
+    tree = RandomForest.train(X, y, 2, config, n_trees=1, seed=28).trees[0]
     assert tree.feature.tolist() == [0, -1, -1]
     assert tree.threshold[0] == 0.5
     assert tree.counts.tolist() == [[2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]
@@ -110,13 +110,13 @@ def test_forest_default_subsample_is_ceil_sqrt_d():
     data = np.random.default_rng(0)
     X = data.normal(size=(100, 10))
     y = (X[:, 1] + X[:, 6] - X[:, 8] > 0).astype(int) + (X[:, 3] > 1)
-    config = ForestConfig(n_trees=3, max_depth=4)
-    rf = RandomForest.train(X, y, 3, config, seed=1)
+    config = TreeConfig(max_depth=4)
+    rf = RandomForest.train(X, y, 3, config, n_trees=3, seed=1)
 
     def by_hand(m: int) -> DecisionTree:
         rng = np.random.default_rng(np.random.SeedSequence(1).spawn(3)[2])
         boot = rng.integers(0, len(y), size=len(y))
-        return oracle_tree(X[boot], y[boot], 3, config.tree_config(), feature_subsample=m, rng=rng)
+        return oracle_tree(X[boot], y[boot], 3, config, feature_subsample=m, rng=rng)
 
     assert rf.trees[2].to_dict() == by_hand(4).to_dict()
     assert all(rf.trees[2].to_dict() != by_hand(m).to_dict() for m in (3, 5))
@@ -125,22 +125,22 @@ def test_forest_default_subsample_is_ceil_sqrt_d():
 def test_forest_monotone_rescale_invariance(blob_data):
     X, y = blob_data
     scale, offset = np.array([2.0, 0.25]), np.array([10.0, -5.0])
-    a = RandomForest.train(X, y, 4, ForestConfig(n_trees=10, max_depth=6), seed=11)
-    b = RandomForest.train(X * scale + offset, y, 4, ForestConfig(n_trees=10, max_depth=6), seed=11)
+    a = RandomForest.train(X, y, 4, TreeConfig(max_depth=6), n_trees=10, seed=11)
+    b = RandomForest.train(X * scale + offset, y, 4, TreeConfig(max_depth=6), n_trees=10, seed=11)
     queries = X[:200]
     assert (a.predict_batch(queries) == b.predict_batch(queries * scale + offset)).all()
 
 
 def test_forest_batch_matches_single(blob_data):
     X, y = blob_data
-    rf = RandomForest.train(X, y, 4, ForestConfig(n_trees=7, max_depth=5), seed=2)
+    rf = RandomForest.train(X, y, 4, TreeConfig(max_depth=5), n_trees=7, seed=2)
     batch = rf.predict_batch(X[:60])
     assert batch.tolist() == [rf.predict(x) for x in X[:60]]
 
 
 def test_forest_config_validation():
-    with pytest.raises(ValueError):
-        ForestConfig(n_trees=0)
+    with pytest.raises(ValueError, match="n_trees must be >= 1, got 0"):
+        RandomForest.train(np.zeros((2, 1)), np.array([0, 1]), 2, n_trees=0)
     with pytest.raises(ValueError):
         RandomForest([], 2, 3)
 
@@ -247,17 +247,17 @@ def test_knn_validation():
 
 def test_adaboost_alpha_matches_samme_formula(blob_data):
     X, y = blob_data
-    model = AdaBoost.train(X, y, 4, BoostConfig(rounds=1))
-    stump = model.stumps[0]
+    model = AdaBoost.train(X, y, 4, rounds=1)
+    stump = model.trees[0]
     err = float(np.mean(stump.predict_batch(X) != y))  # uniform weights in round 1
     expected = math.log((1 - err) / err) + math.log(4 - 1)
-    assert model.alphas[0] == pytest.approx(expected)
+    assert model.weights[0] == pytest.approx(expected)
 
 
 def test_adaboost_one_round_predicts_like_its_stump(blob_data):
     X, y = blob_data
-    model = AdaBoost.train(X, y, 4, BoostConfig(rounds=1))
-    assert (model.predict_batch(X) == model.stumps[0].predict_batch(X)).all()
+    model = AdaBoost.train(X, y, 4, rounds=1)
+    assert (model.predict_batch(X) == model.trees[0].predict_batch(X)).all()
 
 
 def test_adaboost_improves_over_single_stump():
@@ -266,8 +266,8 @@ def test_adaboost_improves_over_single_stump():
     x0 = rng.uniform(0, 3, size=600)
     X = np.column_stack([x0, rng.normal(size=600)])
     y = np.digitize(x0, [1.0, 2.0])
-    model = AdaBoost.train(X, y, 3, BoostConfig(rounds=20))
-    stump_acc = np.mean(model.stumps[0].predict_batch(X) == y)
+    model = AdaBoost.train(X, y, 3, rounds=20)
+    stump_acc = np.mean(model.trees[0].predict_batch(X) == y)
     boost_acc = np.mean(model.predict_batch(X) == y)
     assert boost_acc > stump_acc
 
@@ -275,8 +275,8 @@ def test_adaboost_improves_over_single_stump():
 def test_adaboost_stops_early_on_perfect_stump():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    model = AdaBoost.train(X, y, 2, BoostConfig(rounds=10))
-    assert len(model.stumps) == 1
+    model = AdaBoost.train(X, y, 2, rounds=10)
+    assert len(model.trees) == 1
     assert (model.predict_batch(X) == y).all()
 
 
@@ -285,7 +285,7 @@ def test_adaboost_rejects_chance_level_first_stump():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 10)
     y = np.array([0, 1, 1, 0] * 10)
     with pytest.raises(ValueError, match="chance"):
-        AdaBoost.train(X, y, 2, BoostConfig(rounds=5))
+        AdaBoost.train(X, y, 2, rounds=5)
 
 
 def test_adaboost_score_tie_goes_to_lowest_class_index():
@@ -295,13 +295,13 @@ def test_adaboost_score_tie_goes_to_lowest_class_index():
 
 def test_adaboost_batch_matches_single(blob_data):
     X, y = blob_data
-    model = AdaBoost.train(X, y, 4, BoostConfig(rounds=12))
+    model = AdaBoost.train(X, y, 4, rounds=12)
     assert model.predict_batch(X[:80]).tolist() == [model.predict(x) for x in X[:80]]
 
 
 def test_adaboost_validation():
-    with pytest.raises(ValueError):
-        BoostConfig(rounds=0)
+    with pytest.raises(ValueError, match="rounds must be >= 1, got 0"):
+        AdaBoost.train(np.zeros((2, 1)), np.array([0, 1]), 2, rounds=0)
     with pytest.raises(ValueError):
         AdaBoost([], [], 2, 3)
     with pytest.raises(ValueError):

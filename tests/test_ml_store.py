@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from ranguard.ml import (
     AdaBoost,
-    BoostConfig,
     DecisionTree,
-    ForestConfig,
     KnnClassifier,
     ModelFormatError,
     RandomForest,
@@ -39,9 +37,9 @@ def models(dataset):
     X, y = dataset
     return {
         "dt": DecisionTree.train(X, y, 5, TreeConfig(6, 4, 2)),
-        "rf": RandomForest.train(X, y, 5, ForestConfig(n_trees=5, max_depth=5), seed=1),
+        "rf": RandomForest.train(X, y, 5, TreeConfig(max_depth=5), n_trees=5, seed=1),
         "knn": KnnClassifier(3).fit(X, y, 5),
-        "ada": AdaBoost.train(X, y, 5, BoostConfig(rounds=6)),
+        "ada": AdaBoost.train(X, y, 5, rounds=6),
     }
 
 
@@ -55,6 +53,13 @@ def test_round_trip_predicts_identically(models, name, tmp_path):
     rng = np.random.default_rng(99)
     queries = rng.normal(size=(1000, model.n_features)) * 5.0
     assert (loaded.model.predict_batch(queries) == model.predict_batch(queries)).all()
+
+
+@pytest.mark.parametrize("name", ["dt", "rf", "knn", "ada"])
+def test_loaded_model_saves_back_to_the_same_bytes(models, name, tmp_path):
+    save_model(models[name], tmp_path / "first.json", LABELS)
+    save_model(load_model(tmp_path / "first.json").model, tmp_path / "again.json", LABELS)
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
 
 def test_label_count_must_match(models, tmp_path):
@@ -154,9 +159,9 @@ def test_saved_file_equals_one_dumps_of_the_envelope(tmp_path_factory, algo, tre
     if algo == "dt":
         model = DecisionTree.train(X, y, 3, TreeConfig(6, 2, 1))
     elif algo == "rf":
-        model = RandomForest.train(X, y, 3, ForestConfig(n_trees=trees, max_depth=6), seed=seed)
+        model = RandomForest.train(X, y, 3, TreeConfig(max_depth=6), n_trees=trees, seed=seed)
     elif algo == "ada":
-        model = AdaBoost.train(X, y, 3, BoostConfig(rounds=trees))
+        model = AdaBoost.train(X, y, 3, rounds=trees)
     else:
         model = KnnClassifier(3).fit(X, y, 3)
     folder = tmp_path_factory.mktemp("save")
@@ -189,7 +194,7 @@ def test_save_memory_does_not_grow_with_the_trees(tmp_path):
     # one dumps of the whole envelope peaked at 1.2 MB for 10 trees and 4.4 MB for 40
     rng = np.random.default_rng(7)
     X = rng.normal(size=(2000, 6))
-    forest = RandomForest.train(X, rng.integers(0, 5, size=2000), 5, ForestConfig(10, 15), seed=0)
+    forest = RandomForest.train(X, rng.integers(0, 5, size=2000), 5, TreeConfig(15), n_trees=10, seed=0)
 
     def peak(copies: int) -> int:
         model = RandomForest(forest.trees * copies, forest.n_features, forest.n_classes)

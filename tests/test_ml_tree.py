@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ranguard.ml import AdaBoost, BoostConfig, ForestConfig, KnnClassifier, RandomForest
+from ranguard.ml import AdaBoost, KnnClassifier, RandomForest
 from ranguard.ml.tree import DecisionTree, TreeConfig, _grow, _split_costs, rank_codes
 from file_oracle import whole_payload
 from tree_oracle import decision_path, gini, oracle_adaboost, oracle_costs, oracle_forest, oracle_tree, tree_depth
@@ -332,19 +332,15 @@ def test_tree_equals_the_oracle_grower(data, config, draw):
 @settings(max_examples=60, deadline=None)
 @given(
     training_sets(),
-    st.builds(
-        ForestConfig,
-        st.integers(2, 5),
-        st.integers(1, 8),
-        st.integers(2, 6),
-        st.integers(1, 4),
-    ),
+    tree_configs,
+    st.integers(2, 5),
     st.integers(0, 2**32 - 1),
 )
-def test_forest_equals_the_oracle_grower(data, config, seed):
+def test_forest_equals_the_oracle_grower(data, config, n_trees, seed):
     X, y, n_classes = data
     assert same_model(
-        RandomForest.train(X, y, n_classes, config, seed), oracle_forest(X, y, n_classes, config, seed)
+        RandomForest.train(X, y, n_classes, config, n_trees, seed),
+        oracle_forest(X, y, n_classes, config, n_trees, seed),
     )
 
 
@@ -352,14 +348,13 @@ def test_forest_equals_the_oracle_grower(data, config, seed):
 @given(training_sets(), st.integers(1, 5))
 def test_adaboost_equals_the_oracle_grower(data, rounds):
     X, y, n_classes = data
-    config = BoostConfig(rounds)
     try:
-        ref = oracle_adaboost(X, y, n_classes, config)
+        ref = oracle_adaboost(X, y, n_classes, rounds)
     except ValueError:
         with pytest.raises(ValueError, match="chance"):
-            AdaBoost.train(X, y, n_classes, config)
+            AdaBoost.train(X, y, n_classes, rounds)
         return
-    assert same_model(AdaBoost.train(X, y, n_classes, config), ref)
+    assert same_model(AdaBoost.train(X, y, n_classes, rounds), ref)
 
 
 @settings(max_examples=4, deadline=None)

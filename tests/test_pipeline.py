@@ -271,9 +271,9 @@ def test_load_online_model_compiles_the_vote_before_the_first_frame(tmp_path, tr
     model, _ = pipeline.train_model(train_rows, pipeline.TrainOptions(algo=algo, trees=5, rounds=5))
     model_path = tmp_path / "model.json"
     save_model(model, model_path, [c.value for c in CLASS_ORDER])
-    assert "_vote" not in load_model(model_path).model.engine.__dict__  # built on first use
+    assert "_vote" not in load_model(model_path).model.__dict__  # built on first use
     served, _ = pipeline.load_online_model(model_path)
-    assert "_vote" in served.engine.__dict__
+    assert "_vote" in served.__dict__
 
 
 # -- evaluation --

@@ -44,7 +44,7 @@ from ranguard.xapp import (
     virtual_trace,
 )
 from config_oracle import format_policy
-from xapp_oracle import FrameRouteClassifier, fraction_within, window_majority
+from xapp_oracle import FrameRouteClassifier, fraction_within, oracle_time_to_correct, window_majority
 
 IDX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 
@@ -734,6 +734,37 @@ def test_cdf_merges_equal_times():
     segments = [seg(1, 0, 300, WEB), seg(2, 0, 300, WEB)]
     ttc = time_to_correct(rows, segments, period_ms=100)
     assert ttc.cdf() == [(0.0, 1.0)]
+
+
+@st.composite
+def scored_decisions(draw) -> tuple[list[Decision], list[GroundTruthSegment]]:
+    """Decisions of up to three UEs in random order, on a coarse clock so stamps repeat,
+    and segments that may hold no decision or end on a wrong verdict."""
+    stamps = st.integers(0, 30).map(lambda k: k * 100)
+    rows = [
+        Decision(ue_id=ue, timestamp_ms=t, raw=label, smoothed=label, command=None, trace=virtual_trace(t * 1000))
+        for ue, t, label in draw(
+            st.lists(st.tuples(st.integers(1, 3), stamps, st.sampled_from([WEB, HULK, SLOW])), max_size=60)
+        )
+    ]
+    segments = [
+        seg(ue, start, start + length, label)
+        for ue, start, length, label in draw(
+            st.lists(
+                st.tuples(st.integers(1, 4), stamps, st.integers(1, 1200), st.sampled_from([WEB, HULK, SLOW])),
+                max_size=12,
+            )
+        )
+    ]
+    return rows, segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_decisions(), st.integers(1, 200))
+def test_time_to_correct_equals_the_scan_of_every_decision(data, period_ms):
+    rows, segments = data
+    expected = oracle_time_to_correct(rows, segments, period_ms=period_ms)
+    assert time_to_correct(iter(rows), segments, period_ms=period_ms) == expected
 
 
 def test_decisions_outside_segment_are_ignored():

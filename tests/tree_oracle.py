@@ -1,6 +1,6 @@
 """Reference trainers and walks for the tree models, as the tests' oracle.
 
-The walks are the per-model walks the flat node table replaced; they read only
+The walks are the per-model walks the compiled vote replaced; they read only
 the public arrays of each tree. The trainers are the split search and grow loop
 that per-column rank codes replaced: one float column at a time, a weighted
 one-hot matrix and its cumsum, and `.sum(axis=1)` over the classes.
@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ranguard.ml import AdaBoost, BoostConfig, DecisionTree, ForestConfig, RandomForest, TreeConfig
+from ranguard.ml import AdaBoost, DecisionTree, RandomForest, TreeConfig
 
 
 def gini(class_counts: Sequence[float] | np.ndarray) -> float:
@@ -153,7 +153,7 @@ def oracle_tree(
 
 
 def oracle_forest(
-    X: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfig, seed: int = 0
+    X: np.ndarray, y: np.ndarray, n_classes: int, config: TreeConfig, n_trees: int, seed: int = 0
 ) -> RandomForest:
     """Bootstrap rows and per-split feature subsets drawn as `RandomForest.train` draws them."""
     X = np.asarray(X, dtype=np.float64)
@@ -161,16 +161,16 @@ def oracle_forest(
     n, d = X.shape
     m = math.isqrt(d - 1) + 1  # ceil(sqrt(d))
     trees = []
-    for child in np.random.SeedSequence(seed).spawn(config.n_trees):
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child)
         boot = rng.integers(0, n, size=n)
         trees.append(
-            oracle_tree(X[boot], y[boot], n_classes, config.tree_config(), feature_subsample=m, rng=rng)
+            oracle_tree(X[boot], y[boot], n_classes, config, feature_subsample=m, rng=rng)
         )
     return RandomForest(trees, d, n_classes)
 
 
-def oracle_adaboost(X: np.ndarray, y: np.ndarray, n_classes: int, config: BoostConfig) -> AdaBoost:
+def oracle_adaboost(X: np.ndarray, y: np.ndarray, n_classes: int, rounds: int) -> AdaBoost:
     """SAMME rounds as `AdaBoost.train` runs them, each stump from the oracle grower."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -180,7 +180,7 @@ def oracle_adaboost(X: np.ndarray, y: np.ndarray, n_classes: int, config: BoostC
     stumps: list[DecisionTree] = []
     alphas: list[float] = []
     chance = 1.0 - 1.0 / n_classes
-    for _ in range(config.rounds):
+    for _ in range(rounds):
         stump = oracle_tree(X, y, n_classes, stump_cfg, sample_weight=w)
         miss = stump.predict_batch(X) != y
         err = float(w[miss].sum())
@@ -233,13 +233,7 @@ def tree_leaf_class(tree: DecisionTree, x: Sequence[float]) -> int:
 
 def oracle_predict(model: DecisionTree | RandomForest | AdaBoost, x: Sequence[float]) -> int:
     """Weighted vote of the leaf classes in tree order; ties -> lowest class index."""
-    if isinstance(model, DecisionTree):
-        return tree_leaf_class(model, x)
-    if isinstance(model, RandomForest):
-        trees, weights = model.trees, [1] * len(model.trees)
-    else:
-        trees, weights = model.stumps, model.alphas
     scores = np.zeros(model.n_classes)
-    for tree, weight in zip(trees, weights):
+    for tree, weight in zip(model.trees, model.weights):
         scores[tree_leaf_class(tree, x)] += weight
     return int(np.argmax(scores))

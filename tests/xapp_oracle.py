@@ -11,19 +11,28 @@ trace's inference end, and no command before the UE's window is full. It
 smooths by recounting the window at every step (`window_majority`), where the
 served step keeps running counts.
 `fraction_within` is a reading of a time-to-correct result that only the
-tests take.
+tests take. `oracle_time_to_correct` is the scoring that bisection of each
+UE's sorted stamps replaced: every segment filters all of its UE's decisions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from math import inf
 
 from ranguard.databus import DatabusFrame, FrameKind, now_us
 from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficCategory, TrafficClass, category_of, feature_vector
 from ranguard.ransim import RicCommand, build_station
-from ranguard.xapp import Decision, LatencyTrace, OnlineClassifier, TimeToCorrect, virtual_trace
+from ranguard.xapp import (
+    Decision,
+    GroundTruthSegment,
+    LatencyTrace,
+    OnlineClassifier,
+    TimeToCorrect,
+    virtual_trace,
+)
 
 
 def window_majority(labels: Sequence[TrafficClass]) -> TrafficClass:
@@ -45,6 +54,33 @@ def fraction_within(ttc: TimeToCorrect, budget_ms: float) -> float:
     if not ttc.times_ms:
         raise ValueError("no segments scored")
     return sum(1 for t in ttc.times_ms if t <= budget_ms) / ttc.total
+
+
+def oracle_time_to_correct(
+    decisions: Iterable[Decision], segments: Sequence[GroundTruthSegment], *, period_ms: int
+) -> TimeToCorrect:
+    """`time_to_correct` with a scan of all of a UE's decisions for each segment."""
+    by_ue: dict[int, list[Decision]] = {}
+    for d in decisions:
+        by_ue.setdefault(d.ue_id, []).append(d)
+    for rows in by_ue.values():
+        rows.sort(key=lambda d: d.timestamp_ms)
+
+    times: list[float] = []
+    for seg in segments:
+        rows = [d for d in by_ue.get(seg.ue_id, []) if seg.start_ms <= d.timestamp_ms < seg.end_ms]
+        if not rows:
+            times.append(inf)
+            continue
+        wrong = [i for i, d in enumerate(rows) if d.smoothed is not seg.label]
+        if not wrong:
+            times.append(0.0)
+        elif wrong[-1] == len(rows) - 1:
+            times.append(inf)
+        else:
+            first_correct = rows[wrong[-1] + 1]
+            times.append(float(first_correct.timestamp_ms - seg.start_ms + period_ms))
+    return TimeToCorrect(tuple(times))
 
 
 class FrameRouteClassifier(OnlineClassifier):
