@@ -14,9 +14,10 @@ or the payload. Broker ingress refuses a body too long to take the stamp.
 The broker is one event-loop thread over non-blocking sockets. It decodes each
 frame as it is read and writes it at once to every matching subscriber. Only
 a subscriber whose socket takes no more gets a queue; when that queue is full
-its oldest delivery goes, counted, so a publisher never waits. The client
-starts no thread: a poll reads and decodes in the caller's thread, one frame
-at a time, so a frame is handed on while the frames behind it are still bytes.
+its oldest delivery goes, counted, so a publisher never waits; that is the one
+place a frame is lost. The client starts no thread and holds one FIFO for all
+its patterns: a poll reads and decodes in the caller's thread, one frame at a
+time, so a frame is handed on while the frames behind it are still bytes.
 """
 
 from __future__ import annotations
@@ -421,50 +422,13 @@ class Broker:
         self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
 
 
-class Subscription:
-    """Client-side FIFO of frames whose topics match one subscribed pattern.
-
-    Filled by reads of the client's socket. A poll of a sibling subscription
-    on the same client can leave frames here; past DEFAULT_QUEUE_FRAMES of
-    them the oldest goes, counted in the client's `dropped`.
-    """
-
-    def __init__(self, pattern: str, client: "BusClient") -> None:
-        self.pattern = pattern
-        self._client = client
-        self._queue: deque = deque(maxlen=DEFAULT_QUEUE_FRAMES)
-
-    @property
-    def dropped(self) -> int:
-        """Frames lost on this subscription's connection before they were read (see BusClient.dropped)."""
-        return self._client.dropped
-
-    def _push(self, frame: DatabusFrame) -> None:
-        if len(self._queue) == self._queue.maxlen:
-            self._client._lost += 1
-        self._queue.append(frame)
-
-    def poll(self, timeout: float | None = None) -> DatabusFrame | None:
-        """Next frame in arrival order; None once timeout elapses with nothing.
-
-        Reads and decodes in the caller's thread, one frame at a time, until
-        one is for this subscription. timeout 0 still takes a frame that is
-        already on the socket.
-        """
-        queue = self._queue
-        if not queue:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not queue:
-                if not self._client._read_frame(deadline):
-                    return None
-        return queue.popleft()
-
-
 class BusClient:
-    """One TCP connection to the broker. It starts no thread.
+    """One TCP connection to the broker, with one FIFO for every pattern it subscribes.
 
-    Polls and subscribes read the socket in the caller's thread, so one thread
-    reads a client at a time; any thread may publish.
+    It starts no thread: polls and subscribes read the socket in the caller's
+    thread, so one thread reads a client at a time; any thread may publish.
+    The broker sends a connection only what its patterns match, so the client
+    keeps no patterns of its own, and loses no frame itself.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -473,11 +437,10 @@ class BusClient:
         self._readable = select.poll()
         self._readable.register(sock, select.POLLIN)
         self._send_lock = threading.Lock()
-        self._subs: list[Subscription] = []
+        self._early: deque[DatabusFrame] = deque()  # deliveries read while a subscribe waited for its ack
         self._acks: dict[str, bool] = {}  # subscribe acks read but not yet claimed: pattern -> ok
         self.error_acks = 0  # acks that name no pattern (an unknown frame kind): counted, not kept
-        self._broker_dropped = 0  # as the latest delivery's stamp reports
-        self._lost = 0  # pushed out of a full subscription queue here
+        self.dropped = 0  # frames the broker dropped for this connection, as its latest delivery reports
         self._connected = True
 
     @classmethod
@@ -490,12 +453,6 @@ class BusClient:
     @property
     def connected(self) -> bool:
         return self._connected
-
-    @property
-    def dropped(self) -> int:
-        """Frames for this connection lost before they were read: the broker's count, as its
-        latest delivery reports, plus those a full subscription queue here pushed out."""
-        return self._broker_dropped + self._lost
 
     def close(self) -> None:
         self._connected = False
@@ -514,8 +471,12 @@ class BusClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _read_frame(self, deadline: float | None) -> bool:
-        """Read, decode and hand out one frame; False if none came by the deadline (None: no deadline)."""
+    def _read_frame(self, deadline: float | None) -> DatabusFrame | None:
+        """Read and decode one frame; None if none came by the deadline (None: no deadline).
+
+        An ack is kept for the subscribe that waits for it, and a delivery's
+        stamp sets `dropped`.
+        """
         if not self._connected:
             raise BusDisconnected("bus connection is closed")
         reader = self._reader
@@ -525,7 +486,7 @@ class BusClient:
                     left_ms = (deadline - time.monotonic()) * 1e3
                     if not self._readable.poll(min(max(left_ms, 0.0), _POLL_MAX_MS)):
                         if left_ms <= _POLL_MAX_MS:
-                            return False
+                            return None
                         continue  # poll waits at most _POLL_MAX_MS, so a longer wait takes several
                 reader.fill()
             frame = decode_frame(body)
@@ -539,15 +500,20 @@ class BusClient:
                 self._acks[pattern] = payload.get("ok") is True
             else:  # no subscribe would ever claim it
                 self.error_acks += 1
-            return True
-        bus = payload.get("bus")
-        if type(bus) is dict and type(dropped := bus.get("dropped")) is int:
-            self._broker_dropped = dropped
-        topic = frame.topic
-        for sub in self._subs:
-            if topic_matches(sub.pattern, topic):
-                sub._push(frame)
-        return True
+        elif type(bus := payload.get("bus")) is dict and type(dropped := bus.get("dropped")) is int:
+            self.dropped = dropped
+        return frame
+
+    def poll(self, timeout: float | None = None) -> DatabusFrame | None:
+        """Next delivery of any subscribed pattern, in arrival order; None once timeout
+        elapses with nothing. timeout 0 still takes a frame that is already on the socket."""
+        if self._early:
+            return self._early.popleft()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while (frame := self._read_frame(deadline)) is not None:
+            if frame.kind is not FrameKind.ACK:
+                return frame
+        return None
 
     def send_frame(self, frame: DatabusFrame) -> None:
         if not self._connected:
@@ -571,21 +537,22 @@ class BusClient:
         stamp = now_us() if t_sent_us is None else t_sent_us
         self.send_frame(DatabusFrame(kind, topic, stamp, payload))
 
-    def subscribe(self, pattern: str, timeout: float = 5.0) -> Subscription:
-        """Register a pattern; returns once the broker has acknowledged it.
+    def subscribe(self, pattern: str, timeout: float = 5.0) -> "BusClient":
+        """Add a pattern to this connection; returns the client once the broker has acknowledged it.
 
-        Waiting for the ack reads the socket like a poll, so frames for other
-        subscriptions that arrive meanwhile are queued for them.
+        Waiting for the ack reads the socket like a poll; the deliveries read
+        meanwhile are kept, in order, for the next polls.
         """
         if not valid_pattern(pattern):
             raise ValueError(f"bad subscribe pattern {pattern!r}")
-        sub = Subscription(pattern, self)
-        self._subs.append(sub)
         self.send_frame(DatabusFrame(FrameKind.SUBSCRIBE, pattern, now_us(), {}))
         deadline = time.monotonic() + timeout
         while pattern not in self._acks:
-            if not self._read_frame(deadline):
+            frame = self._read_frame(deadline)
+            if frame is None:
                 raise TimeoutError(f"no subscribe ack for {pattern!r} within {timeout}s")
+            if frame.kind is not FrameKind.ACK:
+                self._early.append(frame)
         if not self._acks.pop(pattern):
             raise ValueError(f"broker rejected pattern {pattern!r}")
-        return sub
+        return self

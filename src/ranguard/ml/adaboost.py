@@ -35,7 +35,12 @@ class AdaBoost(TreeModel):
         chance = 1.0 - 1.0 / n_classes
         for _ in range(rounds):
             stump = _grow(X, codes, y, w, n_classes, _STUMP, None, None, draws)
-            miss = stump.predict_batch(X) != y
+            # each row's leaf: the root, or one of the two children of its one split;
+            # scored from the stump's arrays, so no vote is compiled
+            leaf = 0
+            if (f := stump.feature[0]) >= 0:
+                leaf = np.where(X[:, f] <= stump.threshold[0], stump.left[0], stump.right[0])
+            miss = stump.klass[leaf] != y
             err = float(w[miss].sum())
             if err >= chance:
                 if not stumps:

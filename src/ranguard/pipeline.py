@@ -139,8 +139,8 @@ def collect(config: ScenarioConfig, out_path: str | Path) -> int:
     """Labeled dataset CSV from a virtual-time run; returns the row count.
 
     Rows are written as the run makes them, to a temporary file that replaces
-    out_path at the end: a failed run leaves out_path as it was, and a
-    zero-duration run leaves a header-only file.
+    out_path at the end, so a failed run leaves out_path as it was. A scenario
+    lasts at least one period, so the file has at least one row.
     """
     with atomic_write(out_path, newline="") as fh:
         return write_dataset_rows(fh, labeled_stream(config))
@@ -515,7 +515,7 @@ def bench_latency(
     with Broker(port=0) as broker:
         host, port = broker.address
         with BusClient.connect(host, port) as pub, BusClient.connect(host, port) as ric:
-            sub = ric.subscribe(bs.kpm_topic)
+            ric.subscribe(bs.kpm_topic)
 
             def feed() -> None:
                 interval = 1.0 / rate_hz
@@ -534,7 +534,7 @@ def bench_latency(
             feeder = threading.Thread(target=feed, name="bench-feed", daemon=True)
             feeder.start()
             while len(traces) < frames:
-                frame = sub.poll(timeout=2.0)
+                frame = ric.poll(timeout=2.0)
                 if frame is None:
                     break  # stream over (or frames dropped under overload)
                 decision = xapp.on_measurement(frame)
@@ -578,14 +578,14 @@ def run_xapp(
     log_fh = None
     writer = None
     try:
-        sub = client.subscribe("kpm.*")
+        client.subscribe("kpm.*")
         if log_path is not None:
             log_fh = Path(log_path).open("w", newline="")
             writer = csv.writer(log_fh)
             writer.writerow(PREDICTION_LOG_HEADER)
         while max_frames is None or frames < max_frames:
             try:
-                frame = sub.poll(timeout=idle_timeout_s)
+                frame = client.poll(timeout=idle_timeout_s)
             except BusDisconnected:
                 break
             if frame is None:
@@ -606,7 +606,7 @@ def run_xapp(
                     break
             if writer is not None:  # ground truth is not observable online
                 writer.writerow(prediction_log_row(decision, ""))
-        return XappRunStats(frames, n_decisions, n_commands, xapp.malformed, sub.dropped)
+        return XappRunStats(frames, n_decisions, n_commands, xapp.malformed, client.dropped)
     finally:
         if log_fh is not None:
             log_fh.close()

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .databus import BusClient, DatabusFrame, FrameKind, default_port, now_us
+from .databus import BusClient, DatabusFrame, FrameKind, now_us
 from .kpm import LabeledSample, TrafficClass, class_from_label
 from .traffic import (
     DEFAULT_PERIOD_MS,
@@ -217,7 +217,7 @@ class UeSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one run: station layout, scripts, clocks, broker."""
+    """Everything needed to reproduce one run: station layout, scripts, clocks."""
 
     duration_ms: int
     ues: tuple[UeSpec, ...]
@@ -226,18 +226,15 @@ class ScenarioConfig:
     period_ms: int = DEFAULT_PERIOD_MS
     transient_ms: int = DEFAULT_TRANSIENT_MS
     time_mode: TimeMode = TimeMode.VIRTUAL
-    broker_host: str = "127.0.0.1"
-    broker_port: int | None = None  # None: default_port() at connect time
 
     def __post_init__(self) -> None:
         if self.period_ms <= 0:
             raise ValueError(f"period_ms must be > 0, got {self.period_ms}")
         if self.transient_ms < 0:
             raise ValueError(f"transient_ms must be >= 0, got {self.transient_ms}")
-        if self.duration_ms < 0 or self.duration_ms % self.period_ms != 0:
+        if self.duration_ms <= 0 or self.duration_ms % self.period_ms != 0:
             raise ValueError(
-                f"duration_ms must be a nonnegative multiple of period_ms, "
-                f"got {self.duration_ms}"
+                f"duration_ms must be a positive multiple of period_ms, got {self.duration_ms}"
             )
         if not self.ues:
             raise ValueError("scenario needs at least one UE")
@@ -344,13 +341,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ScenarioError(
                 f"line {line_no}: time_mode must be one of {choices}, got {value!r}"
             ) from None
-    if "broker" in entries:
-        line_no, value = entries.pop("broker")
-        host, sep, port = value.rpartition(":")
-        if not sep or not host:
-            raise ScenarioError(f"line {line_no}: broker must be <host>:<port>, got {value!r}")
-        fields["broker_host"] = host
-        fields["broker_port"] = _parse_int("broker port", port, line_no)
 
     ue_fields: dict[int, dict] = {}
     for key, (line_no, value) in entries.items():
@@ -404,10 +394,6 @@ def build_station(config: ScenarioConfig) -> BaseStation:
         script_seq, stream_seq = child.spawn(2)
         if spec.script is not None:
             script: Sequence[ScriptSegment] = spec.script
-        elif config.duration_ms == 0:
-            # zero-duration runs never draw a sample; any placeholder script works
-            pool = spec.classes or tuple(TrafficClass)
-            script = [ScriptSegment(pool[0], config.period_ms)]
         else:
             script = build_random_script(
                 np.random.default_rng(script_seq),
@@ -471,39 +457,34 @@ def handle_command_frame(
     return DatabusFrame(FrameKind.EVENT, bs.event_topic, applied_at_us, payload), ok
 
 
-def run_scenario(config: ScenarioConfig, *, client: BusClient | None = None) -> ScenarioReport:
-    """Play the scenario against the databus in real time, executing commands between ticks.
+def run_scenario(config: ScenarioConfig, client: BusClient) -> ScenarioReport:
+    """Play the scenario in real time over the station's bus connection, executing commands between ticks.
 
-    Ticks are paced on the wall clock, and every frame and event is stamped
-    with the monotonic clock the broker and the xApp stamp with. A virtual
-    scenario is refused: its stamps would mix with theirs (closed_loop plays it).
+    The client is subscribed to the station's ctrl topic, and every delivery
+    it polls is taken as a command, so it should carry no other pattern; the
+    caller closes it. Ticks are paced on the wall clock, and every frame and
+    event is stamped with the monotonic clock the broker and the xApp stamp
+    with. A virtual scenario is refused: its stamps would mix with theirs
+    (closed_loop plays it).
     """
     if config.time_mode is not TimeMode.REAL:
         raise ValueError("run_scenario plays real time; use closed_loop for a virtual-time scenario")
     bs = build_station(config)
-    own_client = client is None
-    if client is None:
-        port = config.broker_port if config.broker_port is not None else default_port()
-        client = connect_with_retry(config.broker_host, port)
     ticks = frames_published = events_published = commands_applied = 0
-    try:
-        commands = client.subscribe(bs.ctrl_topic)
-        start = time.monotonic()
-        for t in range(0, config.duration_ms, config.period_ms):
-            wait = start + t / 1000.0 - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            while (cmd_frame := commands.poll(timeout=0)) is not None:
-                event, ok = handle_command_frame(bs, cmd_frame, applied_at_us=now_us())
-                commands_applied += int(ok)
-                if event is not None:
-                    client.publish(event.kind, event.topic, event.payload, event.t_sent_us)
-                    events_published += 1
-            for frame in bs.tick(t, t_sent_us=now_us()):
-                client.publish(frame.kind, frame.topic, frame.payload, frame.t_sent_us)
-                frames_published += 1
-            ticks += 1
-        return ScenarioReport(ticks, frames_published, events_published, commands_applied)
-    finally:
-        if own_client:
-            client.close()
+    client.subscribe(bs.ctrl_topic)
+    start = time.monotonic()
+    for t in range(0, config.duration_ms, config.period_ms):
+        wait = start + t / 1000.0 - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        while (cmd_frame := client.poll(timeout=0)) is not None:
+            event, ok = handle_command_frame(bs, cmd_frame, applied_at_us=now_us())
+            commands_applied += int(ok)
+            if event is not None:
+                client.publish(event.kind, event.topic, event.payload, event.t_sent_us)
+                events_published += 1
+        for frame in bs.tick(t, t_sent_us=now_us()):
+            client.publish(frame.kind, frame.topic, frame.payload, frame.t_sent_us)
+            frames_published += 1
+        ticks += 1
+    return ScenarioReport(ticks, frames_published, events_published, commands_applied)

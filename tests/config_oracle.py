@@ -22,8 +22,6 @@ def format_scenario(config: ScenarioConfig) -> str:
         f"transient_ms = {config.transient_ms}",
         f"time_mode = {config.time_mode.value}",
     ]
-    if config.broker_port is not None:
-        lines.append(f"broker = {config.broker_host}:{config.broker_port}")
     for spec in config.ues:
         if spec.script is None:
             lines.append(f"ue.{spec.ue_id}.script = random")

@@ -91,6 +91,20 @@ def test_collect_from_scenario_file(tmp_path, capsys):
     assert {r.sample.ue_id for r in read_dataset(out)} == {1, 2}
 
 
+@pytest.mark.parametrize(
+    "source", [["--preset", "one_ue"], ["--scenario", "scene.cfg"]], ids=["preset", "scenario"]
+)
+def test_collect_refuses_a_zero_duration_and_keeps_the_old_file(tmp_path, monkeypatch, capsys, source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.cfg").write_text(format_scenario(pipeline.one_ue_scenario(0, duration_ms=1000)))
+    out = tmp_path / "ds.csv"
+    out.write_bytes(b"an earlier dataset\n")
+    assert cli.main(["collect", *source, "--duration-ms", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: duration_ms must be a positive multiple of period_ms, got 0\n"
+    assert out.read_bytes() == b"an earlier dataset\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "scene.cfg"]
+
+
 def test_collect_preset_and_scenario_conflict(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["collect", "--preset", "one_ue", "--scenario", "f.cfg", "--out", "x.csv"])
@@ -199,6 +213,13 @@ def test_duration_override_goes_through_the_preset_checks(trained, capsys):
     assert code == 1
     assert err == f"error: {preset_error.value}\n"
     assert "PASS" not in out
+
+
+def test_closed_loop_refuses_a_zero_duration_with_the_scenarios_message(trained, capsys):
+    _, model = trained
+    code = cli.main(["closed-loop", "--model", str(model), "--preset", "one_ue", "--duration-ms", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: duration_ms must be a positive multiple of period_ms, got 0\n"
 
 
 def test_bench_latency_gate(trained, capsys):

@@ -280,6 +280,17 @@ def test_adaboost_stops_early_on_perfect_stump():
     assert (model.predict_batch(X) == y).all()
 
 
+def test_adaboost_training_compiles_no_stump_vote(blob_data):
+    X, y = blob_data
+    model = AdaBoost.train(X, y, 4, rounds=12)
+    assert len(model.trees) > 1
+    assert not any("_vote" in stump.__dict__ for stump in model.trees)
+    # a stump with no split, on a feature that cannot be cut, is scored by its root
+    leaf_only = AdaBoost.train(np.zeros((6, 2)), np.zeros(6, dtype=np.int64), 2, rounds=5)
+    assert [stump.feature.tolist() for stump in leaf_only.trees] == [[-1]]
+    assert "_vote" not in leaf_only.trees[0].__dict__
+
+
 def test_adaboost_rejects_chance_level_first_stump():
     # XOR: every axis-aligned stump is exactly 50/50
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 10)

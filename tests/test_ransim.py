@@ -224,7 +224,7 @@ def one_ue_config(seed: int = 0, duration_ms: int = 60_000) -> ScenarioConfig:
     return ScenarioConfig(
         duration_ms=duration_ms,
         seed=seed,
-        ues=(UeSpec(0, (ScriptSegment(TrafficClass.WEB, duration_ms or 100),)),),
+        ues=(UeSpec(0, (ScriptSegment(TrafficClass.WEB, duration_ms),)),),
     )
 
 
@@ -233,10 +233,12 @@ def test_sixty_second_run_yields_six_hundred_frames():
     assert len(frames) == 600
 
 
-def test_zero_duration_yields_no_frames():
-    assert list(frame_stream(one_ue_config(duration_ms=0))) == []
-    random_cfg = ScenarioConfig(duration_ms=0, ues=(UeSpec(0, None),))
-    assert list(frame_stream(random_cfg)) == []
+@pytest.mark.parametrize(
+    "spec", [UeSpec(0, (ScriptSegment(TrafficClass.WEB, 100),)), UeSpec(0, None)], ids=["script", "random"]
+)
+def test_a_scenario_lasts_at_least_one_period(spec):
+    with pytest.raises(ValueError, match="duration_ms must be a positive multiple of period_ms, got 0"):
+        ScenarioConfig(duration_ms=0, ues=(spec,))
 
 
 def test_virtual_timestamp_stride_equals_period():
@@ -313,7 +315,6 @@ def test_parse_full_scenario():
     period_ms = 100
     transient_ms = 500
     time_mode = real
-    broker = 10.0.0.5:4000
 
     ue.1.script = web:3000 voip:3000 dos_hulk:6000
     ue.2.script = random
@@ -325,7 +326,6 @@ def test_parse_full_scenario():
     assert config.seed == 17
     assert config.duration_ms == 12_000
     assert config.time_mode is TimeMode.REAL
-    assert (config.broker_host, config.broker_port) == ("10.0.0.5", 4000)
     assert config.ues[0].script == (
         ScriptSegment(TrafficClass.WEB, 3000),
         ScriptSegment(TrafficClass.VOIP, 3000),
@@ -343,7 +343,6 @@ def test_parse_defaults():
     assert config.period_ms == 100
     assert config.transient_ms == 500
     assert config.time_mode is TimeMode.VIRTUAL
-    assert (config.broker_host, config.broker_port) == ("127.0.0.1", None)
 
 
 @pytest.mark.parametrize(
@@ -372,6 +371,13 @@ def test_parse_errors(text, fragment):
         parse_scenario(text)
 
 
+def test_a_broker_key_is_an_unknown_key():
+    # the station plays over its caller's connection, so a scenario names no broker
+    text = "duration_ms = 1000\nbroker = 10.0.0.5:4000\nue.1.script = web:1000\n"
+    with pytest.raises(ScenarioError, match="^line 2: unknown key 'broker'$"):
+        parse_scenario(text)
+
+
 def ue_spec_strategy(ue_id: int) -> st.SearchStrategy[UeSpec]:
     classes = st.sampled_from(list(TrafficClass))
     explicit = st.lists(
@@ -391,22 +397,18 @@ def scenario_strategy(draw) -> ScenarioConfig:
     n_ues = draw(st.integers(1, 3))
     ues = tuple(draw(ue_spec_strategy(ue_id)) for ue_id in range(n_ues))
     return ScenarioConfig(
-        duration_ms=draw(st.integers(0, 100)) * 100,
+        duration_ms=draw(st.integers(1, 100)) * 100,
         ues=ues,
         bs_id=draw(st.integers(0, 9)),
         seed=draw(st.integers(0, 2**31)),
         transient_ms=draw(st.integers(0, 1000)),
         time_mode=draw(st.sampled_from(list(TimeMode))),
-        broker_host=draw(st.sampled_from(["127.0.0.1", "bus.local"])),
-        broker_port=draw(st.one_of(st.none(), st.integers(1024, 65535))),
     )
 
 
 @settings(max_examples=50)
 @given(config=scenario_strategy())
 def test_scenario_text_round_trip(config):
-    if config.broker_port is None:
-        config = ScenarioConfig(**{**config.__dict__, "broker_host": "127.0.0.1"})
     assert parse_scenario(format_scenario(config)) == config
 
 
@@ -416,20 +418,18 @@ def test_scenario_text_round_trip(config):
 def test_run_scenario_publishes_all_frames():
     with Broker(port=0) as broker:
         host, port = broker.address
-        with BusClient.connect(host, port) as watcher:
+        with BusClient.connect(host, port) as watcher, BusClient.connect(host, port) as station:
             sub = watcher.subscribe("kpm.1")
             config = ScenarioConfig(
                 duration_ms=3000,
                 seed=5,
                 time_mode=TimeMode.REAL,
-                broker_host=host,
-                broker_port=port,
                 ues=(
                     UeSpec(1, (ScriptSegment(TrafficClass.WEB, 3000),)),
                     UeSpec(2, (ScriptSegment(TrafficClass.VOIP, 3000),)),
                 ),
             )
-            report = run_scenario(config)
+            report = run_scenario(config, station)
             assert report.ticks == 30
             assert report.frames_published == 60
             assert report.events_published == 0
@@ -445,81 +445,74 @@ def test_run_scenario_publishes_all_frames():
 
 
 def test_run_scenario_counts_match_frame_stream():
-    with Broker(port=0) as broker:
-        host, port = broker.address
+    with Broker(port=0) as broker, BusClient.connect(*broker.address) as station:
         config = ScenarioConfig(
             duration_ms=2000,
             seed=11,
             time_mode=TimeMode.REAL,
-            broker_host=host,
-            broker_port=port,
             ues=(UeSpec(7, None),),
         )
         expected = len(list(frame_stream(config)))
-        report = run_scenario(config)
+        report = run_scenario(config, station)
         assert report.frames_published == expected == 20
 
 
-def test_run_scenario_refuses_a_virtual_scenario_before_it_connects(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("run_scenario touched the bus")
-
-    monkeypatch.setattr(ransim, "connect_with_retry", refuse)
+def test_run_scenario_refuses_a_virtual_scenario_before_it_connects():
     client = mock.Mock(spec=BusClient)
     config = ScenarioConfig(duration_ms=1000, ues=(UeSpec(1, (ScriptSegment(TrafficClass.WEB, 1000),)),))
     assert config.time_mode is TimeMode.VIRTUAL
-    for given_client in (None, client):
-        with pytest.raises(ValueError, match="real time"):
-            run_scenario(config, client=given_client)
-    assert client.mock_calls == []
+    with pytest.raises(ValueError, match="real time"):
+        run_scenario(config, client)
+    assert client.mock_calls == []  # not even a subscribe
 
 
 def test_run_scenario_applies_commands_mid_flight():
     with Broker(port=0) as broker:
         host, port = broker.address
-        with BusClient.connect(host, port) as ric:
-            kpm = ric.subscribe("kpm.1")
-            events = ric.subscribe("event.1")
+        with BusClient.connect(host, port) as ric, BusClient.connect(host, port) as station:
+            ric.subscribe("kpm.1")
+            ric.subscribe("event.1")  # measurements and events share ric's one queue
             config = ScenarioConfig(
                 duration_ms=2400,
                 period_ms=40,
                 time_mode=TimeMode.REAL,
-                broker_host=host,
-                broker_port=port,
                 ues=(
                     UeSpec(1, (ScriptSegment(TrafficClass.WEB, 2400),)),
                     UeSpec(2, (ScriptSegment(TrafficClass.DOS_HULK, 2400),)),
                 ),
             )
             reports: list = []
-            runner = threading.Thread(target=lambda: reports.append(run_scenario(config)))
+            runner = threading.Thread(target=lambda: reports.append(run_scenario(config, station)))
             runner.start()
             try:
                 # wait until measurements flow, then order UE 2 released (twice:
                 # the repeat must be a silent no-op)
-                assert kpm.poll(timeout=5.0) is not None
+                assert ric.poll(timeout=5.0).kind is FrameKind.MEASUREMENT
                 cmd = RicCommand(2, CommandAction.RRC_RELEASE, issued_at_us=123, cmd_id=1)
                 ric.publish(FrameKind.COMMAND, "ctrl.1", cmd.to_payload())
                 time.sleep(0.1)
                 ric.publish(FrameKind.COMMAND, "ctrl.1", cmd.to_payload())
-                event = events.poll(timeout=5.0)
-                assert event is not None
-                assert event.payload["ue_id"] == 2
-                assert event.payload["rrc_state"] == "idle"
-                assert events.poll(timeout=0.5) is None  # no second event
             finally:
                 runner.join(timeout=15.0)
             assert not runner.is_alive()
-            report = reports[0]
-            assert report.commands_applied == 2
-            assert report.events_published == 1
-            # after the release lands, only UE 1 keeps reporting
-            seen_after_event = []
-            while (frame := kpm.poll(timeout=0.2)) is not None:
-                if frame.t_sent_us > event.t_sent_us:
-                    seen_after_event.append(frame.payload["ue_id"])
-            assert seen_after_event
-            assert set(seen_after_event) == {1}
+            frames = []
+            while (frame := ric.poll(timeout=0.5)) is not None:
+                frames.append(frame)
+    report = reports[0]
+    assert report.commands_applied == 2
+    assert report.events_published == 1
+    events = [f for f in frames if f.kind is FrameKind.EVENT]
+    assert len(events) == 1  # no second event
+    event = events[0]
+    assert event.topic == "event.1"
+    assert event.payload["ue_id"] == 2
+    assert event.payload["rrc_state"] == "idle"
+    # after the release lands, only UE 1 keeps reporting
+    seen_after_event = [
+        f.payload["ue_id"] for f in frames if f.kind is FrameKind.MEASUREMENT and f.t_sent_us > event.t_sent_us
+    ]
+    assert seen_after_event
+    assert set(seen_after_event) == {1}
 
 
 def test_connect_with_retry_gives_up_after_attempts(monkeypatch):
