@@ -1,8 +1,8 @@
 """Topic-based pub/sub over TCP: length-prefixed JSON frames, per-delivery delay stats.
 
 Wire format: 4-byte big-endian body length, then the UTF-8 JSON frame body, an
-object with the envelope keys "version", "kind", "topic", "t_sent_us" and
-"payload". The broker relays the publisher's body bytes as they came, with one
+object with the envelope keys "version" (always 1), "kind", "topic", "t_sent_us"
+and "payload". The broker relays the publisher's body bytes as they came, with one
 envelope key spliced in before the closing brace:
 "bus": {"in_us": <ingress>, "out_us": <egress>, "dropped": <n>}, its microsecond
 stamps and the number of frames it has dropped for this subscriber so far.
@@ -96,11 +96,8 @@ class DatabusFrame:
     topic: str
     t_sent_us: int
     payload: Mapping
-    version: int = 1
 
     def __post_init__(self) -> None:
-        if type(self.version) is not int or self.version != 1:
-            raise ValueError(f"unsupported frame version {self.version!r}")
         if type(self.t_sent_us) is not int or self.t_sent_us < 0:
             raise ValueError(f"t_sent_us must be a nonnegative integer, got {self.t_sent_us!r}")
         if type(self.payload) is not dict and not isinstance(self.payload, Mapping):
@@ -131,7 +128,7 @@ def encode_frame(frame: DatabusFrame) -> bytes:
     payload = frame.payload
     body = _encode_json(
         {
-            "version": frame.version,
+            "version": 1,
             "kind": frame.kind.value,
             "topic": frame.topic,
             "t_sent_us": frame.t_sent_us,
@@ -158,10 +155,12 @@ def decode_frame(body: bytes) -> DatabusFrame:
         kind = _KINDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind, a list or an object
         raise UnknownFrameKind(f"unknown frame kind {kind!r}") from None
+    if type(version) is not int or version != 1:
+        raise FrameDecodeError(f"unsupported frame version {version!r}")
     if "bus" in doc and type(payload) is dict:
         payload["bus"] = doc["bus"]
     try:
-        return DatabusFrame(kind, topic, t_sent_us, payload, version)
+        return DatabusFrame(kind, topic, t_sent_us, payload)
     except (TypeError, ValueError) as exc:
         raise FrameDecodeError(str(exc)) from None
 
@@ -449,10 +448,6 @@ class BusClient:
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return cls(sock)
-
-    @property
-    def connected(self) -> bool:
-        return self._connected
 
     def close(self) -> None:
         self._connected = False

@@ -40,6 +40,8 @@ _CATEGORY: dict[TrafficClass, TrafficCategory] = {
     TrafficClass.DOS_HULK: TrafficCategory.ATTACK,
     TrafficClass.SLOWLORIS: TrafficCategory.ATTACK,
 }
+ATTACK_CLASSES = tuple(c for c in TrafficClass if _CATEGORY[c] is TrafficCategory.ATTACK)
+BENIGN_CLASSES = tuple(c for c in TrafficClass if _CATEGORY[c] is TrafficCategory.BENIGN)
 
 
 def category_of(traffic_class: TrafficClass) -> TrafficCategory:

@@ -86,7 +86,7 @@ def load_model(path: str | Path) -> LoadedModel:
         raise ModelFormatError(f"model file not found: {path}")
     try:
         envelope = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file: {exc}") from None
     if not isinstance(envelope, dict) or envelope.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")

@@ -19,6 +19,8 @@ import numpy as np
 from .databus import Broker, BusClient, BusDisconnected, FrameKind, now_us
 from .files import atomic_write
 from .kpm import (
+    ATTACK_CLASSES,
+    BENIGN_CLASSES,
     CLASS_ORDER,
     FEATURE_COUNT,
     LabeledSample,
@@ -64,9 +66,6 @@ from .xapp import (
     time_to_correct,
     virtual_trace,
 )
-
-ATTACK_CLASSES = tuple(c for c in TrafficClass if category_of(c) is TrafficCategory.ATTACK)
-BENIGN_CLASSES = tuple(c for c in TrafficClass if category_of(c) is TrafficCategory.BENIGN)
 
 PREDICTION_LOG_HEADER = (
     "timestamp_ms",

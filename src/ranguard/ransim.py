@@ -40,7 +40,6 @@ class RrcState(Enum):
 
 class CommandAction(Enum):
     FORWARD = "forward"
-    PRIORITIZE = "prioritize"
     DROP = "drop"
     RRC_RELEASE = "rrc_release"
 
@@ -90,11 +89,7 @@ class UeContext:
     ue_id: int
     stream: ScriptedStream
     rrc_state: RrcState = RrcState.CONNECTED
-    policy: CommandAction = CommandAction.FORWARD  # FORWARD, PRIORITIZE or DROP
-
-    @property
-    def label(self) -> TrafficClass:
-        return self.stream.label
+    policy: CommandAction = CommandAction.FORWARD  # FORWARD or DROP
 
 
 class BaseStation:
@@ -124,9 +119,6 @@ class BaseStation:
     @property
     def ues(self) -> tuple[UeContext, ...]:
         return tuple(self._ues.values())
-
-    def ue(self, ue_id: int) -> UeContext:
-        return self._ues[ue_id]
 
     def add_ue(self, ue_id: int, stream: ScriptedStream) -> UeContext:
         if ue_id < 0:

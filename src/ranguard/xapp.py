@@ -21,14 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from .databus import DatabusFrame, now_us
-from .kpm import (
-    CLASS_ORDER,
-    KpmSample,
-    TrafficCategory,
-    TrafficClass,
-    category_of,
-    feature_vector,
-)
+from .kpm import ATTACK_CLASSES, CLASS_ORDER, KpmSample, TrafficClass, feature_vector
 from .ransim import BaseStation, CommandAction, RicCommand, read_key_values
 from .records import record
 
@@ -202,16 +195,22 @@ DEFAULT_DWELL = 3
 
 @dataclass(frozen=True)
 class PolicyMap:
-    """What to do about each traffic class, plus how much evidence to require."""
+    """What to do about each attack class, plus how much evidence to require.
+
+    Only an attack verdict issues a command, so benign classes take no action.
+    """
 
     actions: Mapping[TrafficClass, CommandAction]
     window: int = DEFAULT_WINDOW
     dwell: int = DEFAULT_DWELL
 
     def __post_init__(self) -> None:
-        missing = [cls.value for cls in TrafficClass if cls not in self.actions]
+        missing = [cls.value for cls in ATTACK_CLASSES if cls not in self.actions]
         if missing:
-            raise ValueError(f"policy must cover every class; missing {missing}")
+            raise ValueError(f"policy must cover every attack class; missing {missing}")
+        extra = [getattr(key, "value", key) for key in self.actions if key not in ATTACK_CLASSES]
+        if extra:
+            raise ValueError(f"policy maps only the attack classes; got {extra}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.dwell < 1:
@@ -219,16 +218,8 @@ class PolicyMap:
 
     @classmethod
     def default(cls) -> "PolicyMap":
-        """Benign traffic forwards; any attack class releases the RRC connection."""
-        actions = {
-            c: (
-                CommandAction.FORWARD
-                if category_of(c) is TrafficCategory.BENIGN
-                else CommandAction.RRC_RELEASE
-            )
-            for c in TrafficClass
-        }
-        return cls(actions)
+        """Any attack class releases the RRC connection."""
+        return cls(dict.fromkeys(ATTACK_CLASSES, CommandAction.RRC_RELEASE))
 
 
 class PolicyError(ValueError):
@@ -236,10 +227,10 @@ class PolicyError(ValueError):
 
 
 def parse_policy(text: str) -> PolicyMap:
-    """PolicyMap from key = value text: window, dwell, and one action per class."""
+    """PolicyMap from key = value text: window, dwell, and one action per attack class."""
     actions: dict[TrafficClass, CommandAction] = {}
     knobs = {"window": DEFAULT_WINDOW, "dwell": DEFAULT_DWELL}
-    class_by_label = {cls.value: cls for cls in TrafficClass}
+    class_by_label = {cls.value: cls for cls in ATTACK_CLASSES}
     for key, (line_no, value) in read_key_values(text, PolicyError).items():
         if key in knobs:
             try:
@@ -277,7 +268,7 @@ class Decision:
     trace: LatencyTrace
 
 
-_ATTACK = tuple(category_of(c) is TrafficCategory.ATTACK for c in CLASS_ORDER)
+_ATTACK = tuple(c in ATTACK_CLASSES for c in CLASS_ORDER)
 
 
 @dataclass(slots=True)

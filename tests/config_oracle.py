@@ -7,7 +7,7 @@ round-trip properties and the CLI tests that write a scenario file use them.
 
 from __future__ import annotations
 
-from ranguard.kpm import TrafficClass
+from ranguard.kpm import ATTACK_CLASSES
 from ranguard.ransim import DEFAULT_MAX_SEGMENT_MS, DEFAULT_MIN_SEGMENT_MS, ScenarioConfig
 from ranguard.xapp import PolicyMap
 
@@ -42,5 +42,5 @@ def format_scenario(config: ScenarioConfig) -> str:
 def format_policy(policy: PolicyMap) -> str:
     """PolicyMap back to parseable text; parse_policy(format_policy(p)) == p."""
     lines = [f"window = {policy.window}", f"dwell = {policy.dwell}"]
-    lines += [f"{cls.value} = {policy.actions[cls].value}" for cls in TrafficClass]
+    lines += [f"{cls.value} = {policy.actions[cls].value}" for cls in ATTACK_CLASSES]
     return "\n".join(lines) + "\n"

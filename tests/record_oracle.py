@@ -69,11 +69,8 @@ class DatabusFrame:
     topic: str
     t_sent_us: int
     payload: Mapping
-    version: int = 1
 
     def __post_init__(self) -> None:
-        if type(self.version) is not int or self.version != 1:
-            raise ValueError(f"unsupported frame version {self.version!r}")
         if type(self.t_sent_us) is not int or self.t_sent_us < 0:
             raise ValueError(f"t_sent_us must be a nonnegative integer, got {self.t_sent_us!r}")
         if type(self.payload) is not dict and not isinstance(self.payload, Mapping):

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from ranguard import pipeline
-from ranguard.kpm import CLASS_ORDER, TrafficClass, read_dataset
+from ranguard.kpm import ATTACK_CLASSES, CLASS_ORDER, read_dataset
 from ranguard.ransim import CommandAction
 from ranguard.xapp import PolicyMap
 from xapp_oracle import fraction_within
@@ -147,7 +147,7 @@ def test_criterion_4_latency_budget_identity(models, capsys):
 
 
 def test_criterion_5_time_to_correct_cdf(models, capsys):
-    detection_only = PolicyMap({cls: CommandAction.FORWARD for cls in TrafficClass})
+    detection_only = PolicyMap(dict.fromkeys(ATTACK_CLASSES, CommandAction.FORWARD))
     result = pipeline.closed_loop(
         pipeline.two_ue_scenario(TEST_SEED, duration_ms=400_000),
         models["rf"],

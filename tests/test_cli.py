@@ -12,7 +12,7 @@ import pytest
 
 from ranguard import cli, pipeline
 from ranguard.databus import Broker, BusClient, FrameKind, now_us
-from ranguard.kpm import CLASS_ORDER, read_dataset
+from ranguard.kpm import ATTACK_CLASSES, CLASS_ORDER, read_dataset
 from ranguard.ransim import build_station
 from config_oracle import format_scenario
 
@@ -152,6 +152,16 @@ def test_evaluate_missing_model_is_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_deeply_nested_model_is_one_error_line(trained, tmp_path, capsys):
+    dataset, _ = trained
+    deep = tmp_path / "deep.model"
+    deep.write_text("[" * 200_000)
+    code = cli.main(["evaluate", "--model", str(deep), "--dataset", str(dataset)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_closed_loop_assert_passes_and_writes_report(trained, tmp_path, capsys):
     _, model = trained
     report_dir = tmp_path / "report"
@@ -176,7 +186,7 @@ def test_closed_loop_assert_passes_and_writes_report(trained, tmp_path, capsys):
 def test_closed_loop_detection_only_policy_fails_assert(trained, tmp_path, capsys):
     _, model = trained
     policy_path = tmp_path / "forward.policy"
-    policy_path.write_text("\n".join(f"{cls.value} = forward" for cls in CLASS_ORDER))
+    policy_path.write_text("\n".join(f"{cls.value} = forward" for cls in ATTACK_CLASSES))
     code = cli.main(
         [
             "--seed", "3",
@@ -242,10 +252,19 @@ def test_bench_latency_gate(trained, capsys):
 def test_bad_policy_file_is_error(trained, tmp_path, capsys):
     _, model = trained
     policy_path = tmp_path / "bad.policy"
-    policy_path.write_text("web = nuke\n")
+    policy_path.write_text("ddos_ripper = nuke\n")
     code = cli.main(["closed-loop", "--model", str(model), "--policy", str(policy_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_policy_file_with_a_benign_class_is_error(trained, tmp_path, capsys):
+    _, model = trained
+    policy_path = tmp_path / "five.policy"
+    policy_path.write_text("\n".join(f"{cls.value} = forward" for cls in CLASS_ORDER) + "\n")
+    code = cli.main(["closed-loop", "--model", str(model), "--policy", str(policy_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 1: unknown key 'web'\n"
 
 
 def test_xapp_serves_from_live_broker(trained, tmp_path, capsys):

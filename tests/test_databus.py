@@ -10,7 +10,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import databus_oracle as oracle
@@ -420,9 +420,9 @@ def envelope(**fields) -> bytes:
 def test_envelope_numbers_must_be_exact_ints(name, value):
     with pytest.raises(FrameDecodeError, match=name):
         decode_frame(envelope(**{name: value}))
-    fields = {"kind": FrameKind.MEASUREMENT, "topic": "kpm.1", "t_sent_us": 0, "payload": {}, name: value}
-    with pytest.raises(ValueError):
-        DatabusFrame(**fields)
+    if name == "t_sent_us":  # the version is checked on the wire only: a frame holds none
+        with pytest.raises(ValueError):
+            DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", value, {})
 
 
 def test_decode_lifts_the_envelope_bus_into_the_payload():
@@ -458,7 +458,7 @@ def test_a_body_without_room_for_the_stamp_is_refused(broker, monkeypatch):
         raw.sendall(len(too_long).to_bytes(4, "big") + too_long)
         raw.settimeout(2.0)
         assert raw.recv(1024) == b""  # refused like an oversize length: the broker hung up
-        assert recv.connected
+        assert recv.poll(timeout=0.05) is None  # a lost connection would raise BusDisconnected
     assert broker.stats().frames_in == 1
 
 
@@ -518,10 +518,10 @@ def test_relayed_frames_decode_as_the_oracle_relay(broker):
             assert bus["in_us"] <= bus["out_us"]
             assert bus["dropped"] == 0
             expected = oracle.decode(oracle.relay(body, bus["in_us"], bus["out_us"], 0)[4:])
-            assert (frame.kind, frame.topic, frame.t_sent_us, frame.payload, frame.version) == expected
+            assert (frame.kind, frame.topic, frame.t_sent_us, frame.payload, 1) == expected
 
         relays_like_the_oracle()
-        assert recv.connected
+        assert recv.poll(timeout=0.05) is None  # a lost connection would raise BusDisconnected
 
 
 @st.composite
@@ -558,6 +558,7 @@ def any_bodies(draw) -> bytes:
 
 
 @given(body=any_bodies())
+@example(body=b'{"version":2,"kind":"hello","topic":"kpm.1","t_sent_us":0,"payload":{}}')  # the kind is checked first
 @settings(max_examples=600, deadline=None)
 def test_decode_agrees_with_the_oracle(body):
     try:
@@ -566,7 +567,7 @@ def test_decode_agrees_with_the_oracle(body):
         expected = type(exc)
     try:
         frame = decode_frame(body)
-        got = (frame.kind, frame.topic, frame.t_sent_us, frame.payload, frame.version)
+        got = (frame.kind, frame.topic, frame.t_sent_us, frame.payload)
     except (FrameDecodeError, UnknownFrameKind) as exc:
         got = type(exc)
     if isinstance(expected, tuple) and got is FrameDecodeError:
@@ -577,7 +578,8 @@ def test_decode_agrees_with_the_oracle(body):
         doc = json.loads(body)
         if "bus" in doc:
             expected[3]["bus"] = doc["bus"]
-        assert type(got[2]) is int and type(got[4]) is int
+        assert type(got[2]) is int and type(expected[4]) is int  # the wire's version was exactly 1
+        expected = expected[:4]
     assert got == expected
 
 
@@ -587,7 +589,7 @@ frames = st.builds(DatabusFrame, delivery_kinds, any_topic, st.integers(0, 2**63
 @given(frame=frames)
 @settings(max_examples=200, deadline=None)
 def test_encode_writes_the_oracle_bytes(frame):
-    fields = (frame.kind, frame.topic, frame.t_sent_us, frame.payload, frame.version)
+    fields = (frame.kind, frame.topic, frame.t_sent_us, frame.payload, 1)
     assert encode_frame(frame) == oracle.encode(fields)
 
 

@@ -88,6 +88,13 @@ def test_truncated_file_rejected(models, tmp_path):
         load_model(path)
 
 
+def test_deeply_nested_file_rejected(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ModelFormatError, match="not a valid"):
+        load_model(path)
+
+
 def test_wrong_format_rejected(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"format": "something-else", "version": 1}))

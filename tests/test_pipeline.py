@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ranguard import pipeline
 from ranguard.databus import Broker, BusClient, DatabusFrame, FrameKind, now_us
 from ranguard.kpm import (
+    ATTACK_CLASSES,
     CLASS_ORDER,
     KpmSample,
     TrafficCategory,
@@ -399,7 +400,7 @@ def test_closed_loop_released_ue_stops_reporting(demo_result):
 
 
 def test_closed_loop_detection_only_policy_never_releases(dt_model):
-    policy = PolicyMap({cls: CommandAction.FORWARD for cls in TrafficClass})
+    policy = PolicyMap(dict.fromkeys(ATTACK_CLASSES, CommandAction.FORWARD))
     result = pipeline.closed_loop(
         pipeline.attack_demo_scenario(3), dt_model, CLASS_ORDER, policy=policy
     )
@@ -452,11 +453,11 @@ def tree_models(train_rows):
     algo=st.sampled_from(["dt", "rf", "ada"]),
     window=st.integers(1, 8),
     dwell=st.integers(1, 6),
-    actions=st.lists(st.sampled_from(list(CommandAction)), min_size=len(TrafficClass), max_size=len(TrafficClass)),
+    actions=st.lists(st.sampled_from(list(CommandAction)), min_size=len(ATTACK_CLASSES), max_size=len(ATTACK_CLASSES)),
 )
 def test_closed_loop_decides_as_the_frame_route(tree_models, seed, algo, window, dwell, actions):
     config = pipeline.attack_demo_scenario(seed)
-    policy = PolicyMap(dict(zip(TrafficClass, actions)), window=window, dwell=dwell)
+    policy = PolicyMap(dict(zip(ATTACK_CLASSES, actions)), window=window, dwell=dwell)
     model = tree_models[algo]
     result = pipeline.closed_loop(config, model, CLASS_ORDER, policy=policy)
     assert list(result.decisions) == frame_route_decisions(config, model, CLASS_ORDER, policy)

@@ -45,6 +45,11 @@ def two_ue_station(period_ms: int = 100) -> BaseStation:
     return build_station(config)
 
 
+def ue_of(bs: BaseStation, ue_id: int):
+    """The station's context of one UE, found among bs.ues."""
+    return next(ue for ue in bs.ues if ue.ue_id == ue_id)
+
+
 # -- commands --
 
 
@@ -93,22 +98,22 @@ def test_release_moves_ue_to_idle_and_is_idempotent():
         "rrc_state": "idle",
         "prev_rrc_state": "connected",
     }
-    assert bs.ue(2).rrc_state is RrcState.IDLE
+    assert ue_of(bs, 2).rrc_state is RrcState.IDLE
     # second release: no state change, no event
     assert bs.apply_command(cmd, applied_at_us=3000) is None
-    assert bs.ue(2).rrc_state is RrcState.IDLE
+    assert ue_of(bs, 2).rrc_state is RrcState.IDLE
 
 
 def test_policy_commands_are_idempotent():
     bs = two_ue_station()
-    assert bs.ue(1).policy is CommandAction.FORWARD
+    assert ue_of(bs, 1).policy is CommandAction.FORWARD
     noop = RicCommand(1, CommandAction.FORWARD, issued_at_us=0)
     assert bs.apply_command(noop, applied_at_us=10) is None
     event = bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0), applied_at_us=20)
     assert event is not None
     assert event["policy"] == "drop"
     assert event["prev_policy"] == "forward"
-    assert bs.ue(1).policy is CommandAction.DROP
+    assert ue_of(bs, 1).policy is CommandAction.DROP
     assert bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0), applied_at_us=30) is None
 
 
@@ -187,7 +192,7 @@ def test_every_station_sample_crosses_the_trust_boundary_unchanged(classes, seed
             crossed = KpmSample.from_payload(sample.to_payload())
             assert crossed == sample
             assert repr(crossed) == repr(sample)  # same types too: 0 against 0.0 would show
-    assert bs.ue(2).policy is CommandAction.DROP
+    assert ue_of(bs, 2).policy is CommandAction.DROP
 
 
 def test_tick_must_align_to_period():
@@ -206,7 +211,7 @@ def test_tick_stamps_each_frame_with_the_given_stamp():
 def test_duplicate_ue_id_rejected():
     bs = two_ue_station()
     with pytest.raises(ValueError, match="duplicate"):
-        bs.add_ue(1, bs.ue(1).stream)
+        bs.add_ue(1, ue_of(bs, 1).stream)
 
 
 # -- virtual-time streams --
@@ -577,7 +582,18 @@ def test_malformed_command_frame_reports_error_event():
     assert not ok
     assert event is not None
     assert "bad command payload" in event.payload["error"]
-    assert bs.ue(1).policy is CommandAction.FORWARD
+    assert ue_of(bs, 1).policy is CommandAction.FORWARD
+
+
+def test_prioritize_is_an_unknown_action():
+    from ranguard.ransim import handle_command_frame
+
+    bs = two_ue_station()
+    frame = DatabusFrame(FrameKind.COMMAND, "ctrl.1", 0, {"ue_id": 1, "action": "prioritize", "issued_at_us": 0})
+    event, ok = handle_command_frame(bs, frame, applied_at_us=50)
+    assert not ok
+    assert event is not None and "'prioritize' is not a valid CommandAction" in event.payload["error"]
+    assert [ue.policy for ue in bs.ues] == [CommandAction.FORWARD, CommandAction.FORWARD]
 
 
 def test_command_wire_body_with_infinity_reports_error_event():
@@ -594,4 +610,4 @@ def test_command_wire_body_with_infinity_reports_error_event():
     assert not ok
     assert event is not None and event.topic == "event.1"
     assert "issued_at_us must be an int" in event.payload["error"]
-    assert bs.ue(1).rrc_state is RrcState.CONNECTED
+    assert ue_of(bs, 1).rrc_state is RrcState.CONNECTED

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ranguard import xapp as xapp_module
 from ranguard.databus import DatabusFrame, FrameKind, decode_frame, encode_frame, now_us
-from ranguard.kpm import CLASS_ORDER, KpmSample, TrafficCategory, TrafficClass, category_of
+from ranguard.kpm import ATTACK_CLASSES, CLASS_ORDER, KpmSample, TrafficCategory, TrafficClass, category_of
 from ranguard.ml import DecisionTree
 from ranguard.pipeline import closed_loop
 from ranguard.ransim import (
@@ -272,18 +272,22 @@ def test_smooth_window_one_is_identity():
 
 
 def test_default_policy_forwards_benign_releases_attacks():
+    # benign traffic takes no action: only an attack verdict issues a command
     policy = PolicyMap.default()
-    assert policy.actions[WEB] is CommandAction.FORWARD
-    assert policy.actions[VOIP] is CommandAction.FORWARD
-    for cls in (RIPPER, HULK, SLOW):
-        assert policy.actions[cls] is CommandAction.RRC_RELEASE
+    assert policy.actions == dict.fromkeys((RIPPER, HULK, SLOW), CommandAction.RRC_RELEASE)
     assert policy.window == 5
     assert policy.dwell == 3
 
 
 def test_policy_must_cover_every_class():
-    actions = {cls: CommandAction.FORWARD for cls in TrafficClass if cls is not SLOW}
+    actions = {cls: CommandAction.FORWARD for cls in ATTACK_CLASSES if cls is not SLOW}
     with pytest.raises(ValueError, match="slowloris"):
+        PolicyMap(actions)
+
+
+def test_policy_refuses_a_benign_class():
+    actions = dict.fromkeys((*ATTACK_CLASSES, VOIP), CommandAction.FORWARD)
+    with pytest.raises(ValueError, match=r"only the attack classes; got \['voip'\]"):
         PolicyMap(actions)
 
 
@@ -831,13 +835,13 @@ def test_policy_round_trip_default():
     window=st.integers(min_value=1, max_value=20),
     dwell=st.integers(min_value=1, max_value=20),
     action_idx=st.lists(
-        st.integers(min_value=0, max_value=3), min_size=5, max_size=5
+        st.integers(min_value=0, max_value=2), min_size=3, max_size=3
     ),
 )
 def test_policy_round_trip_any_map(window, dwell, action_idx):
     choices = tuple(CommandAction)
     policy = PolicyMap(
-        {cls: choices[i] for cls, i in zip(TrafficClass, action_idx)},
+        {cls: choices[i] for cls, i in zip(ATTACK_CLASSES, action_idx)},
         window=window,
         dwell=dwell,
     )
@@ -850,21 +854,20 @@ def test_policy_parse_tolerates_comments_and_blanks():
 window = 3   # samples
 dwell = 2
 
-web = forward
-voip = prioritize
 ddos_ripper = rrc_release
-dos_hulk = drop
-slowloris = rrc_release
+dos_hulk = drop   # keep the flow, lose its uplink
+slowloris = forward
 """
     policy = parse_policy(text)
     assert policy.window == 3
     assert policy.dwell == 2
-    assert policy.actions[VOIP] is CommandAction.PRIORITIZE
+    assert policy.actions[RIPPER] is CommandAction.RRC_RELEASE
     assert policy.actions[HULK] is CommandAction.DROP
+    assert policy.actions[SLOW] is CommandAction.FORWARD
 
 
 def test_policy_parse_defaults_knobs_when_absent():
-    text = "\n".join(f"{cls.value} = forward" for cls in TrafficClass)
+    text = "\n".join(f"{cls.value} = forward" for cls in ATTACK_CLASSES)
     policy = parse_policy(text)
     assert policy.window == PolicyMap.default().window
     assert policy.dwell == PolicyMap.default().dwell
@@ -875,11 +878,13 @@ def test_policy_parse_defaults_knobs_when_absent():
     [
         ("web forward", "expected key = value"),
         ("window = five\n" + "\n".join(f"{c.value} = forward" for c in TrafficClass), "must be an integer"),
-        ("web = nuke", "action must be one of"),
+        ("ddos_ripper = nuke", "action must be one of"),
+        ("ddos_ripper = prioritize", "^line 1: action must be one of forward, drop, rrc_release, got 'prioritize'$"),
+        ("web = forward\n" + "\n".join(f"{c.value} = forward" for c in ATTACK_CLASSES), "^line 1: unknown key 'web'$"),
         ("web = forward\nweb = drop", "duplicate key"),
         ("banana = forward", "unknown key"),
-        ("\n".join(f"{c.value} = forward" for c in list(TrafficClass)[:-1]), "missing"),
-        ("window = 0\n" + "\n".join(f"{c.value} = forward" for c in TrafficClass), "window must be >= 1"),
+        ("\n".join(f"{c.value} = forward" for c in ATTACK_CLASSES[:-1]), "missing"),
+        ("window = 0\n" + "\n".join(f"{c.value} = forward" for c in ATTACK_CLASSES), "window must be >= 1"),
     ],
 )
 def test_policy_parse_errors(text, fragment):
