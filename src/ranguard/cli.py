@@ -26,8 +26,8 @@ from .pipeline import (
     train,
     write_closed_loop_report,
 )
-from .ransim import CommandAction, ScenarioConfig, ScenarioError, load_scenario
-from .xapp import PolicyError, PolicyMap, parse_policy
+from .ransim import CommandAction, ScenarioConfig, load_scenario
+from .xapp import PolicyMap, parse_policy
 
 
 def _scenario_from_args(args: argparse.Namespace, *, default_preset: str) -> ScenarioConfig:
@@ -259,9 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, PolicyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # a ScenarioError or a PolicyError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

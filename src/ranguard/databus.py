@@ -12,10 +12,12 @@ key comes last, so it wins over a "bus" key the publisher put in the envelope
 or the payload. Broker ingress refuses a body too long to take the stamp.
 
 The broker is one event-loop thread over non-blocking sockets. It decodes each
-frame as it is read and writes it at once to every matching subscriber. Only
-a subscriber whose socket takes no more gets a queue; when that queue is full
-its oldest delivery goes, counted, so a publisher never waits; that is the one
-place a frame is lost. The client starts no thread and holds one FIFO for all
+frame as it is read and writes it at once to every matching subscriber. A frame
+it cannot decode, of any sort (a bad length, not JSON, an unknown kind or
+version, a bad topic), closes the connection that sent it. Only a subscriber
+whose socket takes no more gets a queue; when that queue is full its oldest
+delivery goes, counted, so a publisher never waits; that is the one place a
+frame is lost. The client starts no thread and holds one FIFO for all
 its patterns: a poll reads and decodes in the caller's thread, one frame at a
 time, so a frame is handed on while the frames behind it are still bytes.
 """
@@ -66,10 +68,6 @@ class FrameKind(Enum):
 
 class FrameDecodeError(ValueError):
     """Structurally invalid frame: not decodable as this protocol."""
-
-
-class UnknownFrameKind(ValueError):
-    """Well-formed envelope carrying a kind this protocol version does not define."""
 
 
 class BusDisconnected(ConnectionError):
@@ -154,7 +152,7 @@ def decode_frame(body: bytes) -> DatabusFrame:
     try:
         kind = _KINDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind, a list or an object
-        raise UnknownFrameKind(f"unknown frame kind {kind!r}") from None
+        raise FrameDecodeError(f"unknown frame kind {kind!r}") from None
     if type(version) is not int or version != 1:
         raise FrameDecodeError(f"unsupported frame version {version!r}")
     if "bus" in doc and type(payload) is dict:
@@ -353,12 +351,7 @@ class Broker:
             self._close(conn)
 
     def _handle(self, conn: _Conn, body: bytes) -> None:
-        try:
-            frame = decode_frame(body)
-        except UnknownFrameKind as exc:
-            ack = DatabusFrame(FrameKind.ACK, "error", now_us(), {"ok": False, "detail": str(exc)})
-            self._deliver(conn, encode_frame(ack), None)
-            return
+        frame = decode_frame(body)
         t_in = now_us()
         topic = frame.topic
         if frame.kind is FrameKind.SUBSCRIBE:
@@ -437,8 +430,6 @@ class BusClient:
         self._readable.register(sock, select.POLLIN)
         self._send_lock = threading.Lock()
         self._early: deque[DatabusFrame] = deque()  # deliveries read while a subscribe waited for its ack
-        self._acks: dict[str, bool] = {}  # subscribe acks read but not yet claimed: pattern -> ok
-        self.error_acks = 0  # acks that name no pattern (an unknown frame kind): counted, not kept
         self.dropped = 0  # frames the broker dropped for this connection, as its latest delivery reports
         self._connected = True
 
@@ -469,8 +460,7 @@ class BusClient:
     def _read_frame(self, deadline: float | None) -> DatabusFrame | None:
         """Read and decode one frame; None if none came by the deadline (None: no deadline).
 
-        An ack is kept for the subscribe that waits for it, and a delivery's
-        stamp sets `dropped`.
+        A delivery's stamp sets `dropped`.
         """
         if not self._connected:
             raise BusDisconnected("bus connection is closed")
@@ -485,17 +475,10 @@ class BusClient:
                         continue  # poll waits at most _POLL_MAX_MS, so a longer wait takes several
                 reader.fill()
             frame = decode_frame(body)
-        except (FrameDecodeError, UnknownFrameKind, BusDisconnected, OSError) as exc:
+        except (FrameDecodeError, BusDisconnected, OSError) as exc:
             self.close()
             raise BusDisconnected(f"bus connection lost: {exc}") from None
-        payload = frame.payload
-        if frame.kind is FrameKind.ACK:
-            pattern = payload.get("pattern")
-            if type(pattern) is str:
-                self._acks[pattern] = payload.get("ok") is True
-            else:  # no subscribe would ever claim it
-                self.error_acks += 1
-        elif type(bus := payload.get("bus")) is dict and type(dropped := bus.get("dropped")) is int:
+        if type(bus := frame.payload.get("bus")) is dict and type(dropped := bus.get("dropped")) is int:
             self.dropped = dropped
         return frame
 
@@ -535,19 +518,19 @@ class BusClient:
     def subscribe(self, pattern: str, timeout: float = 5.0) -> "BusClient":
         """Add a pattern to this connection; returns the client once the broker has acknowledged it.
 
-        Waiting for the ack reads the socket like a poll; the deliveries read
-        meanwhile are kept, in order, for the next polls.
+        Waiting for the ack, the one whose topic is the pattern, reads the socket
+        like a poll; the deliveries read meanwhile are kept, in order, for the
+        next polls, and any other ack is dropped.
         """
         if not valid_pattern(pattern):
             raise ValueError(f"bad subscribe pattern {pattern!r}")
         self.send_frame(DatabusFrame(FrameKind.SUBSCRIBE, pattern, now_us(), {}))
         deadline = time.monotonic() + timeout
-        while pattern not in self._acks:
+        while True:
             frame = self._read_frame(deadline)
             if frame is None:
                 raise TimeoutError(f"no subscribe ack for {pattern!r} within {timeout}s")
             if frame.kind is not FrameKind.ACK:
                 self._early.append(frame)
-        if not self._acks.pop(pattern):
-            raise ValueError(f"broker rejected pattern {pattern!r}")
-        return self
+            elif frame.topic == pattern:
+                return self

@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ranguard.records import define
+
 if TYPE_CHECKING:
     from ranguard.ml.tree import DecisionTree
 
@@ -104,7 +106,7 @@ class TreeModel:
         majority = len(self.weights) / 2 if all(w == 1.0 for w in self.weights) else None
         funcs: list = [[]]  # body lines of each function, until it is compiled
         used = [0]  # nodes in each function
-        head = "def vote(s, x):\n [" + ", ".join(f"x{i}" for i in range(self.n_features)) + "] = x\n"
+        unpack = "[" + ", ".join(f"x{i}" for i in range(self.n_features)) + "] = x"
 
         def new_function() -> int:
             funcs.append([])
@@ -119,7 +121,7 @@ class TreeModel:
             stack = [(root, 1)]  # (node, level); node -1 is the else of its level
             while stack:
                 node, level = stack.pop()
-                pad = " " * level
+                pad = " " * (level - 1)
                 if node < 0:
                     lines.append(f"{pad}else:")
                 elif feature[node] < 0:
@@ -136,20 +138,19 @@ class TreeModel:
 
         def close(k: int, last_line: str) -> None:
             """Compile function k, ending in last_line, in place of its source lines."""
-            namespace: dict = {}
-            exec(compile(head + "\n".join(funcs[k] + [last_line]), f"<tree vote {k}>", "exec"), namespace)
-            funcs[k] = namespace["vote"]
+            doc = "Add some trees' votes on row x to s; the next function's index, or ~class."
+            funcs[k] = define("vote", "s, x", doc, [unpack] + funcs[k] + [last_line])
 
         last = len(self.trees) - 1
         for t, (tree, weight) in enumerate(zip(self.trees, self.weights)):
             lists = [a.tolist() for a in (tree.feature, tree.threshold, tree.klass, tree.left, tree.right)]
             k = len(funcs) - 1
             if used[k] and used[k] + len(tree.feature) > _FUNC_NODES:  # a tree that fits one function gets one
-                close(k, f" return {new_function()}")
+                close(k, f"return {new_function()}")
                 k += 1
-            tail = [f" s[c] += {weight!r}"]
+            tail = [f"s[c] += {weight!r}"]
             if majority is not None:
-                tail.append(f" if s[c] > {majority!r}: return ~c")
+                tail.append(f"if s[c] > {majority!r}: return ~c")
             work, touched = [(k, 0)], []
             while work:
                 j, node = work.pop()
@@ -158,7 +159,7 @@ class TreeModel:
             for j in touched:
                 funcs[j] += tail
             if t == last or len(touched) > 1:  # each function of a cut tree hands over to the next tree
-                nxt = " return ~s.index(max(s))" if t == last else f" return {new_function()}"
+                nxt = "return ~s.index(max(s))" if t == last else f"return {new_function()}"
                 for j in touched:
                     close(j, nxt)
         return funcs

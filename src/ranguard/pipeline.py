@@ -288,9 +288,8 @@ def evaluate(
     if not rows:
         raise ValueError("evaluation dataset has no rows")
     X, _ = dataset_matrix(rows)
-    n_features = getattr(model, "n_features", X.shape[1])
-    if n_features != X.shape[1]:
-        raise ValueError(f"model expects {n_features} features, dataset has {X.shape[1]}")
+    if model.n_features != X.shape[1]:
+        raise ValueError(f"model expects {model.n_features} features, dataset has {X.shape[1]}")
     preds = model.predict_batch(X)
     pairs = [(rows[i].label.value, class_labels[int(preds[i])]) for i in range(len(rows))]
     five = ConfusionMatrix.from_pairs(list(class_labels), pairs)

@@ -15,7 +15,7 @@ import json
 import re
 from collections.abc import Mapping
 
-from ranguard.databus import FrameDecodeError, FrameKind, UnknownFrameKind, valid_pattern
+from ranguard.databus import FrameDecodeError, FrameKind, valid_pattern
 
 
 def valid_topic(topic: str) -> bool:
@@ -69,7 +69,7 @@ def decode(body: bytes) -> tuple:
     try:
         kind = FrameKind(doc["kind"])
     except ValueError:
-        raise UnknownFrameKind(f"unknown frame kind {doc['kind']!r}") from None
+        raise FrameDecodeError(f"unknown frame kind {doc['kind']!r}") from None
     frame = (kind, doc["topic"], doc["t_sent_us"], doc["payload"], doc["version"])
     try:
         check(*frame)

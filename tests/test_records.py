@@ -168,22 +168,31 @@ def test_records_are_frozen_and_slotted(made):
     assert sys.getsizeof(made) < sys.getsizeof(ref) + sys.getsizeof(ref.__dict__)
 
 
-def test_record_init_sets_fields_by_position_or_name_with_defaults():
+def test_record_init_sets_fields_by_position_or_name():
     @record
     class Pair:
         a: int
-        b: str = "x"
+        b: str
 
-    assert repr(Pair(1)).endswith("Pair(a=1, b='x')")
+    assert repr(Pair(1, "x")).endswith("Pair(a=1, b='x')")
     assert Pair(b="y", a=2) == Pair(2, "y")
     with pytest.raises(TypeError):
-        Pair()
+        Pair(1)  # every field is required
     with pytest.raises(TypeError):
         Pair(1, "y", 3)
 
 
+def test_record_refuses_a_default():
+    with pytest.raises(TypeError, match="Default.b: a record field takes no default"):
+
+        @record
+        class Default:
+            a: int
+            b: str = "x"
+
+
 def test_record_refuses_a_default_factory():
-    with pytest.raises(TypeError, match="default_factory"):
+    with pytest.raises(TypeError, match="Factory.a: a record field takes no default"):
 
         @record
         class Factory:
