@@ -150,7 +150,7 @@ def _cmd_bench_latency(args: argparse.Namespace) -> int:
         model,
         classes,
         frames=args.frames,
-        rate_hz=args.rate_hz,
+        period_ms=args.period_ms,
         seed=args.seed if args.seed is not None else 0,
     )
     for line in report.summary_lines():
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("bench-latency", help="end-to-end delay over a real loopback bus")
     sub.add_argument("--model", required=True)
     sub.add_argument("--frames", type=int, default=300)
-    sub.add_argument("--rate-hz", type=float, default=100.0)
+    sub.add_argument("--period-ms", type=int, default=10, help="station measurement period")
     sub.add_argument("--max-p99-ms", type=float, help="exit 1 if T_d p99 exceeds this")
     sub.set_defaults(func=_cmd_bench_latency)
 

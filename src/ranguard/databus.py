@@ -14,18 +14,18 @@ or the payload. Broker ingress refuses a body too long to take the stamp.
 The broker is one event-loop thread over non-blocking sockets. It decodes each
 frame as it is read and writes it at once to every matching subscriber. A frame
 it cannot decode, of any sort (a bad length, not JSON, an unknown kind or
-version, a bad topic), closes the connection that sent it. Only a subscriber
-whose socket takes no more gets a queue; when that queue is full its oldest
-delivery goes, counted, so a publisher never waits; that is the one place a
-frame is lost. The client starts no thread and holds one FIFO for all
-its patterns: a poll reads and decodes in the caller's thread, one frame at a
-time, so a frame is handed on while the frames behind it are still bytes.
+version, a bad topic), closes the connection that sent it, and so does an ack,
+which only the broker sends. Only a subscriber whose socket takes no more gets
+a queue; when that queue is full its oldest delivery goes, counted, so a
+publisher never waits; that is the one place a frame is lost. The client
+starts no thread and holds one FIFO for all its patterns: a poll reads and
+decodes in the caller's thread, one frame at a time, so a frame is handed on
+while the frames behind it are still bytes.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import select
 import selectors
@@ -41,17 +41,13 @@ from operator import itemgetter
 from .records import record
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
-DEFAULT_QUEUE_FRAMES = 1024
+QUEUE_FRAMES = 1024  # deliveries a subscriber's queue holds before its oldest goes
+WAIT_S = 5.0  # the longest a client waits for the broker: to connect, or for a subscribe ack
 _RECV_BYTES = 64 * 1024
 _POLL_MAX_MS = 2**31 - 1  # the longest wait select.poll takes
 
 _TOPIC_RE = re.compile(r"^(kpm|ctrl|event)\.\d+$")
 _PATTERN_RE = re.compile(r"^(kpm|ctrl|event)\.(\d+|\*)$")
-
-
-def default_port() -> int:
-    """Broker TCP port: RANGUARD_BUS_PORT env var, else 36421."""
-    return int(os.environ.get("RANGUARD_BUS_PORT", "36421"))
 
 
 def now_us() -> int:
@@ -224,17 +220,10 @@ class _Conn:
 class Broker:
     """TCP pub/sub hub on one event-loop thread. At-most-once, per-publisher FIFO, never blocks publishers."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int | None = None,
-        max_queue: int = DEFAULT_QUEUE_FRAMES,
-    ) -> None:
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+    def __init__(self, host: str = "127.0.0.1", *, port: int) -> None:
+        """A broker to bind host:port when it starts; port 0 takes an ephemeral one."""
         self._host = host
-        self._port = default_port() if port is None else port
-        self._max_queue = max_queue
+        self._port = port
         self._conns: set[_Conn] = set()
         self._subscribers: tuple[_Conn, ...] = ()  # the open connections with at least one pattern
         self._frames_in = 0
@@ -363,7 +352,7 @@ class Broker:
             self._deliver(conn, encode_frame(ack), None)
             return
         if frame.kind is FrameKind.ACK:
-            return  # clients have no business acking; ignore
+            raise FrameDecodeError("a client does not send acks")
         self._frames_in += 1
         head = None
         for target in self._subscribers:
@@ -376,7 +365,7 @@ class Broker:
     def _deliver(self, conn: _Conn, data: bytes, t_in: int | None) -> None:
         """Write a delivery now, or queue it behind what the socket has not taken; a full queue drops its oldest."""
         if conn.pending or conn.queue:
-            if len(conn.queue) >= self._max_queue:
+            if len(conn.queue) >= QUEUE_FRAMES:
                 conn.queue.popleft()
                 conn.dropped += 1
                 self._dropped += 1
@@ -434,8 +423,8 @@ class BusClient:
         self._connected = True
 
     @classmethod
-    def connect(cls, host: str, port: int, timeout: float = 5.0) -> "BusClient":
-        sock = socket.create_connection((host, port), timeout=timeout)
+    def connect(cls, host: str, port: int) -> "BusClient":
+        sock = socket.create_connection((host, port), timeout=WAIT_S)
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return cls(sock)
@@ -515,7 +504,7 @@ class BusClient:
         stamp = now_us() if t_sent_us is None else t_sent_us
         self.send_frame(DatabusFrame(kind, topic, stamp, payload))
 
-    def subscribe(self, pattern: str, timeout: float = 5.0) -> "BusClient":
+    def subscribe(self, pattern: str) -> "BusClient":
         """Add a pattern to this connection; returns the client once the broker has acknowledged it.
 
         Waiting for the ack, the one whose topic is the pattern, reads the socket
@@ -525,11 +514,11 @@ class BusClient:
         if not valid_pattern(pattern):
             raise ValueError(f"bad subscribe pattern {pattern!r}")
         self.send_frame(DatabusFrame(FrameKind.SUBSCRIBE, pattern, now_us(), {}))
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + WAIT_S
         while True:
             frame = self._read_frame(deadline)
             if frame is None:
-                raise TimeoutError(f"no subscribe ack for {pattern!r} within {timeout}s")
+                raise TimeoutError(f"no subscribe ack for {pattern!r} within {WAIT_S}s")
             if frame.kind is not FrameKind.ACK:
                 self._early.append(frame)
             elif frame.topic == pattern:

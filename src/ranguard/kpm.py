@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import Field, field, fields
+from dataclasses import field, fields
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -62,27 +62,7 @@ def _kpm_field(lo: int | None = None, hi: int | None = None, *, feature: bool = 
     return field(metadata={"range": (lo, hi), "feature": feature})
 
 
-def _in_range(fs: tuple[Field, ...]) -> str:
-    """The fast test of the table's checks: every field of its exact type and
-    inside its range, a float also finite (1e999 is inf). A bool or an int in
-    a float field fails it and goes to the full check."""
-    tests = []
-    for f in fs:
-        lo, hi = f.metadata["range"]
-        if f.type == "int":
-            tests.append(f"type({f.name}) is int")
-            if hi is not None:
-                tests.append(f"{lo} <= {f.name} <= {hi}")
-            elif lo is not None:
-                tests.append(f"{lo} <= {f.name}")
-        else:
-            low = "-1e999 <" if lo is None else f"{lo} <="
-            high = "< 1e999" if hi is None else f"<= {hi}"
-            tests += [f"type({f.name}) is float", f"{low} {f.name} {high}"]
-    return " and ".join(tests)
-
-
-@record(valid=_in_range)
+@record
 class KpmSample:
     """One measurement-period snapshot of a UE's radio and MAC counters.
 

@@ -149,7 +149,8 @@ class TreeModel:
                 close(k, f"return {new_function()}")
                 k += 1
             tail = [f"s[c] += {weight!r}"]
-            if majority is not None:
+            # after tree t a class holds at most t + 1 votes, so no earlier tree can end the vote
+            if majority is not None and t + 1 > majority:
                 tail.append(f"if s[c] > {majority!r}: return ~c")
             work, touched = [(k, 0)], []
             while work:

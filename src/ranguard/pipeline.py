@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .databus import Broker, BusClient, BusDisconnected, FrameKind, now_us
+from .databus import Broker, BusClient, BusDisconnected, FrameKind
 from .files import atomic_write
 from .kpm import (
     ATTACK_CLASSES,
@@ -52,6 +52,7 @@ from .ransim import (
     build_station,
     connect_with_retry,
     labeled_stream,
+    run_scenario,
 )
 from .traffic import ScriptSegment
 from .xapp import (
@@ -492,45 +493,38 @@ def bench_latency(
     class_labels: Sequence[TrafficClass],
     *,
     frames: int = 300,
-    rate_hz: float = 100.0,
+    period_ms: int = 10,
     seed: int = 0,
 ) -> LatencyReport:
-    """Loopback deployment: station and classifier on a real broker, every hop timed.
+    """Loopback deployment: a live station and the classifier on a real broker, every hop timed.
 
-    Measurement frames carry wall-clock stamps, the broker adds its ingress
-    and egress times, and inference is timed around the real model, so the
-    resulting traces are honest end-to-end delay measurements.
+    The station plays one random UE in real time, a frame every period_ms,
+    through run_scenario on its own connection. Measurement frames carry
+    wall-clock stamps, the broker adds its ingress and egress times, and
+    inference is timed around the real model, so the resulting traces are
+    honest end-to-end delay measurements.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    if rate_hz <= 0:
-        raise ValueError(f"rate_hz must be > 0, got {rate_hz}")
-    config = one_ue_scenario(seed, duration_ms=frames * 100)
-    bs = build_station(config)
+    config = replace(
+        one_ue_scenario(seed), duration_ms=frames * period_ms, period_ms=period_ms, time_mode=TimeMode.REAL
+    )
     _warm_model(model)
     xapp = OnlineClassifier(model, class_labels)  # wall-clock stamps
     traces = []
     with Broker(port=0) as broker:
         host, port = broker.address
-        with BusClient.connect(host, port) as pub, BusClient.connect(host, port) as ric:
-            ric.subscribe(bs.kpm_topic)
+        with BusClient.connect(host, port) as station, BusClient.connect(host, port) as ric:
+            ric.subscribe("kpm.*")
 
-            def feed() -> None:
-                interval = 1.0 / rate_hz
-                next_t = time.monotonic()
-                for k in range(frames):
-                    try:
-                        for frame in bs.tick(k * config.period_ms, t_sent_us=now_us()):
-                            pub.publish(frame.kind, frame.topic, frame.payload, frame.t_sent_us)
-                    except BusDisconnected:
-                        return
-                    next_t += interval
-                    wait = next_t - time.monotonic()
-                    if wait > 0:
-                        time.sleep(wait)
+            def play() -> None:
+                try:
+                    run_scenario(config, station)
+                except BusDisconnected:
+                    pass  # the bench is over and closed the bus
 
-            feeder = threading.Thread(target=feed, name="bench-feed", daemon=True)
-            feeder.start()
+            player = threading.Thread(target=play, name="bench-station", daemon=True)
+            player.start()
             while len(traces) < frames:
                 frame = ric.poll(timeout=2.0)
                 if frame is None:
@@ -538,7 +532,7 @@ def bench_latency(
                 decision = xapp.on_measurement(frame)
                 if decision is not None:
                     traces.append(decision.trace)
-            feeder.join(timeout=10.0)
+            player.join(timeout=10.0)
     return latency_report(traces)
 
 

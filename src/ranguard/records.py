@@ -11,8 +11,7 @@ frozen class goes through `object.__setattr__` by name for every field.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, Field, dataclass, fields
-from typing import Callable
+from dataclasses import MISSING, dataclass, fields
 
 
 def define(name: str, params: str, doc: str, body: list[str], namespace: dict | None = None):
@@ -23,34 +22,26 @@ def define(name: str, params: str, doc: str, body: list[str], namespace: dict | 
     return namespace[name]
 
 
-def record(cls=None, /, *, valid: Callable[[tuple[Field, ...]], str] | None = None):
+def record(cls):
     """Class decorator: a frozen dataclass with slots and a generated `__init__`.
 
     The `__init__` takes every field, in order, by position or by name (a
     record field takes no default), and sets each slot. Then the class's
-    `__post_init__`, if it has one, checks the record and raises on a bad
-    one. valid, given the fields, returns a fast test of the field names for
-    that check: one expression that never raises and holds only for a record
-    the check accepts. `__post_init__` then runs only where the test fails, to
-    name the fault or to accept an unusual value the test does not cover.
+    `__post_init__`, if it has one, checks the record and raises on a bad one.
     """
-
-    def wrap(cls):
-        cls = dataclass(frozen=True, slots=True, init=False)(cls)
-        fs = fields(cls)
-        for f in fs:
-            if f.default is not MISSING or f.default_factory is not MISSING:
-                raise TypeError(f"{cls.__name__}.{f.name}: a record field takes no default")
-        namespace = {f"_set_{f.name}": cls.__dict__[f.name].__set__ for f in fs}
-        body = [f"_set_{f.name}(self, {f.name})" for f in fs]
-        check = cls.__dict__.get("__post_init__")
-        if check is not None:
-            namespace["_check"] = check
-            body.append("_check(self)" if valid is None else f"if not ({valid(fs)}): _check(self)")
-        doc = f"Set each field of a {cls.__name__}, then check it."
-        init = define("__init__", ", ".join(["self"] + [f.name for f in fs]), doc, body, namespace)
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
-        return cls
-
-    return wrap if cls is None else wrap(cls)
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    fs = fields(cls)
+    for f in fs:
+        if f.default is not MISSING or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a record field takes no default")
+    namespace = {f"_set_{f.name}": cls.__dict__[f.name].__set__ for f in fs}
+    body = [f"_set_{f.name}(self, {f.name})" for f in fs]
+    check = cls.__dict__.get("__post_init__")
+    if check is not None:
+        namespace["_check"] = check
+        body.append("_check(self)")
+    doc = f"Set each field of a {cls.__name__}, then check it."
+    init = define("__init__", ", ".join(["self"] + [f.name for f in fs]), doc, body, namespace)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from math import inf
 from operator import attrgetter
@@ -31,13 +31,7 @@ BUDGET_US = 1_000_000  # near-real-time control loop bound
 # -- latency accounting --
 
 
-def _monotone_ints(fs: tuple[Field, ...]) -> str:
-    """The fast test of LatencyTrace's check: every stamp an int, and 0 <= each <= the next."""
-    names = [f.name for f in fs]
-    return " and ".join([*(f"type({n}) is int" for n in names), "0 <= " + " <= ".join(names)])
-
-
-@record(valid=_monotone_ints)
+@record
 class LatencyTrace:
     """Microsecond stamps along one decision's uplink path; monotone in field order.
 

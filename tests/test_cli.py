@@ -239,7 +239,7 @@ def test_bench_latency_gate(trained, capsys):
             "bench-latency",
             "--model", str(model),
             "--frames", "40",
-            "--rate-hz", "400",
+            "--period-ms", "3",
             "--max-p99-ms", "1000",
         ]
     )

@@ -281,8 +281,9 @@ def test_bus_stamps_are_attached_and_ordered(broker):
     assert frame.t_sent_us <= bus["in_us"] <= bus["out_us"]
 
 
-def test_queue_overflow_drops_oldest():
-    b = Broker(port=0, max_queue=16)
+def test_queue_overflow_drops_oldest(monkeypatch):
+    monkeypatch.setattr(databus, "QUEUE_FRAMES", 16)
+    b = Broker(port=0)
     b.start()
     try:
         host, port = b.address
@@ -313,7 +314,7 @@ def test_queue_overflow_drops_oldest():
 def test_malformed_frame_closes_connection(broker):
     host, port = broker.address
     unknown_kind = b'{"version":1,"kind":"mystery","topic":"kpm.1","t_sent_us":0,"payload":{}}'
-    for body in (b"not json", unknown_kind):
+    for body in (b"not json", unknown_kind, client_ack("kpm.1")[4:]):
         raw = socket.create_connection((host, port))
         try:
             raw.sendall(len(body).to_bytes(4, "big") + body)
@@ -323,14 +324,15 @@ def test_malformed_frame_closes_connection(broker):
             raw.close()
 
 
-def test_subscribe_waits_for_the_ack_of_its_own_pattern():
+def test_subscribe_waits_for_the_ack_of_its_own_pattern(monkeypatch):
+    monkeypatch.setattr(databus, "WAIT_S", 0.2)
     near, far = socket.socketpair()  # far plays the broker
     with BusClient(near) as c, far:
         other_ack = DatabusFrame(FrameKind.ACK, "kpm.2", 0, {"ok": True, "pattern": "kpm.2"})
         delivery = DatabusFrame(FrameKind.MEASUREMENT, "kpm.1", 0, {"n": 1})
         far.sendall(encode_frame(other_ack) + encode_frame(delivery))
         with pytest.raises(TimeoutError):
-            c.subscribe("kpm.1", timeout=0.2)
+            c.subscribe("kpm.1")
         assert c.poll(timeout=0) == delivery  # kept for the poll; the other ack is dropped
         assert c.poll(timeout=0) is None
 
@@ -641,8 +643,9 @@ def raw_subscriber(broker, pattern: str, rcvbuf: int) -> tuple[socket.socket, da
     return sock, reader
 
 
-def test_a_stalled_subscriber_loses_its_oldest_frames_while_another_keeps_up():
-    with Broker(port=0, max_queue=8) as b:
+def test_a_stalled_subscriber_loses_its_oldest_frames_while_another_keeps_up(monkeypatch):
+    monkeypatch.setattr(databus, "QUEUE_FRAMES", 8)
+    with Broker(port=0) as b:
         stalled, reader = raw_subscriber(b, "kpm.1", 4096)
         with stalled, client(b) as pub, client(b) as live:
             sub = live.subscribe("kpm.1")
@@ -664,8 +667,9 @@ def test_a_stalled_subscriber_loses_its_oldest_frames_while_another_keeps_up():
             assert stalled_got[-1]["bus"]["dropped"] == b.stats().dropped
 
 
-def test_frames_received_plus_the_reported_drops_equal_the_frames_published():
-    with Broker(port=0, max_queue=8) as b:
+def test_frames_received_plus_the_reported_drops_equal_the_frames_published(monkeypatch):
+    monkeypatch.setattr(databus, "QUEUE_FRAMES", 8)
+    with Broker(port=0) as b:
         with client(b) as pub, client(b) as recv:
             recv.subscribe("kpm.1")
             blob = "x" * 4096
@@ -683,6 +687,10 @@ def test_frames_received_plus_the_reported_drops_equal_the_frames_published():
             assert got == sorted(got) and got[-1] == sent - 1  # the newest is never dropped
 
 
+def client_ack(topic: str) -> bytes:
+    return encode_frame(DatabusFrame(FrameKind.ACK, topic, 0, {"ok": True, "pattern": topic}))
+
+
 def unknown_kind(kind: str) -> bytes:
     body = json.dumps({"version": 1, "kind": kind, "topic": "kpm.1", "t_sent_us": 0, "payload": {}}).encode()
     return len(body).to_bytes(4, "big") + body
@@ -697,6 +705,7 @@ garbage = st.one_of(
         ),
     ),
     st.tuples(st.just("hang-up"), st.sampled_from(["hello", "", "Measurement", "acks"]).map(unknown_kind)),
+    st.tuples(st.just("hang-up"), st.sampled_from(["kpm.1", "ctrl.2", "x"]).map(client_ack)),
     st.tuples(
         st.just("half"),
         frames.map(encode_frame).flatmap(lambda wire: st.integers(1, len(wire) - 1).map(lambda k: wire[:k])),
@@ -723,7 +732,7 @@ def test_garbage_on_one_connection_never_stops_relaying_on_another(broker):
                     answer = raw.recv(1 << 16)
                 except ConnectionResetError:
                     answer = b""
-                assert answer == b""  # the broker hangs up on each, an unknown kind too, with no answer
+                assert answer == b""  # the broker hangs up on each, an unknown kind or an ack too, with no answer
                 n = next(numbers)
                 pub.publish(FrameKind.MEASUREMENT, "kpm.1", {"n": n})
                 frame = sub.poll(timeout=2.0)

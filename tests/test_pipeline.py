@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranguard import pipeline
+from ranguard import databus, pipeline
 from ranguard.databus import Broker, BusClient, DatabusFrame, FrameKind, now_us
 from ranguard.kpm import (
     ATTACK_CLASSES,
@@ -525,12 +525,12 @@ def test_report_applied_time_matches_command_log(demo_result, tmp_path):
 def test_bench_latency_validates_arguments(dt_model):
     with pytest.raises(ValueError, match="frames"):
         pipeline.bench_latency(dt_model, CLASS_ORDER, frames=0)
-    with pytest.raises(ValueError, match="rate_hz"):
-        pipeline.bench_latency(dt_model, CLASS_ORDER, frames=10, rate_hz=0)
+    with pytest.raises(ValueError, match="period_ms"):
+        pipeline.bench_latency(dt_model, CLASS_ORDER, frames=10, period_ms=0)
 
 
 def test_bench_latency_measures_real_loopback(dt_model):
-    report = pipeline.bench_latency(dt_model, CLASS_ORDER, frames=60, rate_hz=300)
+    report = pipeline.bench_latency(dt_model, CLASS_ORDER, frames=60, period_ms=3)
     assert report.count == 60
     assert report.t_d.median_us > 0
     assert report.t_d.p99_us >= report.t_d.median_us
@@ -554,9 +554,36 @@ class SlowFirstPredict:
 
 def test_bench_latency_warms_the_model_before_timing(dt_model):
     # a cold first predict holds up the frames queued behind it: without the warm-up, p99 T_d read 577 ms
-    report = pipeline.bench_latency(SlowFirstPredict(dt_model), CLASS_ORDER, frames=60, rate_hz=100)
+    report = pipeline.bench_latency(SlowFirstPredict(dt_model), CLASS_ORDER, frames=60, period_ms=10)
     assert report.count == 60
     assert report.t_d.p99_us < 150_000
+
+
+class FailsOnThirdPredict:
+    """A model that raises on its third predict: the warm-up and the first frame pass."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.n_features = model.n_features
+        self.calls = 0
+
+    def predict(self, x):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("model failed")
+        return self.model.predict(x)
+
+
+def test_bench_latency_station_ends_quietly_when_the_bench_stops_early(dt_model, monkeypatch):
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", errors.append)
+    with pytest.raises(RuntimeError, match="model failed"):
+        pipeline.bench_latency(FailsOnThirdPredict(dt_model), CLASS_ORDER, frames=200, period_ms=10)
+    for thread in threading.enumerate():
+        if thread.name == "bench-station":
+            thread.join(timeout=10.0)  # its bus closed under it, mid-scenario
+            assert not thread.is_alive()
+    assert errors == []
 
 
 # -- live xApp runner --
@@ -617,7 +644,7 @@ def test_run_xapp_classifies_and_commands_over_bus(dt_model, tmp_path):
     assert sum(1 for r in rows if r["command"]) == 1
 
 
-def test_run_xapp_counts_the_frames_its_full_queue_dropped():
+def test_run_xapp_counts_the_frames_its_full_queue_dropped(monkeypatch):
     class GatedModel:
         """Holds the xApp at its first decision until the gate opens."""
 
@@ -631,7 +658,8 @@ def test_run_xapp_counts_the_frames_its_full_queue_dropped():
     model = GatedModel()
     bs = build_station(pipeline.attack_demo_scenario(3, duration_ms=8000))
     outcome = {}
-    with Broker(port=0, max_queue=8) as broker:
+    monkeypatch.setattr(databus, "QUEUE_FRAMES", 8)
+    with Broker(port=0) as broker:
         host, port = broker.address
         with BusClient.connect(host, port) as pub:
 

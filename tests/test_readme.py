@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from ranguard.cli import build_parser
 from ranguard.ransim import parse_scenario
 from ranguard.xapp import parse_policy
 
@@ -41,3 +43,22 @@ def test_readme_library_imports_resolve():
     imports = [node for node in ast.parse(block).body if isinstance(node, ast.ImportFrom)]
     assert imports
     exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+def cli_commands() -> list[str]:
+    """Each `ranguard` command of the README's CLI block, its backslash continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"\n## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("ranguard ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = cli_commands()
+    assert commands
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
