@@ -53,6 +53,14 @@ def _add_scenario_args(sub: argparse.ArgumentParser, *, default_preset: str) -> 
     sub.add_argument("--duration-ms", type=int, help="override the scenario duration")
 
 
+def _verdict(failures: list[str]) -> int:
+    """Print each failed check, then the verdict; the exit code."""
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    print("PASS" if not failures else "check failed")
+    return 0 if not failures else 1
+
+
 def _cmd_collect(args: argparse.Namespace) -> int:
     config = _scenario_from_args(args, default_preset="one_ue")
     n = collect(config, args.out)
@@ -102,10 +110,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         failures.append(
             f"delta_i median {report.delta_i_median_us / 1000:.3f} ms > {args.max_delta_i_ms} ms"
         )
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("PASS" if not failures else "check failed")
-    return 0 if not failures else 1
+    return _verdict(failures)
 
 
 def _cmd_closed_loop(args: argparse.Namespace) -> int:
@@ -138,10 +143,7 @@ def _cmd_closed_loop(args: argparse.Namespace) -> int:
     episode_ues = {e.ue_id for e in result.episodes}
     for ue_id in sorted(result.released_ues - episode_ues):
         failures.append(f"ue {ue_id} was released but never attacked")
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("PASS" if not failures else "check failed")
-    return 0 if not failures else 1
+    return _verdict(failures)
 
 
 def _cmd_bench_latency(args: argparse.Namespace) -> int:
@@ -158,11 +160,12 @@ def _cmd_bench_latency(args: argparse.Namespace) -> int:
     if args.max_p99_ms is None:
         return 0
     p99_ms = report.t_d.p99_us / 1000
+    failures = []
+    if report.count < args.frames:
+        failures.append(f"{report.count} of {args.frames} frames timed")
     if p99_ms > args.max_p99_ms:
-        print(f"FAIL: T_d p99 {p99_ms:.3f} ms > {args.max_p99_ms} ms")
-        return 1
-    print("PASS")
-    return 0
+        failures.append(f"T_d p99 {p99_ms:.3f} ms > {args.max_p99_ms} ms")
+    return _verdict(failures)
 
 
 def _cmd_xapp(args: argparse.Namespace) -> int:
@@ -174,7 +177,6 @@ def _cmd_xapp(args: argparse.Namespace) -> int:
         broker_port=args.port,
         policy=_policy_from_args(args),
         log_path=args.log,
-        max_frames=args.max_frames,
         idle_timeout_s=args.idle_timeout_s,
     )
     print(
@@ -247,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--port", type=int, required=True)
     sub.add_argument("--policy", help="policy config file")
     sub.add_argument("--log", help="prediction log CSV path")
-    sub.add_argument("--max-frames", type=int)
     sub.add_argument("--idle-timeout-s", type=float, default=5.0)
     sub.set_defaults(func=_cmd_xapp)
 

@@ -446,8 +446,8 @@ class BusClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _read_frame(self, deadline: float | None) -> DatabusFrame | None:
-        """Read and decode one frame; None if none came by the deadline (None: no deadline).
+    def _read_frame(self, deadline: float) -> DatabusFrame | None:
+        """Read and decode one frame; None if none came by the deadline.
 
         A delivery's stamp sets `dropped`.
         """
@@ -456,12 +456,11 @@ class BusClient:
         reader = self._reader
         try:
             while (body := reader.cut(MAX_FRAME_BYTES)) is None:
-                if deadline is not None:
-                    left_ms = (deadline - time.monotonic()) * 1e3
-                    if not self._readable.poll(min(max(left_ms, 0.0), _POLL_MAX_MS)):
-                        if left_ms <= _POLL_MAX_MS:
-                            return None
-                        continue  # poll waits at most _POLL_MAX_MS, so a longer wait takes several
+                left_ms = (deadline - time.monotonic()) * 1e3
+                if not self._readable.poll(min(max(left_ms, 0.0), _POLL_MAX_MS)):
+                    if left_ms <= _POLL_MAX_MS:
+                        return None
+                    continue  # poll waits at most _POLL_MAX_MS, so a longer wait takes several
                 reader.fill()
             frame = decode_frame(body)
         except (FrameDecodeError, BusDisconnected, OSError) as exc:
@@ -471,12 +470,12 @@ class BusClient:
             self.dropped = dropped
         return frame
 
-    def poll(self, timeout: float | None = None) -> DatabusFrame | None:
+    def poll(self, timeout: float) -> DatabusFrame | None:
         """Next delivery of any subscribed pattern, in arrival order; None once timeout
-        elapses with nothing. timeout 0 still takes a frame that is already on the socket."""
+        seconds elapse with nothing. timeout 0 still takes a frame that is already on the socket."""
         if self._early:
             return self._early.popleft()
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         while (frame := self._read_frame(deadline)) is not None:
             if frame.kind is not FrameKind.ACK:
                 return frame
@@ -511,9 +510,7 @@ class BusClient:
         like a poll; the deliveries read meanwhile are kept, in order, for the
         next polls, and any other ack is dropped.
         """
-        if not valid_pattern(pattern):
-            raise ValueError(f"bad subscribe pattern {pattern!r}")
-        self.send_frame(DatabusFrame(FrameKind.SUBSCRIBE, pattern, now_us(), {}))
+        self.send_frame(DatabusFrame(FrameKind.SUBSCRIBE, pattern, now_us(), {}))  # a bad pattern raises here, unsent
         deadline = time.monotonic() + WAIT_S
         while True:
             frame = self._read_frame(deadline)

@@ -512,6 +512,7 @@ def bench_latency(
     _warm_model(model)
     xapp = OnlineClassifier(model, class_labels)  # wall-clock stamps
     traces = []
+    wait_s = period_ms / 1000 + 2.0  # one period, plus slack: a longer gap ends the stream
     with Broker(port=0) as broker:
         host, port = broker.address
         with BusClient.connect(host, port) as station, BusClient.connect(host, port) as ric:
@@ -526,7 +527,7 @@ def bench_latency(
             player = threading.Thread(target=play, name="bench-station", daemon=True)
             player.start()
             while len(traces) < frames:
-                frame = ric.poll(timeout=2.0)
+                frame = ric.poll(timeout=wait_s)
                 if frame is None:
                     break  # stream over (or frames dropped under overload)
                 decision = xapp.on_measurement(frame)
@@ -556,13 +557,11 @@ def run_xapp(
     broker_port: int,
     policy: PolicyMap | None = None,
     log_path: str | Path | None = None,
-    max_frames: int | None = None,
     idle_timeout_s: float = 5.0,
 ) -> XappRunStats:
     """Attach to a live broker: classify kpm.* frames, publish commands, log decisions.
 
-    Returns once max_frames frames arrived, the stream stays quiet for
-    idle_timeout_s, or the broker goes away.
+    Returns once the stream stays quiet for idle_timeout_s or the broker goes away.
     """
     xapp = OnlineClassifier(model, class_labels, policy)
     client = connect_with_retry(broker_host, broker_port)
@@ -575,7 +574,7 @@ def run_xapp(
             log_fh = Path(log_path).open("w", newline="")
             writer = csv.writer(log_fh)
             writer.writerow(PREDICTION_LOG_HEADER)
-        while max_frames is None or frames < max_frames:
+        while True:
             try:
                 frame = client.poll(timeout=idle_timeout_s)
             except BusDisconnected:

@@ -21,16 +21,7 @@ import numpy as np
 
 from .databus import BusClient, DatabusFrame, FrameKind, now_us
 from .kpm import LabeledSample, TrafficClass, class_from_label
-from .traffic import (
-    DEFAULT_PERIOD_MS,
-    DEFAULT_TRANSIENT_MS,
-    ScriptSegment,
-    ScriptedStream,
-    build_random_script,
-)
-
-DEFAULT_MIN_SEGMENT_MS = 3000
-DEFAULT_MAX_SEGMENT_MS = 8000
+from .traffic import DEFAULT_PERIOD_MS, ScriptSegment, ScriptedStream, build_random_script
 
 
 class RrcState(Enum):
@@ -192,19 +183,12 @@ class UeSpec:
     ue_id: int
     script: tuple[ScriptSegment, ...] | None  # None: built at random from the seed
     classes: tuple[TrafficClass, ...] = ()  # random pool; empty means all classes
-    min_segment_ms: int = DEFAULT_MIN_SEGMENT_MS
-    max_segment_ms: int = DEFAULT_MAX_SEGMENT_MS
 
     def __post_init__(self) -> None:
         if self.ue_id < 0:
             raise ValueError(f"ue_id must be >= 0, got {self.ue_id}")
         if self.script is not None and not self.script:
             raise ValueError("explicit script must not be empty")
-        if not 0 < self.min_segment_ms <= self.max_segment_ms:
-            raise ValueError(
-                f"need 0 < min_segment_ms <= max_segment_ms, "
-                f"got {self.min_segment_ms}:{self.max_segment_ms}"
-            )
 
 
 @dataclass(frozen=True)
@@ -216,14 +200,11 @@ class ScenarioConfig:
     bs_id: int = 1
     seed: int = 0
     period_ms: int = DEFAULT_PERIOD_MS
-    transient_ms: int = DEFAULT_TRANSIENT_MS
     time_mode: TimeMode = TimeMode.VIRTUAL
 
     def __post_init__(self) -> None:
         if self.period_ms <= 0:
             raise ValueError(f"period_ms must be > 0, got {self.period_ms}")
-        if self.transient_ms < 0:
-            raise ValueError(f"transient_ms must be >= 0, got {self.transient_ms}")
         if self.duration_ms <= 0 or self.duration_ms % self.period_ms != 0:
             raise ValueError(
                 f"duration_ms must be a positive multiple of period_ms, got {self.duration_ms}"
@@ -242,8 +223,8 @@ class ScenarioConfig:
                     )
 
 
-_UE_KEY_RE = re.compile(r"^ue\.(\d+)\.(script|classes|segment_ms)$")
-_SCALAR_KEYS = ("bs_id", "seed", "duration_ms", "period_ms", "transient_ms")
+_UE_KEY_RE = re.compile(r"^ue\.(\d+)\.(script|classes)$")
+_SCALAR_KEYS = ("bs_id", "seed", "duration_ms", "period_ms")
 
 
 def _parse_int(key: str, value: str, line_no: int) -> int:
@@ -281,16 +262,6 @@ def _parse_classes(value: str, line_no: int) -> tuple[TrafficClass, ...]:
         return tuple(class_from_label(tok.strip()) for tok in value.split(","))
     except ValueError as exc:
         raise ScenarioError(f"line {line_no}: {exc}") from None
-
-
-def _parse_span(value: str, line_no: int) -> tuple[int, int]:
-    lo, sep, hi = value.partition(":")
-    if not sep:
-        raise ScenarioError(f"line {line_no}: segment_ms must be <min>:<max>, got {value!r}")
-    return (
-        _parse_int("segment_ms min", lo, line_no),
-        _parse_int("segment_ms max", hi, line_no),
-    )
 
 
 def read_key_values(text: str, error: type[ValueError]) -> dict[str, tuple[int, str]]:
@@ -344,11 +315,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if attr == "script":
             spot["script"] = _parse_script(value, line_no)
             spot["script_line"] = line_no
-        elif attr == "classes":
+        else:
             spot["classes"] = _parse_classes(value, line_no)
             spot["classes_line"] = line_no
-        else:
-            spot["min_segment_ms"], spot["max_segment_ms"] = _parse_span(value, line_no)
 
     specs = []
     for ue_id in sorted(ue_fields):
@@ -361,10 +330,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             )
         spot.pop("script_line", None)
         spot.pop("classes_line", None)
-        try:
-            specs.append(UeSpec(**spot))
-        except ValueError as exc:
-            raise ScenarioError(f"ue {ue_id}: {exc}") from None
+        specs.append(UeSpec(**spot))
     if not specs:
         raise ScenarioError("scenario needs at least one ue.<id>.script key")
 
@@ -391,16 +357,9 @@ def build_station(config: ScenarioConfig) -> BaseStation:
                 np.random.default_rng(script_seq),
                 spec.classes or tuple(TrafficClass),
                 config.duration_ms,
-                min_segment_ms=spec.min_segment_ms,
-                max_segment_ms=spec.max_segment_ms,
                 period_ms=config.period_ms,
             )
-        stream = ScriptedStream(
-            script,
-            np.random.default_rng(stream_seq),
-            period_ms=config.period_ms,
-            transient_ms=config.transient_ms,
-        )
+        stream = ScriptedStream(script, np.random.default_rng(stream_seq), period_ms=config.period_ms)
         bs.add_ue(spec.ue_id, stream)
     return bs
 

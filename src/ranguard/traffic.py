@@ -2,9 +2,9 @@
 
 Each UE works through a script of traffic classes. Each class is a parametric
 load model driven by the UE's seeded RNG on top of a slow-fading channel.
-Every flow ramps from zero to steady state over a configurable transient
-window after it starts, so early measurements of a fresh flow look ambiguous
-on purpose.
+Every flow ramps from zero to steady state over a fixed transient window
+(TRANSIENT_MS) after it starts, so early measurements of a fresh flow look
+ambiguous on purpose.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import numpy as np
 from ranguard.kpm import KpmSample, LabeledSample, TrafficClass
 
 DEFAULT_PERIOD_MS = 100
-DEFAULT_TRANSIENT_MS = 500
+TRANSIENT_MS = 500  # every flow ramps linearly from zero to steady state over this window
+MIN_SEGMENT_MS = 3000  # the bounds of a random script's segments
+MAX_SEGMENT_MS = 8000
 
 
 # --- channel model -----------------------------------------------------------
@@ -121,8 +123,8 @@ class ScriptedStream:
     steady state.
 
     Draw order per interval is fixed (channel step, SINR noise, class load,
-    loss realization) so a stream is fully determined by its script, period,
-    ramp and RNG seed. A uniform draw is written out as
+    loss realization) so a stream is fully determined by its script, period
+    and RNG seed. A uniform draw is written out as
     lo + (hi - lo) * rng.random(), which is how numpy computes
     rng.uniform(lo, hi), so it takes the same value from the same bits at a
     third of the call cost; a normal draw of mean 0 as s * rng.standard_normal(),
@@ -135,14 +137,11 @@ class ScriptedStream:
         seed: int | np.random.Generator,
         *,
         period_ms: int = DEFAULT_PERIOD_MS,
-        transient_ms: int = DEFAULT_TRANSIENT_MS,
     ) -> None:
         if not script:
             raise ValueError("script must not be empty")
         if period_ms <= 0:
             raise ValueError(f"period_ms must be > 0, got {period_ms}")
-        if transient_ms < 0:
-            raise ValueError(f"transient_ms must be >= 0, got {transient_ms}")
         for i, seg in enumerate(script):
             if seg.duration_ms % period_ms != 0:
                 raise ValueError(
@@ -150,7 +149,6 @@ class ScriptedStream:
                 )
         self.script = tuple(script)
         self.period_ms = period_ms
-        self._transient_ms = transient_ms
         self._seconds = period_ms / 1000.0
         self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         self._walk = 0.0  # the channel's walk in dB, which persists across segments
@@ -247,8 +245,7 @@ class ScriptedStream:
         pucch = sinr - 1.5 + 0.4 * rng.standard_normal()
         self._cqi = cqi = min(15, max(0, round((pusch + 6.0) / 1.9)))  # the wideband CQI report
 
-        t = self._transient_ms
-        scale = 1.0 if t <= 0 else min(1.0, self._t_rel_ms / t)
+        scale = min(1.0, self._t_rel_ms / TRANSIENT_MS)
         ul_bits, dl_bits, ul_pkts = self._loads(self, scale)
         offered_ul_bps = ul_bits / self._seconds
         offered_dl_bps = dl_bits / self._seconds
@@ -304,22 +301,21 @@ def build_random_script(
     classes: Sequence[TrafficClass],
     duration_ms: int,
     *,
-    min_segment_ms: int = 3000,
-    max_segment_ms: int = 8000,
     period_ms: int = DEFAULT_PERIOD_MS,
 ) -> list[ScriptSegment]:
-    """Random class sequence covering duration_ms exactly; no same-class repeats."""
+    """Random class sequence covering duration_ms exactly; no same-class repeats.
+
+    Each segment lasts MIN_SEGMENT_MS to MAX_SEGMENT_MS, or the whole duration
+    if that is shorter.
+    """
+    if not 0 < period_ms <= MAX_SEGMENT_MS:
+        raise ValueError(f"period_ms must be in 1..{MAX_SEGMENT_MS}, got {period_ms}")
     if not classes:
         raise ValueError("classes must not be empty")
     if duration_ms <= 0 or duration_ms % period_ms != 0:
         raise ValueError(f"duration_ms must be a positive multiple of {period_ms}")
-    lo = -(-min_segment_ms // period_ms)  # segment bounds in whole periods
-    hi = max_segment_ms // period_ms
-    if not 1 <= lo <= hi:
-        raise ValueError(
-            f"need period_ms <= min_segment_ms <= max_segment_ms, "
-            f"got {period_ms}, {min_segment_ms}, {max_segment_ms}"
-        )
+    lo = -(-MIN_SEGMENT_MS // period_ms)  # segment bounds in whole periods
+    hi = MAX_SEGMENT_MS // period_ms
     script: list[ScriptSegment] = []
     left = duration_ms
     prev: TrafficClass | None = None
@@ -327,12 +323,12 @@ def build_random_script(
         pool = [c for c in classes if c is not prev] or list(classes)
         cls = pool[int(rng.integers(0, len(pool)))]
         seg = min(int(rng.integers(lo, hi + 1)) * period_ms, left)
-        if left - seg < min_segment_ms:
+        if left - seg < MIN_SEGMENT_MS:
             # never strand a sub-minimum tail: absorb it or leave a full minimum
-            if left <= max_segment_ms:
+            if left <= MAX_SEGMENT_MS:
                 seg = left
             else:
-                seg = max(period_ms, (left - min_segment_ms) // period_ms * period_ms)
+                seg = max(period_ms, (left - MIN_SEGMENT_MS) // period_ms * period_ms)
         script.append(ScriptSegment(cls, seg))
         prev = cls
         left -= seg

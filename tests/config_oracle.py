@@ -8,7 +8,7 @@ round-trip properties and the CLI tests that write a scenario file use them.
 from __future__ import annotations
 
 from ranguard.kpm import ATTACK_CLASSES
-from ranguard.ransim import DEFAULT_MAX_SEGMENT_MS, DEFAULT_MIN_SEGMENT_MS, ScenarioConfig
+from ranguard.ransim import ScenarioConfig
 from ranguard.xapp import PolicyMap
 
 
@@ -19,7 +19,6 @@ def format_scenario(config: ScenarioConfig) -> str:
         f"seed = {config.seed}",
         f"duration_ms = {config.duration_ms}",
         f"period_ms = {config.period_ms}",
-        f"transient_ms = {config.transient_ms}",
         f"time_mode = {config.time_mode.value}",
     ]
     for spec in config.ues:
@@ -31,11 +30,6 @@ def format_scenario(config: ScenarioConfig) -> str:
         else:
             joined = " ".join(f"{s.traffic_class.value}:{s.duration_ms}" for s in spec.script)
             lines.append(f"ue.{spec.ue_id}.script = {joined}")
-        if (spec.min_segment_ms, spec.max_segment_ms) != (
-            DEFAULT_MIN_SEGMENT_MS,
-            DEFAULT_MAX_SEGMENT_MS,
-        ):
-            lines.append(f"ue.{spec.ue_id}.segment_ms = {spec.min_segment_ms}:{spec.max_segment_ms}")
     return "\n".join(lines) + "\n"
 
 

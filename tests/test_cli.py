@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -247,6 +248,22 @@ def test_bench_latency_gate(trained, capsys):
     assert code == 0, out + err  # a p99 past the gate is reported on stdout
     assert out.rstrip().endswith("PASS")
     assert "T_d" in out
+
+
+def test_bench_latency_gate_fails_when_frames_go_untimed(trained, monkeypatch, capsys):
+    _, model = trained
+
+    def one_short(*args, **kwargs):
+        report = pipeline.bench_latency(*args, **kwargs)
+        return replace(report, count=report.count - 1)  # as if the stream had ended a frame early
+
+    monkeypatch.setattr(cli, "bench_latency", one_short)
+    code = cli.main(
+        ["bench-latency", "--model", str(model), "--frames", "40", "--period-ms", "3", "--max-p99-ms", "1000"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 1, out + err
+    assert "FAIL: 39 of 40 frames timed\n" in out
 
 
 def test_bad_policy_file_is_error(trained, tmp_path, capsys):

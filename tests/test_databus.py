@@ -341,6 +341,7 @@ def test_subscribe_rejects_bad_pattern(broker):
     with client(broker) as recv:
         with pytest.raises(ValueError, match="pattern"):
             recv.subscribe("kpm.1.2")
+        assert recv.subscribe("kpm.1") is recv  # the bad pattern never left: the connection still works
 
 
 def test_publish_after_close_raises(broker):

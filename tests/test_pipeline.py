@@ -537,6 +537,12 @@ def test_bench_latency_measures_real_loopback(dt_model):
     assert report.t_d.p99_us < 1_000_000  # a loopback frame never needs the full second
 
 
+def test_bench_latency_waits_a_period_longer_than_its_slack(dt_model):
+    # a fixed 2 s wait read the gap between two frames as the end of the stream, and timed 1 frame
+    report = pipeline.bench_latency(dt_model, CLASS_ORDER, frames=2, period_ms=2100)
+    assert report.count == 2
+
+
 class SlowFirstPredict:
     """A model whose first predict takes 0.3 s, as a cold vote compile can."""
 

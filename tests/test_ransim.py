@@ -318,13 +318,11 @@ def test_parse_full_scenario():
     seed = 17
     duration_ms = 12000
     period_ms = 100
-    transient_ms = 500
     time_mode = real
 
     ue.1.script = web:3000 voip:3000 dos_hulk:6000
     ue.2.script = random
     ue.2.classes = web,slowloris
-    ue.2.segment_ms = 2000:4000
     """
     config = parse_scenario(text)
     assert config.bs_id == 3
@@ -338,7 +336,6 @@ def test_parse_full_scenario():
     )
     assert config.ues[1].script is None
     assert config.ues[1].classes == (TrafficClass.WEB, TrafficClass.SLOWLORIS)
-    assert (config.ues[1].min_segment_ms, config.ues[1].max_segment_ms) == (2000, 4000)
 
 
 def test_parse_defaults():
@@ -346,7 +343,6 @@ def test_parse_defaults():
     assert config.bs_id == 1
     assert config.seed == 0
     assert config.period_ms == 100
-    assert config.transient_ms == 500
     assert config.time_mode is TimeMode.VIRTUAL
 
 
@@ -364,7 +360,12 @@ def test_parse_defaults():
         ("duration_ms = 1000\nue.1.script = web:1000\nue.1.classes = voip\n", "only applies"),
         ("duration_ms = 1000\ntime_mode = warp\nue.1.script = web:1000\n", "time_mode"),
         ("duration_ms = 1000\nbroker = nope\nue.1.script = web:1000\n", "broker"),
-        ("duration_ms = 1000\ntransient_ms = -5\nue.1.script = web:1000\n", "transient_ms must be >= 0"),
+        # the ramp and the random segment bounds are constants, so their old keys are unknown
+        ("duration_ms = 1000\ntransient_ms = 500\nue.1.script = web:1000\n", "^line 2: unknown key 'transient_ms'$"),
+        (
+            "duration_ms = 1000\nue.1.script = random\nue.1.segment_ms = 3000:8000\n",
+            "^line 3: unknown key 'ue.1.segment_ms'$",
+        ),
         ("duration_ms = 1000\nue.1.script = web:1000\nbadline\n", "key = value"),
         ("duration_ms = 150\nue.1.script = web:100\n", "multiple of period_ms"),
         ("duration_ms = 1000\nue.1.script = web:150\n", "multiple of period"),
@@ -388,12 +389,7 @@ def ue_spec_strategy(ue_id: int) -> st.SearchStrategy[UeSpec]:
     explicit = st.lists(
         st.tuples(classes, st.integers(1, 50)), min_size=1, max_size=4
     ).map(lambda legs: tuple(ScriptSegment(c, n * 100) for c, n in legs))
-    spans = st.tuples(st.integers(1, 30), st.integers(0, 30)).map(
-        lambda lohi: (lohi[0] * 100, (lohi[0] + lohi[1]) * 100)
-    )
-    random_spec = st.tuples(
-        st.lists(classes, unique=True, max_size=5).map(tuple), spans
-    ).map(lambda cs: UeSpec(ue_id, None, classes=cs[0], min_segment_ms=cs[1][0], max_segment_ms=cs[1][1]))
+    random_spec = st.lists(classes, unique=True, max_size=5).map(lambda cs: UeSpec(ue_id, None, classes=tuple(cs)))
     return st.one_of(explicit.map(lambda s: UeSpec(ue_id, s)), random_spec)
 
 
@@ -406,7 +402,6 @@ def scenario_strategy(draw) -> ScenarioConfig:
         ues=ues,
         bs_id=draw(st.integers(0, 9)),
         seed=draw(st.integers(0, 2**31)),
-        transient_ms=draw(st.integers(0, 1000)),
         time_mode=draw(st.sampled_from(list(TimeMode))),
     )
 

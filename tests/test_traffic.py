@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from ranguard.kpm import LabeledSample, TrafficClass
 from ranguard.traffic import (
     DEFAULT_PERIOD_MS,
-    DEFAULT_TRANSIENT_MS,
+    MAX_SEGMENT_MS,
+    MIN_SEGMENT_MS,
+    TRANSIENT_MS,
     WALK_CAP_DB,
     ScriptedStream,
     ScriptSegment,
@@ -27,20 +29,22 @@ def schedule_execution(
     script: Sequence[ScriptSegment], seed: int, *, period_ms: int = DEFAULT_PERIOD_MS
 ) -> Iterator[LabeledSample]:
     """Labeled measurement stream for a whole script, one sample per period from t = 0."""
-    stream = ScriptedStream(script, seed, period_ms=period_ms, transient_ms=DEFAULT_TRANSIENT_MS)
+    stream = ScriptedStream(script, seed, period_ms=period_ms)
     total_ms = sum(seg.duration_ms for seg in script)
     for t in range(0, total_ms, period_ms):
         yield stream.next_sample(t, 1, 0)
 
 
-def one_class_stream(cls: TrafficClass, seed: int, *, transient_ms: int) -> ScriptedStream:
+def one_class_stream(cls: TrafficClass, seed: int) -> ScriptedStream:
     """A single-segment script, so the class runs for as long as it is asked."""
-    return ScriptedStream([ScriptSegment(cls, 100)], seed, transient_ms=transient_ms)
+    return ScriptedStream([ScriptSegment(cls, 100)], seed)
 
 
 def steady_stream(cls: TrafficClass, seed: int, n: int):
-    stream = one_class_stream(cls, seed, transient_ms=0)
-    return [stream.next_sample(i * 100, 1, 0).sample for i in range(n)]
+    """n samples of one flow past its ramp."""
+    stream = one_class_stream(cls, seed)
+    ramp = TRANSIENT_MS // DEFAULT_PERIOD_MS
+    return [stream.next_sample(i * 100, 1, 0).sample for i in range(ramp + n)][ramp:]
 
 
 # --- channel quality maps ------------------------------------------------------
@@ -86,7 +90,7 @@ def test_mcs_load_dependent_not_bijective():
 @given(seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=40, deadline=None)
 def test_channel_walk_stays_bounded(seed):
-    stream = one_class_stream(TrafficClass.SLOWLORIS, seed, transient_ms=DEFAULT_TRANSIENT_MS)
+    stream = one_class_stream(TrafficClass.SLOWLORIS, seed)
     for i in range(300):
         stream.next_sample(i * 100, 1, 0)
         assert abs(stream._walk) <= WALK_CAP_DB
@@ -152,14 +156,14 @@ def test_slowloris_downlink_nearly_silent():
 
 @pytest.mark.parametrize("cls", list(TrafficClass))
 def test_first_interval_of_a_fresh_flow_is_silent(cls):
-    s = one_class_stream(cls, 5, transient_ms=500).next_sample(0, 1, 0).sample
+    s = one_class_stream(cls, 5).next_sample(0, 1, 0).sample
     assert s.ul_brate_bps == 0.0 and s.dl_brate_bps == 0.0
     assert s.ul_pkts_ok == 0 and s.ul_pkts_nok == 0
     assert 0 <= s.cqi <= 15  # radio stays up even with no traffic
 
 
 def test_ramp_reaches_steady_state_by_transient_end():
-    stream = one_class_stream(TrafficClass.DOS_HULK, 9, transient_ms=500)
+    stream = one_class_stream(TrafficClass.DOS_HULK, 9)
     samples = [stream.next_sample(i * 100, 1, 0).sample for i in range(100)]
     early = np.mean([s.ul_brate_bps for s in samples[:5]])
     steady = np.mean([s.ul_brate_bps for s in samples[10:]])
@@ -167,7 +171,7 @@ def test_ramp_reaches_steady_state_by_transient_end():
     assert min(s.ul_brate_bps for s in samples[6:]) > 0.5 * steady
 
 
-def test_zero_transient_starts_hot():
+def test_steady_flood_is_hot():
     s = steady_stream(TrafficClass.DDOS_RIPPER, 3, 1)[0]
     assert s.ul_brate_bps > 1e6
 
@@ -175,24 +179,22 @@ def test_zero_transient_starts_hot():
 # --- the generator against its oracle ---------------------------------------------
 
 @st.composite
-def scripted_setups(draw) -> tuple[list[ScriptSegment], dict]:
-    """(script, ScriptedStream keyword options) over all five classes."""
+def scripted_setups(draw) -> tuple[list[ScriptSegment], int]:
+    """(script, period_ms) over all five classes."""
     period = draw(st.sampled_from([50, 100, 200]))
     legs = draw(st.lists(st.tuples(st.sampled_from(list(TrafficClass)), st.integers(1, 8)), min_size=1, max_size=4))
-    options = dict(period_ms=period, transient_ms=draw(st.integers(0, 1000)))
-    return [ScriptSegment(cls, n * period) for cls, n in legs], options
+    return [ScriptSegment(cls, n * period) for cls, n in legs], period
 
 
 @given(setup=scripted_setups(), seed=st.integers(0, 2**64 - 1), extra=st.integers(0, 5))
 @settings(max_examples=200, deadline=None)
 def test_generator_draws_exactly_as_the_oracle(setup, seed, extra):
-    script, options = setup
-    period = options["period_ms"]
+    script, period = setup
     n = sum(seg.duration_ms for seg in script) // period + extra  # extra: past the script's end
     served_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    stream = ScriptedStream(script, served_rng, **options)
+    stream = ScriptedStream(script, served_rng, period_ms=period)
     served = [stream.next_sample(k * period, 1, 0) for k in range(n)]
-    oracle = scripted_samples(script, oracle_rng, n, **options)
+    oracle = scripted_samples(script, oracle_rng, n, period_ms=period, transient_ms=TRANSIENT_MS)
     # repr tells 0.0 from -0.0 and 5 from 5.0, which the dataset CSV would also tell apart
     assert [repr(x) for x in served] == [repr(x) for x in oracle]
     assert served_rng.bit_generator.state == oracle_rng.bit_generator.state  # same number of draws
@@ -230,11 +232,6 @@ def test_empty_script_rejected():
         list(schedule_execution([], seed=1))
 
 
-def test_negative_transient_rejected():
-    with pytest.raises(ValueError, match="transient_ms"):
-        ScriptedStream([ScriptSegment(TrafficClass.WEB, 100)], 1, transient_ms=-1)
-
-
 def test_non_multiple_segment_rejected():
     with pytest.raises(ValueError, match="multiple"):
         list(schedule_execution([ScriptSegment(TrafficClass.WEB, 1050)], seed=1))
@@ -248,20 +245,19 @@ def test_zero_duration_segment_rejected():
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     duration_s=st.integers(min_value=1, max_value=120),
-    bounds=st.tuples(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30)).map(sorted),
+    period=st.sampled_from([5, 10, 100]),  # bench_latency, CI's bench-latency, every preset
     n_classes=st.integers(min_value=1, max_value=5),
 )
 @settings(max_examples=60, deadline=None)
-def test_random_script_properties(seed, duration_s, bounds, n_classes):
+def test_random_script_properties(seed, duration_s, period, n_classes):
     rng = np.random.default_rng(seed)
     classes = list(TrafficClass)[:n_classes]
     duration = duration_s * 1000
-    lo, hi = bounds[0] * 500, bounds[1] * 500
-    script = build_random_script(rng, classes, duration, min_segment_ms=lo, max_segment_ms=hi)
+    script = build_random_script(rng, classes, duration, period_ms=period)
     assert sum(s.duration_ms for s in script) == duration
     for s in script:
-        assert s.duration_ms % 100 == 0
-        assert 100 <= s.duration_ms <= max(hi, 100)
+        assert s.duration_ms % period == 0
+        assert min(MIN_SEGMENT_MS, duration) <= s.duration_ms <= MAX_SEGMENT_MS
         assert s.traffic_class in classes
     if len(classes) > 1:
         for a, b in zip(script, script[1:]):
@@ -270,8 +266,8 @@ def test_random_script_properties(seed, duration_s, bounds, n_classes):
 
 def test_random_script_rejects_bad_bounds():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        build_random_script(rng, list(TrafficClass), 10000, min_segment_ms=5000, max_segment_ms=3000)
+    with pytest.raises(ValueError, match="period_ms"):  # a period longer than the longest segment
+        build_random_script(rng, list(TrafficClass), 2 * (MAX_SEGMENT_MS + 100), period_ms=MAX_SEGMENT_MS + 100)
     with pytest.raises(ValueError, match="classes"):
         build_random_script(rng, [], 10000)
     with pytest.raises(ValueError, match="multiple"):
