@@ -101,10 +101,8 @@ _FIELDS = fields(KpmSample)
 _NAMES = tuple(f.name for f in _FIELDS)
 _IS_INT = {f.name: f.type == "int" for f in _FIELDS}  # the annotations are strings here
 
-FEATURE_NAMES: tuple[str, ...] = (
-    *(f.name for f in _FIELDS if f.metadata["feature"]),
-    "ul_drop_ratio",
-)
+_FIELD_FEATURES = tuple(f.name for f in _FIELDS if f.metadata["feature"])
+FEATURE_NAMES: tuple[str, ...] = (*_FIELD_FEATURES, "ul_drop_ratio")
 FEATURE_COUNT = len(FEATURE_NAMES)
 
 
@@ -182,14 +180,16 @@ KpmSample.from_payload = classmethod(  # type: ignore[attr-defined]
     )
 )
 
+# the last feature, ul_drop_ratio, is computed inline as the property computes it
 feature_vector = define(
     "feature_vector",
     "sample",
     "Model input features, in FEATURE_NAMES order.",
     [
+        "ok, nok = sample.ul_pkts_ok, sample.ul_pkts_nok",
         "return ["
-        + ", ".join(f"float(sample.{n})" if _IS_INT.get(n) else f"sample.{n}" for n in FEATURE_NAMES)
-        + "]"
+        + ", ".join(f"float(sample.{n})" if _IS_INT[n] else f"sample.{n}" for n in _FIELD_FEATURES)
+        + ", nok / max(1, ok + nok)]",
     ],
 )
 

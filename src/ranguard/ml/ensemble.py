@@ -7,6 +7,12 @@ right, and adds each tree's weight to its leaf class in tree order; the
 argmax breaks ties toward the lowest class index. A row runs the trees as
 generated Python code, nested if/else blocks per tree, as in Asadi et al.
 (TKDE 2014), and a matrix runs its rows through that code one at a time.
+At each split the child that more training weight reached (the tree's
+`counts`) is written first, the left one on a tie, so the usual path falls
+through: profile-guided code positioning (Pettis and Hansen, PLDI 1990) with
+the training counts as the profile. A right child first is tested as
+`not x <= threshold`, which still sends a row on the threshold left and NaN
+right.
 When every weight is 1 (a tree, a forest), that vote stops as soon as one
 class holds a strict majority of the trees, the early exit of Cambazoglu et
 al. (WSDM 2010); the label is the one the full vote gives.
@@ -114,9 +120,10 @@ class TreeModel:
             return len(funcs) - 1
 
         def emit(k: int, root: int, tree: list[list]) -> list[tuple[int, int]]:
-            """Append the subtree at root of tree's (feature, threshold, klass, left, right)
-            lists to function k; (function, node) of each subtree cut off."""
-            feature, threshold, klass, left, right = tree
+            """Append the subtree at root of tree's (feature, threshold, klass, left, right,
+            reached) lists to function k, reached being the training weight at each node;
+            (function, node) of each subtree cut off."""
+            feature, threshold, klass, left, right, reached = tree
             lines, cuts = funcs[k], []
             stack = [(root, 1)]  # (node, level); node -1 is the else of its level
             while stack:
@@ -131,9 +138,15 @@ class TreeModel:
                     cuts.append((new_function(), node))
                     lines.append(f"{pad}return {cuts[-1][0]}")
                 else:
-                    lines.append(f"{pad}if x{feature[node]} <= {threshold[node]!r}:")
+                    # the child that more training weight reached comes first, the left one on a tie;
+                    # "not x <= t" sends NaN right, as "x <= t" does by its else
+                    test = f"x{feature[node]} <= {threshold[node]!r}"
+                    first, then = left[node], right[node]
+                    if reached[then] > reached[first]:
+                        first, then, test = then, first, f"not {test}"
+                    lines.append(f"{pad}if {test}:")
                     used[k] += 1
-                    stack += [(right[node], level + 1), (-1, level), (left[node], level + 1)]
+                    stack += [(then, level + 1), (-1, level), (first, level + 1)]
             return cuts
 
         def close(k: int, last_line: str) -> None:
@@ -143,7 +156,8 @@ class TreeModel:
 
         last = len(self.trees) - 1
         for t, (tree, weight) in enumerate(zip(self.trees, self.weights)):
-            lists = [a.tolist() for a in (tree.feature, tree.threshold, tree.klass, tree.left, tree.right)]
+            arrays = (tree.feature, tree.threshold, tree.klass, tree.left, tree.right, tree.counts.sum(axis=1))
+            lists = [a.tolist() for a in arrays]
             k = len(funcs) - 1
             if used[k] and used[k] + len(tree.feature) > _FUNC_NODES:  # a tree that fits one function gets one
                 close(k, f"return {new_function()}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .databus import BusClient, DatabusFrame, FrameKind, now_us
 from .kpm import LabeledSample, TrafficClass, class_from_label
-from .traffic import DEFAULT_PERIOD_MS, ScriptSegment, ScriptedStream, build_random_script
+from .traffic import DEFAULT_PERIOD_MS, MAX_SEGMENT_MS, ScriptSegment, ScriptedStream, build_random_script
 
 
 class RrcState(Enum):
@@ -125,11 +125,12 @@ class BaseStation:
         if now_ms % self.period_ms != 0:
             raise ValueError(f"tick time {now_ms} is not aligned to period {self.period_ms}")
         out: list[LabeledSample] = []
+        bs_id, connected, drop = self.bs_id, RrcState.CONNECTED, CommandAction.DROP
         for ue in self._ues.values():
-            if ue.rrc_state is not RrcState.CONNECTED:
+            if ue.rrc_state is not connected:
                 continue
-            labeled = ue.stream.next_sample(now_ms, self.bs_id, ue.ue_id)
-            if ue.policy is CommandAction.DROP:
+            labeled = ue.stream.next_sample(now_ms, bs_id, ue.ue_id)
+            if ue.policy is drop:
                 # the UE still transmits; the BS discards, so upstream sees no uplink
                 zeroed = replace(labeled.sample, ul_brate_bps=0.0, ul_pkts_ok=0, ul_pkts_nok=0)
                 labeled = LabeledSample(zeroed, labeled.label)
@@ -289,10 +290,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
     """Scenario from key = value text; '#' starts a comment, blank lines are skipped."""
     entries = read_key_values(text, ScenarioError)
     fields: dict = {}
+    scalar_lines: dict[str, int] = {}
     for key in _SCALAR_KEYS:
         if key in entries:
             line_no, value = entries.pop(key)
             fields[key] = _parse_int(key, value, line_no)
+            scalar_lines[key] = line_no
     if "duration_ms" not in fields:
         raise ScenarioError("missing required key duration_ms")
     if "time_mode" in entries:
@@ -333,6 +336,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
         specs.append(UeSpec(**spot))
     if not specs:
         raise ScenarioError("scenario needs at least one ue.<id>.script key")
+    # a random script's segments last at most MAX_SEGMENT_MS, so a longer period fits none
+    period_ms = fields.get("period_ms", DEFAULT_PERIOD_MS)
+    if period_ms > MAX_SEGMENT_MS and any(spec.script is None for spec in specs):
+        raise ScenarioError(
+            f"line {scalar_lines['period_ms']}: period_ms must be at most {MAX_SEGMENT_MS} "
+            f"with a random script, got {period_ms}"
+        )
 
     try:
         return ScenarioConfig(ues=tuple(specs), **fields)

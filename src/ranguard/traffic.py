@@ -127,8 +127,9 @@ class ScriptedStream:
     and RNG seed. A uniform draw is written out as
     lo + (hi - lo) * rng.random(), which is how numpy computes
     rng.uniform(lo, hi), so it takes the same value from the same bits at a
-    third of the call cost; a normal draw of mean 0 as s * rng.standard_normal(),
-    which rng.normal(0.0, s) computes as 0.0 + s * z from the same bits.
+    third of the call cost; a normal draw as m + s * rng.standard_normal(),
+    which rng.normal(m, s) computes as m + s * z from the same bits (for m = 0
+    the sum adds nothing, so it is written as the product alone).
     """
 
     def __init__(
@@ -155,82 +156,129 @@ class ScriptedStream:
         self._start_segment(0)
 
     def _start_segment(self, idx: int) -> None:
-        """Start segment idx: a new flow of its class, ramp restarted."""
+        """Start segment idx: a new flow of its class, ramp restarted, its constants computed once."""
         self._seg_idx = idx
         seg = self.script[idx]
         self.label = cls = seg.traffic_class  # the class of the samples until the next segment
         self._left_ms = seg.duration_ms
         self._t_rel_ms = 0
-        self._p = p = CLASS_PARAMS[cls]
-        # a plain function, called as self._loads(self, scale): a bound method here would be a cycle
-        self._loads = _CLASS_LOADS[cls]
         self._backlog_bytes = 0.0
-        if cls is TrafficClass.VOIP:
-            lo = p["rate_low_bps"]
-            self._call_rate_bps = lo + (p["rate_high_bps"] - lo) * self._rng.random()
+        # plain functions, called with self: bound methods kept here would be a cycle
+        start, self._loads = _CLASS_FLOWS[cls]
+        self._k = start(self, CLASS_PARAMS[cls])
 
-    # Each _*_loads gives the offered (ul_bits, dl_bits, ul_pkts) of one
-    # interval, ramp applied.
+    # Each _*_start gives the constants of a new flow of its class, as the tuple
+    # self._k, in the order its _*_loads unpacks them; each _*_loads gives the
+    # offered (ul_bits, dl_bits, ul_pkts) of one interval, ramp applied. A clamp
+    # is written as comparisons, which give what nested min/max calls give.
+
+    def _web_start(self, p: dict[str, float]) -> tuple:
+        seconds = self._seconds
+        return (
+            p["page_rate_per_s"] * seconds,  # the chance of a page request in one interval
+            math.log(p["page_size_mean_bytes"]),
+            p["page_size_sigma"],
+            p["request_bits"],
+            *_span(p, "drain_frac_low", "drain_frac_high"),
+            *_span(p, "bg_dl_low_bps", "bg_dl_high_bps"),
+            *_span(p, "bg_ul_low_bps", "bg_ul_high_bps"),
+            p["ul_fraction"],
+            p["ack_every_bits"],
+            seconds,
+        )
 
     def _web_loads(self, scale: float) -> tuple[float, float, int]:
-        random, p, seconds = self._rng.random, self._p, self._seconds
-        request_bits = 0.0
+        (
+            page_chance, log_page_mean, page_sigma, request_bits, drain_lo, drain_span,
+            bg_dl_lo, bg_dl_span, bg_ul_lo, bg_ul_span, ul_fraction, ack_every_bits, seconds,
+        ) = self._k
+        rng = self._rng
+        random = rng.random
+        req_bits = 0.0
         req_pkts = 0
-        if random() < p["page_rate_per_s"] * seconds:
-            size = self._rng.lognormal(math.log(p["page_size_mean_bytes"]), p["page_size_sigma"])
-            self._backlog_bytes += size
-            request_bits = p["request_bits"]
-            req_pkts = int(self._rng.integers(3, 7))
-        lo = p["drain_frac_low"]
-        drain_frac = lo + (p["drain_frac_high"] - lo) * random()
+        if random() < page_chance:
+            self._backlog_bytes += rng.lognormal(log_page_mean, page_sigma)
+            req_bits = request_bits
+            req_pkts = int(rng.integers(3, 7))
+        drain_frac = drain_lo + drain_span * random()
         dl_capacity = _LINK[self._cqi][4]  # at the base MCS of this interval's CQI
         drain_bytes = drain_frac * dl_capacity * seconds / 8.0 * scale
-        drained = min(self._backlog_bytes, drain_bytes)
-        self._backlog_bytes -= drained
-        lo = p["bg_dl_low_bps"]
-        bg_dl = (lo + (p["bg_dl_high_bps"] - lo) * random()) * seconds
-        lo = p["bg_ul_low_bps"]
-        bg_ul = (lo + (p["bg_ul_high_bps"] - lo) * random()) * seconds
-        bg_pkts = int(self._rng.integers(1, 4))
+        backlog = self._backlog_bytes
+        drained = drain_bytes if drain_bytes < backlog else backlog
+        self._backlog_bytes = backlog - drained
+        bg_dl = (bg_dl_lo + bg_dl_span * random()) * seconds
+        bg_ul = (bg_ul_lo + bg_ul_span * random()) * seconds
+        bg_pkts = int(rng.integers(1, 4))
         dl_bits = drained * 8.0 + bg_dl * scale
-        ul_bits = p["ul_fraction"] * drained * 8.0 + (bg_ul + request_bits) * scale
-        acks = dl_bits / p["ack_every_bits"]
+        ul_bits = ul_fraction * drained * 8.0 + (bg_ul + req_bits) * scale
+        acks = dl_bits / ack_every_bits
         pkts = int(round((acks + bg_pkts + req_pkts) * scale))
         return ul_bits, dl_bits, pkts
 
-    def _voip_loads(self, scale: float) -> tuple[float, float, int]:
-        random, p, seconds = self._rng.random, self._p, self._seconds
-        lo, hi = p["clamp_low_bps"], p["clamp_high_bps"]
-        rate = self._call_rate_bps
+    def _voip_start(self, p: dict[str, float]) -> tuple:
+        """The call draws its rate as the flow starts."""
+        lo = p["rate_low_bps"]
+        rate = lo + (p["rate_high_bps"] - lo) * self._rng.random()
         jitter = p["jitter_bps"]
-        jit_ul = -jitter + (jitter - -jitter) * random()
-        jit_dl = -jitter + (jitter - -jitter) * random()
-        ul = min(hi, max(lo, rate + jit_ul)) * seconds * scale
-        dl = min(hi, max(lo, rate + jit_dl)) * seconds * scale
-        pkts = int(round(p["pkts_per_interval"] * scale))
-        return ul, dl, pkts
+        return (
+            rate,
+            -jitter,
+            jitter - -jitter,  # rng.uniform(-jitter, jitter)
+            p["clamp_low_bps"],
+            p["clamp_high_bps"],
+            p["pkts_per_interval"],
+            self._seconds,
+        )
+
+    def _voip_loads(self, scale: float) -> tuple[float, float, int]:
+        rate, jit_lo, jit_span, lo, hi, pkts_per_interval, seconds = self._k
+        random = self._rng.random
+        ul = rate + (jit_lo + jit_span * random())
+        dl = rate + (jit_lo + jit_span * random())
+        ul = lo if ul < lo else hi if ul > hi else ul
+        dl = lo if dl < lo else hi if dl > hi else dl
+        pkts = int(round(pkts_per_interval * scale))
+        return ul * seconds * scale, dl * seconds * scale, pkts
+
+    def _flood_start(self, p: dict[str, float]) -> tuple:
+        return (
+            p["pkts_mean"],
+            p["pkts_sd"],
+            *_span(p, "pkt_bytes_low", "pkt_bytes_high"),
+            *_span(p, "dl_low_bps", "dl_high_bps"),
+            self._seconds,
+        )
 
     def _flood_loads(self, scale: float) -> tuple[float, float, int]:
-        random, p = self._rng.random, self._p
-        pkts_full = max(1.0, self._rng.normal(p["pkts_mean"], p["pkts_sd"]))
-        lo = p["pkt_bytes_low"]
-        pkt_bytes = lo + (p["pkt_bytes_high"] - lo) * random()
-        lo = p["dl_low_bps"]
-        dl = (lo + (p["dl_high_bps"] - lo) * random()) * self._seconds * scale
+        pkts_mean, pkts_sd, bytes_lo, bytes_span, dl_lo, dl_span, seconds = self._k
+        rng = self._rng
+        random = rng.random
+        pkts_full = pkts_mean + pkts_sd * rng.standard_normal()  # rng.normal(mean, sd)
+        if pkts_full < 1.0:
+            pkts_full = 1.0
+        pkt_bytes = bytes_lo + bytes_span * random()
+        dl = (dl_lo + dl_span * random()) * seconds * scale
         pkts = int(round(pkts_full * scale))
-        ul = pkts * pkt_bytes * 8.0
-        return ul, dl, pkts
+        return pkts * pkt_bytes * 8.0, dl, pkts
+
+    def _slowloris_start(self, p: dict[str, float]) -> tuple:
+        return (
+            p["extra_pkt_prob"],
+            *_span(p, "pkt_bytes_low", "pkt_bytes_high"),
+            p["dl_high_bps"],
+            self._seconds,
+        )
 
     def _slowloris_loads(self, scale: float) -> tuple[float, float, int]:
         """A trickle of tiny keep-alive writes, near-silent downlink."""
-        random, p = self._rng.random, self._p
-        pkts_full = 1.0 + (1.0 if random() < p["extra_pkt_prob"] else 0.0)
-        lo = p["pkt_bytes_low"]
-        pkt_bytes = lo + (p["pkt_bytes_high"] - lo) * random()
-        dl = (0.0 + p["dl_high_bps"] * random()) * self._seconds * scale  # rng.uniform(0.0, high)
+        extra_pkt_prob, bytes_lo, bytes_span, dl_high, seconds = self._k
+        random = self._rng.random
+        pkts_full = 2.0 if random() < extra_pkt_prob else 1.0
+        pkt_bytes = bytes_lo + bytes_span * random()
+        # rng.uniform(0.0, high) is 0.0 + high * r, which adds nothing to a product r >= 0
+        dl = dl_high * random() * seconds * scale
         pkts = int(round(pkts_full * scale))
-        ul = pkts * pkt_bytes * 8.0
-        return ul, dl, pkts
+        return pkts * pkt_bytes * 8.0, dl, pkts
 
     def next_sample(self, timestamp_ms: int, bs_id: int, ue_id: int) -> LabeledSample:
         """Generate the labeled measurement for the interval ending now, then advance."""
@@ -239,16 +287,19 @@ class ScriptedStream:
         self._left_ms -= self.period_ms
         rng = self._rng
         walk = self._walk + (_STEP_LO + _STEP_SPAN * rng.random())
-        self._walk = walk = min(WALK_CAP_DB, max(-WALK_CAP_DB, walk))
+        self._walk = walk = WALK_CAP_DB if walk > WALK_CAP_DB else -WALK_CAP_DB if walk < -WALK_CAP_DB else walk
         sinr = SINR_BASE_DB + walk
         pusch = sinr + 0.3 * rng.standard_normal()
         pucch = sinr - 1.5 + 0.4 * rng.standard_normal()
-        self._cqi = cqi = min(15, max(0, round((pusch + 6.0) / 1.9)))  # the wideband CQI report
+        cqi = round((pusch + 6.0) / 1.9)
+        self._cqi = cqi = 15 if cqi > 15 else 0 if cqi < 0 else cqi  # the wideband CQI report
 
-        scale = min(1.0, self._t_rel_ms / TRANSIENT_MS)
+        t_rel = self._t_rel_ms
+        scale = t_rel / TRANSIENT_MS if t_rel < TRANSIENT_MS else 1.0
         ul_bits, dl_bits, ul_pkts = self._loads(self, scale)
-        offered_ul_bps = ul_bits / self._seconds
-        offered_dl_bps = dl_bits / self._seconds
+        seconds = self._seconds
+        offered_ul_bps = ul_bits / seconds
+        offered_dl_bps = dl_bits / seconds
 
         idle, light, base, ul_cap, dl_cap = _LINK[cqi]
         util = offered_ul_bps / ul_cap
@@ -273,12 +324,17 @@ class ScriptedStream:
         return LabeledSample(sample, self.label)
 
 
-_CLASS_LOADS = {  # chosen once per flow
-    TrafficClass.WEB: ScriptedStream._web_loads,
-    TrafficClass.VOIP: ScriptedStream._voip_loads,
-    TrafficClass.DDOS_RIPPER: ScriptedStream._flood_loads,
-    TrafficClass.DOS_HULK: ScriptedStream._flood_loads,
-    TrafficClass.SLOWLORIS: ScriptedStream._slowloris_loads,
+def _span(p: dict[str, float], lo: str, hi: str) -> tuple[float, float]:
+    """(low, high - low) of a uniform draw between two parameters."""
+    return p[lo], p[hi] - p[lo]
+
+
+_CLASS_FLOWS = {  # (start, loads) of each class's flows, chosen once per flow
+    TrafficClass.WEB: (ScriptedStream._web_start, ScriptedStream._web_loads),
+    TrafficClass.VOIP: (ScriptedStream._voip_start, ScriptedStream._voip_loads),
+    TrafficClass.DDOS_RIPPER: (ScriptedStream._flood_start, ScriptedStream._flood_loads),
+    TrafficClass.DOS_HULK: (ScriptedStream._flood_start, ScriptedStream._flood_loads),
+    TrafficClass.SLOWLORIS: (ScriptedStream._slowloris_start, ScriptedStream._slowloris_loads),
 }
 
 

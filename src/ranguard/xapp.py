@@ -23,7 +23,7 @@ import numpy as np
 from .databus import DatabusFrame, now_us
 from .kpm import ATTACK_CLASSES, CLASS_ORDER, KpmSample, TrafficClass, feature_vector
 from .ransim import BaseStation, CommandAction, RicCommand, read_key_values
-from .records import record
+from .records import define, record
 
 BUDGET_US = 1_000_000  # near-real-time control loop bound
 
@@ -47,14 +47,7 @@ class LatencyTrace:
     t_infer_end_us: int
 
     def __post_init__(self) -> None:
-        prev_name, prev = None, 0
-        for name in _STAMP_NAMES:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-            if value < prev:
-                raise ValueError(f"{name}={value} precedes {prev_name}={prev}")
-            prev_name, prev = name, value
+        _check_trace(self)
 
     @property
     def delta_bd_us(self) -> int:
@@ -89,6 +82,27 @@ class LatencyTrace:
 
 _STAMP_NAMES = tuple(f.name for f in fields(LatencyTrace))
 _stamps = attrgetter(*_STAMP_NAMES)
+
+
+def _check_trace_body() -> list[str]:
+    """Each stamp in field order: a nonnegative int, then no earlier than the stamp before
+    it (the first has only zero before it, which the first rule already enforces)."""
+    body = []
+    for prev, name in zip((None,) + _STAMP_NAMES, _STAMP_NAMES):
+        body.append(f"{name} = s.{name}")
+        body.append(
+            f"if not isinstance({name}, int) or {name} < 0: "
+            f"raise ValueError(f'{name} must be a nonnegative integer, got {{{name}!r}}')"
+        )
+        if prev is not None:
+            body.append(f"if {name} < {prev}: raise ValueError(f'{name}={{{name}}} precedes {prev}={{{prev}}}')")
+    return body
+
+
+# generated from the stamp fields, as the KPM sample's check is from its field table
+_check_trace = define(
+    "check_trace", "s", "Raise ValueError naming the first stamp of s that is bad or out of order.", _check_trace_body()
+)
 
 
 # Fixed per-leg delays of the virtual loop: a 670 us network round trip,
@@ -342,13 +356,13 @@ class OnlineClassifier:
         first labels alone cannot release it. A command is stamped issued at
         the end of inference.
         """
-        if not 0 <= raw_idx < len(self.class_labels):
-            raise ValueError(
-                f"model predicted index {raw_idx}, but only {len(self.class_labels)} labels are mapped"
-            )
-        raw = self.class_labels[raw_idx]
+        labels = self.class_labels
+        if not 0 <= raw_idx < len(labels):
+            raise ValueError(f"model predicted index {raw_idx}, but only {len(labels)} labels are mapped")
+        raw = labels[raw_idx]
 
-        key = (sample.bs_id, sample.ue_id)
+        ue_id = sample.ue_id
+        key = (sample.bs_id, ue_id)
         track = self._tracks.get(key)
         if track is None:
             track = self._tracks[key] = _UeTrack(deque(maxlen=self.policy.window))
@@ -361,14 +375,14 @@ class OnlineClassifier:
         best = counts.index(max(counts))  # the first of equal counts: the lowest class index
         smoothed = CLASS_ORDER[best]
         attack = _ATTACK[best]
-        track.attack_run = track.attack_run + 1 if attack else 0
+        track.attack_run = attack_run = track.attack_run + 1 if attack else 0
 
         command = None
         full = len(window) == window.maxlen
-        if attack and track.attack_run >= self.policy.dwell and not track.engaged and full:
+        if attack and attack_run >= self.policy.dwell and not track.engaged and full:
             track.engaged = True
             command = RicCommand(
-                ue_id=sample.ue_id,
+                ue_id=ue_id,
                 action=self.policy.actions[smoothed],
                 issued_at_us=trace.t_infer_end_us,
                 cmd_id=self._next_cmd_id,
@@ -377,14 +391,8 @@ class OnlineClassifier:
         elif not attack:
             track.engaged = False
 
-        return Decision(
-            ue_id=sample.ue_id,
-            timestamp_ms=sample.timestamp_ms,
-            raw=raw,
-            smoothed=smoothed,
-            command=command,
-            trace=trace,
-        )
+        # by position, in field order: cheaper than by name
+        return Decision(ue_id, sample.timestamp_ms, raw, smoothed, command, trace)
 
 
 # -- time-to-correct --

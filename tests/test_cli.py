@@ -106,6 +106,17 @@ def test_collect_refuses_a_zero_duration_and_keeps_the_old_file(tmp_path, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "scene.cfg"]
 
 
+def test_collect_refuses_a_random_script_at_a_period_past_its_longest_segment(tmp_path, capsys):
+    scenario = tmp_path / "scene.cfg"
+    scenario.write_text("duration_ms = 18000\nperiod_ms = 9000\nue.1.script = random\n")
+    out = tmp_path / "ds.csv"
+    out.write_bytes(b"an earlier dataset\n")
+    assert cli.main(["collect", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 2: period_ms must be at most 8000 with a random script, got 9000\n"
+    assert out.read_bytes() == b"an earlier dataset\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "scene.cfg"]
+
+
 def test_collect_preset_and_scenario_conflict(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["collect", "--preset", "one_ue", "--scenario", "f.cfg", "--out", "x.csv"])

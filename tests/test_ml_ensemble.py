@@ -117,11 +117,31 @@ def one_split_tree(**changes) -> dict:
     return tree
 
 
+def split_tests(model) -> list[str]:
+    """The split lines of model's vote, as it generates them afresh."""
+    with mock.patch.object(ensemble, "define", wraps=ensemble.define) as define:
+        model.__dict__.pop("_vote", None)
+        model._vote
+    lines = [line.strip() for call in define.call_args_list for line in call.args[3]]
+    return [line for line in lines if line.startswith(("if x", "if not x"))]
+
+
 def test_threshold_equality_goes_left_and_nan_goes_right():
-    tree = DecisionTree.from_dict(one_split_tree())
-    X = np.array([[0.0, 0.5], [0.0, np.nan], [0.0, 0.4999], [0.0, 0.5001]])
-    assert tree.predict_batch(X).tolist() == [0, 1, 0, 1]
-    assert [tree.predict(x) for x in X] == [0, 1, 0, 1]
+    # the vote runs the heavier child first: the left one on a tie of weight, the right one
+    # through the negated test; either way, as the oracle walks, a row on the threshold goes left
+    # and NaN goes right
+    X = np.array([[0.0, 0.5], [0.0, np.nan], [0.0, 0.4999], [0.0, 0.5001], [0.0, np.inf], [0.0, -np.inf]])
+    expected = [0, 1, 0, 1, 1, 0]
+    for counts, test in [
+        ([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], "if x1 <= 0.5:"),
+        ([[1.0, 3.0], [1.0, 0.0], [0.0, 3.0]], "if not x1 <= 0.5:"),
+    ]:
+        tree = DecisionTree.from_dict(one_split_tree(counts=counts))
+        for model in (tree, AdaBoost([tree], [0.7], 2, 2)):
+            assert split_tests(model) == [test]
+            assert [oracle_predict(model, x) for x in X] == expected
+            assert model.predict_batch(X).tolist() == expected
+            assert [model.predict(x) for x in X] == expected
 
 
 def test_adaboost_adds_alphas_in_stump_order():

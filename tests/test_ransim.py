@@ -29,7 +29,7 @@ from ranguard.ransim import (
     parse_scenario,
     run_scenario,
 )
-from ranguard.traffic import ScriptSegment
+from ranguard.traffic import MAX_SEGMENT_MS, ScriptSegment
 from config_oracle import format_scenario
 
 
@@ -375,6 +375,17 @@ def test_parse_defaults():
 def test_parse_errors(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario(text)
+
+
+def test_a_random_script_refuses_a_period_past_its_longest_segment_at_parse_time():
+    text = "duration_ms = 18000\nperiod_ms = 9000\nue.1.script = random\n"
+    message = f"^line 2: period_ms must be at most {MAX_SEGMENT_MS} with a random script, got 9000$"
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(text)
+    # an explicit script takes any period, and a random one a period as long as its longest segment
+    assert parse_scenario("duration_ms = 18000\nperiod_ms = 9000\nue.1.script = web:18000\n").period_ms == 9000
+    config = parse_scenario(f"duration_ms = 16000\nperiod_ms = {MAX_SEGMENT_MS}\nue.1.script = random\n")
+    assert [len(build_station(config).tick_samples(t)) for t in (0, MAX_SEGMENT_MS)] == [1, 1]
 
 
 def test_a_broker_key_is_an_unknown_key():
