@@ -1,13 +1,14 @@
-"""Atomic file writes: a failed write leaves the target as it was."""
+"""Atomic file writes, and the one CSV table writer: a failed write leaves the target as it was."""
 
 from __future__ import annotations
 
+import csv
 import os
 import secrets
 import shutil
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 
 @contextmanager
@@ -42,3 +43,15 @@ def atomic_write(path: str | Path, *, newline: str | None = None) -> Iterator[Te
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """CSV table at `path`, through atomic_write: the header, then each row as it
+    is yielded. Returns the row count."""
+    count = 0
+    with atomic_write(path, newline="") as fh:
+        writerow = csv.writer(fh).writerow
+        writerow(header)
+        for count, row in enumerate(rows, 1):
+            writerow(row)
+    return count

@@ -8,7 +8,7 @@ from dataclasses import field, fields
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .records import define, record
 
@@ -91,10 +91,6 @@ class KpmSample:
 
     def __post_init__(self) -> None:
         _check(self)
-
-    @property
-    def ul_drop_ratio(self) -> float:
-        return self.ul_pkts_nok / max(1, self.ul_pkts_ok + self.ul_pkts_nok)
 
 
 _FIELDS = fields(KpmSample)
@@ -180,7 +176,7 @@ KpmSample.from_payload = classmethod(  # type: ignore[attr-defined]
     )
 )
 
-# the last feature, ul_drop_ratio, is computed inline as the property computes it
+# the last feature, ul_drop_ratio, is the share of uplink packets lost; no packets is a ratio of 0
 feature_vector = define(
     "feature_vector",
     "sample",
@@ -210,28 +206,18 @@ class DatasetFormatError(ValueError):
 _values = attrgetter(*_NAMES)
 
 
-def write_dataset_rows(fh: TextIO, items: Iterable[LabeledSample]) -> int:
-    """Write the CSV header, then one row per labeled sample as it is read, to an
-    open text file. Returns the row count."""
-    count = 0
-
-    def rows() -> Iterator[list[str]]:
-        nonlocal count
-        # str() of a float is its shortest round-trip repr, so read(write(x)) is exact.
-        for count, item in enumerate(items, 1):
-            yield [*map(str, _values(item.sample)), item.label.value]
-
-    writer = csv.writer(fh)
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows())
-    return count
+def dataset_rows(items: Iterable[LabeledSample]) -> Iterator[list[str]]:
+    """One CSV_HEADER row per labeled sample, as it is read."""
+    # str() of a float is its shortest round-trip repr, so read(write(x)) is exact.
+    for item in items:
+        yield [*map(str, _values(item.sample)), item.label.value]
 
 
 _PARSERS = [(n, int, "an integer") if _IS_INT[n] else (n, float, "a number") for n in _NAMES]
 
 
 def read_dataset(path: str | Path) -> list[LabeledSample]:
-    """Parse a dataset CSV written by write_dataset_rows. Errors carry line/column context."""
+    """Parse a dataset CSV as collect writes it. Errors carry line/column context."""
     path = Path(path)
     items: list[LabeledSample] = []
     with path.open("r", newline="") as fh:

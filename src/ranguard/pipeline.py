@@ -17,20 +17,21 @@ from typing import Sequence
 import numpy as np
 
 from .databus import Broker, BusClient, BusDisconnected, FrameKind
-from .files import atomic_write
+from .files import atomic_write, write_csv
 from .kpm import (
     ATTACK_CLASSES,
     BENIGN_CLASSES,
     CLASS_ORDER,
+    CSV_HEADER,
     FEATURE_COUNT,
     LabeledSample,
     TrafficCategory,
     TrafficClass,
     category_of,
     class_from_label,
+    dataset_rows,
     feature_vector,
     read_dataset,
-    write_dataset_rows,
 )
 from .ml import (
     AdaBoost,
@@ -140,10 +141,12 @@ def collect(config: ScenarioConfig, out_path: str | Path) -> int:
 
     Rows are written as the run makes them, to a temporary file that replaces
     out_path at the end, so a failed run leaves out_path as it was. A scenario
-    lasts at least one period, so the file has at least one row.
+    lasts at least one period, so the file has at least one row. A real-time
+    scenario is refused before any file is opened.
     """
-    with atomic_write(out_path, newline="") as fh:
-        return write_dataset_rows(fh, labeled_stream(config))
+    if config.time_mode is not TimeMode.VIRTUAL:
+        raise ValueError("collect is a virtual-time harness; use run_scenario for real time")
+    return write_csv(out_path, CSV_HEADER, dataset_rows(labeled_stream(config)))
 
 
 # -- training --
@@ -447,7 +450,11 @@ def closed_loop(
 
 
 def write_closed_loop_report(result: ClosedLoopResult, out_dir: str | Path) -> dict[str, Path]:
-    """predictions.csv, cdf.csv, episodes.csv, and a plain-text summary."""
+    """predictions.csv, cdf.csv, episodes.csv, and a plain-text summary.
+
+    Each file is written through atomic_write, so a failed write leaves an
+    earlier report's file as it was.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -456,32 +463,30 @@ def write_closed_loop_report(result: ClosedLoopResult, out_dir: str | Path) -> d
         "episodes": out_dir / "episodes.csv",
         "summary": out_dir / "summary.txt",
     }
-    with paths["predictions"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_LOG_HEADER)
-        for d, truth in zip(result.decisions, result.truths):
-            writer.writerow(prediction_log_row(d, truth.value))
-    with paths["cdf"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("time_ms", "fraction"))
-        for t, frac in result.ttc.cdf():
-            writer.writerow((repr(float(t)), repr(frac)))
-    with paths["episodes"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("ue_id", "start_ms", "end_ms", "label", "released", "applied_ms", "detect_ms"))
-        for e in result.episodes:
-            writer.writerow(
-                (
-                    e.ue_id,
-                    e.start_ms,
-                    e.end_ms,
-                    e.label.value,
-                    int(e.released),
-                    "" if e.applied_ms is None else repr(e.applied_ms),
-                    "" if e.detect_ms is None else repr(e.detect_ms),
-                )
+    write_csv(
+        paths["predictions"],
+        PREDICTION_LOG_HEADER,
+        (prediction_log_row(d, truth.value) for d, truth in zip(result.decisions, result.truths)),
+    )
+    write_csv(paths["cdf"], ("time_ms", "fraction"), ((repr(float(t)), repr(frac)) for t, frac in result.ttc.cdf()))
+    write_csv(
+        paths["episodes"],
+        ("ue_id", "start_ms", "end_ms", "label", "released", "applied_ms", "detect_ms"),
+        (
+            (
+                e.ue_id,
+                e.start_ms,
+                e.end_ms,
+                e.label.value,
+                int(e.released),
+                "" if e.applied_ms is None else repr(e.applied_ms),
+                "" if e.detect_ms is None else repr(e.detect_ms),
             )
-    paths["summary"].write_text("\n".join(result.summary_lines()) + "\n")
+            for e in result.episodes
+        ),
+    )
+    with atomic_write(paths["summary"]) as fh:
+        fh.write("\n".join(result.summary_lines()) + "\n")
     return paths
 
 

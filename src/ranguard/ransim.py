@@ -42,7 +42,7 @@ class RicCommand:
     ue_id: int
     action: CommandAction
     issued_at_us: int
-    cmd_id: int = 0
+    cmd_id: int
 
     def __post_init__(self) -> None:
         if self.ue_id < 0:
@@ -60,11 +60,11 @@ class RicCommand:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "RicCommand":
-        """Command from a control frame's payload. As in a measurement payload, an
-        integer field takes exactly an int: not a bool, a float or a string."""
+        """Command from a control frame's payload; every field is required. As in a
+        measurement payload, an integer field takes exactly an int: not a bool, a
+        float or a string."""
         try:
-            ints = {"ue_id": payload["ue_id"], "issued_at_us": payload["issued_at_us"]}
-            ints["cmd_id"] = payload.get("cmd_id", 0)
+            ints = {name: payload[name] for name in ("ue_id", "issued_at_us", "cmd_id")}
             for name, value in ints.items():
                 if type(value) is not int:
                     raise ValueError(f"{name} must be an int, got {value!r}")
@@ -442,10 +442,10 @@ def run_scenario(config: ScenarioConfig, client: BusClient) -> ScenarioReport:
             event, ok = handle_command_frame(bs, cmd_frame, applied_at_us=now_us())
             commands_applied += int(ok)
             if event is not None:
-                client.publish(event.kind, event.topic, event.payload, event.t_sent_us)
+                client.send_frame(event)
                 events_published += 1
         for frame in bs.tick(t, t_sent_us=now_us()):
-            client.publish(frame.kind, frame.topic, frame.payload, frame.t_sent_us)
+            client.send_frame(frame)
             frames_published += 1
         ticks += 1
     return ScenarioReport(ticks, frames_published, events_published, commands_applied)

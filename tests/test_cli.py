@@ -117,6 +117,17 @@ def test_collect_refuses_a_random_script_at_a_period_past_its_longest_segment(tm
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "scene.cfg"]
 
 
+def test_collect_refuses_a_real_time_scenario_and_keeps_the_old_file(tmp_path, capsys):
+    scenario = tmp_path / "scene.cfg"
+    scenario.write_text("duration_ms = 1000\ntime_mode = real\nue.1.script = web:1000\n")
+    out = tmp_path / "ds.csv"
+    out.write_bytes(b"an earlier dataset\n")
+    assert cli.main(["collect", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: collect is a virtual-time harness; use run_scenario for real time\n"
+    assert out.read_bytes() == b"an earlier dataset\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "scene.cfg"]
+
+
 def test_collect_preset_and_scenario_conflict(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["collect", "--preset", "one_ue", "--scenario", "f.cfg", "--out", "x.csv"])

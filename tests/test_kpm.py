@@ -21,11 +21,11 @@ from ranguard.kpm import (
     TrafficClass,
     category_of,
     class_from_label,
+    dataset_rows,
     feature_vector,
     read_dataset,
-    write_dataset_rows,
 )
-from ranguard.files import atomic_write
+from ranguard.files import write_csv
 from file_oracle import write_dataset_whole
 
 
@@ -68,15 +68,15 @@ def test_feature_order_is_the_model_contract():
 
 def test_drop_ratio_zero_packets_is_zero():
     # max(1, ok+nok) denominator keeps the idle case well-defined
-    assert make_sample(ul_pkts_ok=0, ul_pkts_nok=0).ul_drop_ratio == 0.0
+    assert feature_vector(make_sample(ul_pkts_ok=0, ul_pkts_nok=0))[-1] == 0.0
 
 
 def test_drop_ratio_plain_fraction():
-    assert make_sample(ul_pkts_ok=7, ul_pkts_nok=3).ul_drop_ratio == pytest.approx(0.3)
+    assert feature_vector(make_sample(ul_pkts_ok=7, ul_pkts_nok=3))[-1] == pytest.approx(0.3)
 
 
 def test_drop_ratio_all_failed():
-    assert make_sample(ul_pkts_ok=0, ul_pkts_nok=4).ul_drop_ratio == 1.0
+    assert feature_vector(make_sample(ul_pkts_ok=0, ul_pkts_nok=4))[-1] == 1.0
 
 
 def test_category_split():
@@ -276,8 +276,7 @@ labeled = st.builds(LabeledSample, sample=samples, label=st.sampled_from(list(Tr
 def test_dataset_round_trip_is_exact(tmp_path_factory, items):
     # full-precision floats: read(write(x)) == x bit for bit
     folder = tmp_path_factory.mktemp("ds")
-    with atomic_write(folder / "data.csv", newline="") as fh:
-        n = write_dataset_rows(fh, iter(items))  # one pass over the input
+    n = write_csv(folder / "data.csv", CSV_HEADER, dataset_rows(iter(items)))  # one pass over the input
     assert n == len(items)
     assert read_dataset(folder / "data.csv") == items
     write_dataset_whole(folder / "whole.csv", items)

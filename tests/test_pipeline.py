@@ -28,7 +28,7 @@ from ranguard.kpm import (
     read_dataset,
 )
 from ranguard.ml import load_model, save_model
-from ranguard.ransim import CommandAction, TimeMode, build_station, labeled_stream
+from ranguard.ransim import CommandAction, TimeMode, build_station, labeled_stream, run_scenario
 from ranguard.xapp import PolicyMap
 from file_oracle import traced_peak, write_dataset_whole
 from xapp_oracle import frame_route_decisions
@@ -183,6 +183,17 @@ def test_collect_file_has_the_mode_of_a_plain_open(tmp_path):
     pipeline.collect(config, tmp_path / "private.csv")
     assert stat.S_IMODE((tmp_path / "private.csv").stat().st_mode) == 0o600
     assert len(read_dataset(tmp_path / "private.csv")) == 10
+
+
+def test_collect_refuses_a_real_time_scenario_before_it_opens_a_file(tmp_path, monkeypatch):
+    def no_file(*args):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(pipeline, "write_csv", no_file)
+    config = replace(pipeline.one_ue_scenario(0, duration_ms=1000), time_mode=TimeMode.REAL)
+    with pytest.raises(ValueError, match="^collect is a virtual-time harness; use run_scenario for real time$"):
+        pipeline.collect(config, tmp_path / "ds.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -519,6 +530,27 @@ def test_report_applied_time_matches_command_log(demo_result, tmp_path):
     assert episode.applied_ms == pytest.approx(int(command_row["timestamp_ms"]) + t_d_ms)
 
 
+def test_failed_report_keeps_the_earlier_report(demo_result, tmp_path, monkeypatch):
+    assert len(demo_result.decisions) > 100
+    paths = pipeline.write_closed_loop_report(demo_result, tmp_path)
+    before = {key: path.read_bytes() for key, path in paths.items()}
+    row = pipeline.prediction_log_row
+    calls = 0
+
+    def fails_mid_table(d, true_label):
+        nonlocal calls
+        calls += 1
+        if calls > 100:
+            raise RuntimeError("disk on fire")
+        return row(d, true_label)
+
+    monkeypatch.setattr(pipeline, "prediction_log_row", fails_mid_table)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        pipeline.write_closed_loop_report(demo_result, tmp_path)
+    assert {key: path.read_bytes() for key, path in paths.items()} == before
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())  # no temporary file left
+
+
 # -- latency bench over real TCP --
 
 
@@ -648,6 +680,59 @@ def test_run_xapp_classifies_and_commands_over_bus(dt_model, tmp_path):
     assert len(rows) == 160
     assert all(r["true_label"] == "" for r in rows)
     assert sum(1 for r in rows if r["command"]) == 1
+
+
+def test_live_loop_decides_as_the_virtual_loop(dt_model, tmp_path):
+    # differential check: closed_loop is the oracle of the xApp and the station on a real broker
+    config = pipeline.attack_demo_scenario(3, duration_ms=8000)
+    log_path = tmp_path / "live.csv"
+    outcome = {}
+    with Broker(port=0) as broker:
+        host, port = broker.address
+        with BusClient.connect(host, port) as pub, BusClient.connect(host, port) as station:
+
+            def serve():
+                outcome["stats"] = pipeline.run_xapp(
+                    dt_model,
+                    CLASS_ORDER,
+                    broker_host=host,
+                    broker_port=port,
+                    log_path=log_path,
+                    idle_timeout_s=1.0,
+                )
+
+            server = threading.Thread(target=serve, daemon=True)
+            server.start()
+            # malformed probes on another station's topic until one is delivered,
+            # which proves the kpm.* subscription is registered
+            base_out = broker.stats().frames_out
+            for attempt in range(250):
+                pub.publish(FrameKind.MEASUREMENT, "kpm.9", {"probe": attempt})
+                time.sleep(0.02)
+                if broker.stats().frames_out > base_out:
+                    break
+            else:
+                pytest.fail("kpm.* subscription never registered")
+            run_scenario(replace(config, time_mode=TimeMode.REAL), station)
+            server.join(timeout=30)
+    assert outcome["stats"].dropped == 0
+    virtual = pipeline.write_closed_loop_report(
+        pipeline.closed_loop(config, dt_model, CLASS_ORDER), tmp_path / "virtual"
+    )
+    keys = ("timestamp_ms", "ue_id", "predicted", "smoothed", "command")
+    with log_path.open() as fh:
+        live_rows = list(csv.DictReader(fh))
+    with virtual["predictions"].open() as fh:
+        want = [tuple(r[k] for k in keys) for r in csv.DictReader(fh)]
+    got = [tuple(r[k] for k in keys) for r in live_rows]
+    if got != want:
+        i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
+        sent = [r["T_d_us"] for r in live_rows[:i] if r["command"]]
+        pytest.fail(
+            f"row {i} of {len(got)} live, {len(want)} virtual: live {got[i:i + 1]}, virtual {want[i:i + 1]};"
+            f" live T_d of the last command before it: {sent[-1] + ' us' if sent else 'no command'}"
+        )
+    assert sum(1 for row in got if row[-1]) == 1
 
 
 def test_run_xapp_counts_the_frames_its_full_queue_dropped(monkeypatch):

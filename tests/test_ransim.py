@@ -68,16 +68,17 @@ def test_command_payload_round_trip(ue_id, action, issued, cmd_id):
     "payload",
     [
         {},
-        {"ue_id": 1, "action": "rrc_release"},  # no issued_at_us
-        {"ue_id": 1, "action": "self_destruct", "issued_at_us": 0},
-        {"ue_id": "one", "action": "drop", "issued_at_us": 0},
+        {"ue_id": 1, "action": "rrc_release", "cmd_id": 1},  # no issued_at_us
+        {"ue_id": 1, "action": "self_destruct", "issued_at_us": 0, "cmd_id": 1},
+        {"ue_id": "one", "action": "drop", "issued_at_us": 0, "cmd_id": 1},
         # integers are checked, not coerced: none of these may address UE 1 or 5
-        {"ue_id": 1.9, "action": "rrc_release", "issued_at_us": True},
-        {"ue_id": "5", "action": "rrc_release", "issued_at_us": 0},
-        {"ue_id": True, "action": "drop", "issued_at_us": 0},
+        {"ue_id": 1.9, "action": "rrc_release", "issued_at_us": True, "cmd_id": 1},
+        {"ue_id": "5", "action": "rrc_release", "issued_at_us": 0, "cmd_id": 1},
+        {"ue_id": True, "action": "drop", "issued_at_us": 0, "cmd_id": 1},
         {"ue_id": 1, "action": "drop", "issued_at_us": 0, "cmd_id": 2.0},
-        {"ue_id": 1, "action": "drop", "issued_at_us": float("inf")},
-        {"ue_id": 1, "action": "drop", "issued_at_us": float("nan")},
+        {"ue_id": 1, "action": "drop", "issued_at_us": float("inf"), "cmd_id": 1},
+        {"ue_id": 1, "action": "drop", "issued_at_us": float("nan"), "cmd_id": 1},
+        {"ue_id": 1, "action": "rrc_release", "issued_at_us": 0},  # no cmd_id
     ],
 )
 def test_command_from_bad_payload_raises(payload):
@@ -107,20 +108,20 @@ def test_release_moves_ue_to_idle_and_is_idempotent():
 def test_policy_commands_are_idempotent():
     bs = two_ue_station()
     assert ue_of(bs, 1).policy is CommandAction.FORWARD
-    noop = RicCommand(1, CommandAction.FORWARD, issued_at_us=0)
+    noop = RicCommand(1, CommandAction.FORWARD, issued_at_us=0, cmd_id=1)
     assert bs.apply_command(noop, applied_at_us=10) is None
-    event = bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0), applied_at_us=20)
+    event = bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0, cmd_id=2), applied_at_us=20)
     assert event is not None
     assert event["policy"] == "drop"
     assert event["prev_policy"] == "forward"
     assert ue_of(bs, 1).policy is CommandAction.DROP
-    assert bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0), applied_at_us=30) is None
+    assert bs.apply_command(RicCommand(1, CommandAction.DROP, issued_at_us=0, cmd_id=3), applied_at_us=30) is None
 
 
 def test_unknown_ue_yields_error_event_without_state_change():
     bs = two_ue_station()
     before = [(ue.rrc_state, ue.policy) for ue in bs.ues]
-    event = bs.apply_command(RicCommand(99, CommandAction.RRC_RELEASE, issued_at_us=5), applied_at_us=6)
+    event = bs.apply_command(RicCommand(99, CommandAction.RRC_RELEASE, issued_at_us=5, cmd_id=1), applied_at_us=6)
     assert event is not None
     assert "unknown ue_id 99" in event["error"]
     assert [(ue.rrc_state, ue.policy) for ue in bs.ues] == before
@@ -140,14 +141,14 @@ def test_two_connected_ues_two_frames_per_tick():
 def test_all_idle_means_zero_frames():
     bs = two_ue_station()
     for ue_id in (1, 2):
-        bs.apply_command(RicCommand(ue_id, CommandAction.RRC_RELEASE, issued_at_us=0), applied_at_us=0)
+        bs.apply_command(RicCommand(ue_id, CommandAction.RRC_RELEASE, issued_at_us=0, cmd_id=ue_id), applied_at_us=0)
     assert bs.tick(0, t_sent_us=0) == []
 
 
 def test_released_ue_is_excluded_from_subsequent_ticks():
     bs = two_ue_station()
     assert len(bs.tick(0, t_sent_us=0)) == 2
-    bs.apply_command(RicCommand(2, CommandAction.RRC_RELEASE, issued_at_us=0), applied_at_us=0)
+    bs.apply_command(RicCommand(2, CommandAction.RRC_RELEASE, issued_at_us=0, cmd_id=1), applied_at_us=0)
     for k in range(1, 6):
         frames = bs.tick(k * 100, t_sent_us=0)
         assert [f.payload["ue_id"] for f in frames] == [1]
@@ -158,7 +159,7 @@ def test_drop_zeroes_uplink_counters_for_ten_ticks():
     # warm past the ramp so the attacker is loud, then start dropping
     for k in range(10):
         bs.tick(k * 100, t_sent_us=0)
-    bs.apply_command(RicCommand(2, CommandAction.DROP, issued_at_us=0), applied_at_us=0)
+    bs.apply_command(RicCommand(2, CommandAction.DROP, issued_at_us=0, cmd_id=1), applied_at_us=0)
     for k in range(10, 20):
         by_ue = {f.payload["ue_id"]: f.payload for f in bs.tick(k * 100, t_sent_us=0)}
         assert by_ue[2]["ul_pkts_ok"] == 0
@@ -167,7 +168,7 @@ def test_drop_zeroes_uplink_counters_for_ten_ticks():
         assert by_ue[1]["ul_brate_bps"] > 0.0  # the benign UE is untouched
     # the generator kept running underneath: lifting Drop restores traffic at
     # steady state immediately, with no ramp restart
-    bs.apply_command(RicCommand(2, CommandAction.FORWARD, issued_at_us=0), applied_at_us=0)
+    bs.apply_command(RicCommand(2, CommandAction.FORWARD, issued_at_us=0, cmd_id=2), applied_at_us=0)
     frames = {f.payload["ue_id"]: f.payload for f in bs.tick(2000, t_sent_us=0)}
     assert frames[2]["ul_pkts_ok"] > 100
 
@@ -186,7 +187,7 @@ def test_every_station_sample_crosses_the_trust_boundary_unchanged(classes, seed
     bs = build_station(config)
     for k, t in enumerate(range(0, config.duration_ms, config.period_ms)):
         if k == drop_at:
-            bs.apply_command(RicCommand(2, CommandAction.DROP, t * 1000), applied_at_us=t * 1000)
+            bs.apply_command(RicCommand(2, CommandAction.DROP, t * 1000, k + 1), applied_at_us=t * 1000)
         for labeled in bs.tick_samples(t):
             sample = labeled.sample
             crossed = KpmSample.from_payload(sample.to_payload())
@@ -583,7 +584,7 @@ def test_malformed_command_frame_reports_error_event():
     from ranguard.ransim import handle_command_frame
 
     bs = two_ue_station()
-    bad = DatabusFrame(FrameKind.COMMAND, "ctrl.1", 0, {"ue_id": 1, "action": "??", "issued_at_us": 0})
+    bad = DatabusFrame(FrameKind.COMMAND, "ctrl.1", 0, {"ue_id": 1, "action": "??", "issued_at_us": 0, "cmd_id": 1})
     event, ok = handle_command_frame(bs, bad, applied_at_us=50)
     assert not ok
     assert event is not None
@@ -595,7 +596,7 @@ def test_prioritize_is_an_unknown_action():
     from ranguard.ransim import handle_command_frame
 
     bs = two_ue_station()
-    frame = DatabusFrame(FrameKind.COMMAND, "ctrl.1", 0, {"ue_id": 1, "action": "prioritize", "issued_at_us": 0})
+    frame = DatabusFrame(FrameKind.COMMAND, "ctrl.1", 0, {"ue_id": 1, "action": "prioritize", "issued_at_us": 0, "cmd_id": 1})
     event, ok = handle_command_frame(bs, frame, applied_at_us=50)
     assert not ok
     assert event is not None and "'prioritize' is not a valid CommandAction" in event.payload["error"]
@@ -609,7 +610,7 @@ def test_command_wire_body_with_infinity_reports_error_event():
 
     body = (
         b'{"version":1,"kind":"command","topic":"ctrl.1","t_sent_us":0,'
-        b'"payload":{"ue_id":1,"action":"rrc_release","issued_at_us":Infinity}}'
+        b'"payload":{"ue_id":1,"action":"rrc_release","issued_at_us":Infinity,"cmd_id":1}}'
     )
     bs = two_ue_station()
     event, ok = handle_command_frame(bs, decode_frame(body), applied_at_us=50)

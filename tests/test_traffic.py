@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranguard.kpm import LabeledSample, TrafficClass
+from ranguard.kpm import LabeledSample, TrafficClass, feature_vector
 from ranguard.traffic import (
     DEFAULT_PERIOD_MS,
     MAX_SEGMENT_MS,
@@ -116,7 +116,7 @@ def class_means(n_seeds=3, n=400):
                 dl.append(s.dl_brate_bps)
                 pk.append(s.ul_pkts_ok + s.ul_pkts_nok)
                 ok.append(s.ul_pkts_ok)
-                drop.append(s.ul_drop_ratio)
+                drop.append(feature_vector(s)[-1])  # ul_drop_ratio
         means[cls] = dict(
             ul=np.mean(ul), dl=np.mean(dl), pk=np.mean(pk), ok=np.mean(ok),
             drop=np.mean(drop), dl_max=np.max(dl), dl_min=np.min(dl),
