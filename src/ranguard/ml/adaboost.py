@@ -22,7 +22,7 @@ class AdaBoost(TreeModel):
     algo_name = "adaboost"
 
     @classmethod
-    def train(cls, X: np.ndarray, y: np.ndarray, n_classes: int, rounds: int = 50) -> "AdaBoost":
+    def train(cls, X: np.ndarray, y: np.ndarray, n_classes: int, rounds: int) -> "AdaBoost":
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         X, y = _validate_training_data(X, y, n_classes)

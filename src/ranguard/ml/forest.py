@@ -21,13 +21,7 @@ class RandomForest(TreeModel):
 
     @classmethod
     def train(
-        cls,
-        X: np.ndarray,
-        y: np.ndarray,
-        n_classes: int,
-        config: TreeConfig = TreeConfig(),
-        n_trees: int = 100,
-        seed: int = 0,
+        cls, X: np.ndarray, y: np.ndarray, n_classes: int, config: TreeConfig, n_trees: int, seed: int
     ) -> "RandomForest":
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")

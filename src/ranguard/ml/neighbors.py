@@ -17,47 +17,54 @@ class KnnClassifier:
     """Euclidean kNN; features scaled to [0, 1] by the training ranges.
 
     Vote ties resolve to the lowest class index. Constant features scale
-    with a unit range so they contribute nothing to the distance.
+    with a unit range so they contribute nothing to the distance. A model is
+    built whole, by `train` or from a model file, and its arrays are checked
+    against each other when it is made.
     """
 
     algo_name = "knn"
 
-    def __init__(self, k: int = 5) -> None:
+    def __init__(
+        self,
+        k: int,
+        n_classes: int,
+        mins: np.ndarray,
+        ranges: np.ndarray,
+        X_scaled: np.ndarray,
+        y: np.ndarray,
+    ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        X_scaled, y = _validate_training_data(X_scaled, y, n_classes)
+        rows, cols = X_scaled.shape
+        if k > rows:
+            raise ValueError(f"k={k} exceeds training set size {rows}")
+        for name, column in (("mins", mins), ("ranges", ranges)):
+            if column.shape != (cols,):
+                raise ValueError(f"{name} has shape {column.shape}, expected ({cols},)")
+        if not (np.isfinite(mins).all() and np.isfinite(ranges).all() and (ranges > 0).all()):
+            raise ValueError("mins and ranges must be finite, and every range above 0")
         self.k = k
-        self.n_features = 0
-        self.n_classes = 0
-        self._X: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._mins: np.ndarray | None = None
-        self._ranges: np.ndarray | None = None
-        self._sq_norms: np.ndarray | None = None  # squared norm of each scaled training row
-
-    def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int) -> "KnnClassifier":
-        X, y = _validate_training_data(X, y, n_classes)
-        if self.k > X.shape[0]:
-            raise ValueError(f"k={self.k} exceeds training set size {X.shape[0]}")
-        self.n_features = X.shape[1]
+        self.n_features = cols
         self.n_classes = n_classes
-        self._mins = X.min(axis=0)
-        ranges = X.max(axis=0) - self._mins
-        ranges[ranges == 0] = 1.0
-        self._ranges = ranges
-        self._X = (X - self._mins) / ranges
+        self._X = X_scaled
         self._y = y
-        self._sq_norms = (self._X * self._X).sum(axis=1)
-        return self
+        self._mins = mins
+        self._ranges = ranges
+        self._sq_norms = (X_scaled * X_scaled).sum(axis=1)  # squared norm of each scaled training row
 
-    def _require_fit(self) -> None:
-        if self._X is None:
-            raise ValueError("classifier is not fitted")
+    @classmethod
+    def train(cls, X: np.ndarray, y: np.ndarray, n_classes: int, k: int) -> "KnnClassifier":
+        X, y = _validate_training_data(X, y, n_classes)
+        mins = X.min(axis=0)
+        ranges = X.max(axis=0) - mins
+        ranges[ranges == 0] = 1.0
+        return cls(k, n_classes, mins, ranges, (X - mins) / ranges, y)
 
     def _scale(self, X: np.ndarray) -> np.ndarray:
         return (X - self._mins) / self._ranges
 
     def predict(self, x: Sequence[float]) -> int:
-        self._require_fit()
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, got shape {x.shape}")
@@ -65,7 +72,6 @@ class KnnClassifier:
         return int(self.predict_batch(x[None, :])[0])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        self._require_fit()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) matrix, got shape {X.shape}")
@@ -87,7 +93,6 @@ class KnnClassifier:
         return out
 
     def to_dict(self) -> dict:
-        self._require_fit()
         return {
             "k": self.k,
             "n_features": self.n_features,
@@ -100,12 +105,14 @@ class KnnClassifier:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KnnClassifier":
-        knn = cls(int(data["k"]))
-        knn.n_features = int(data["n_features"])
-        knn.n_classes = int(data["n_classes"])
-        knn._mins = np.asarray(data["mins"], dtype=np.float64)
-        knn._ranges = np.asarray(data["ranges"], dtype=np.float64)
-        knn._X = np.asarray(data["X_scaled"], dtype=np.float64)
-        knn._y = np.asarray(data["y"], dtype=np.int64)
-        knn._sq_norms = (knn._X * knn._X).sum(axis=1)
+        knn = cls(
+            int(data["k"]),
+            int(data["n_classes"]),
+            np.asarray(data["mins"], dtype=np.float64),
+            np.asarray(data["ranges"], dtype=np.float64),
+            np.asarray(data["X_scaled"], dtype=np.float64),
+            np.asarray(data["y"], dtype=np.int64),
+        )
+        if int(data["n_features"]) != knn.n_features:
+            raise ValueError(f"n_features is {data['n_features']}, training rows have {knn.n_features}")
         return knn

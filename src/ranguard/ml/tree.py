@@ -188,9 +188,7 @@ class DecisionTree(TreeModel):
         return (self,)
 
     @classmethod
-    def train(
-        cls, X: np.ndarray, y: np.ndarray, n_classes: int, config: TreeConfig = TreeConfig()
-    ) -> "DecisionTree":
+    def train(cls, X: np.ndarray, y: np.ndarray, n_classes: int, config: TreeConfig) -> "DecisionTree":
         X, y = _validate_training_data(X, y, n_classes)
         n = X.shape[0]
         draws = np.ones(n, dtype=np.int64)

@@ -38,6 +38,7 @@ from .ml import (
     ConfusionMatrix,
     DecisionTree,
     KnnClassifier,
+    ModelFormatError,
     RandomForest,
     TreeConfig,
     load_model,
@@ -159,9 +160,9 @@ ALGO_CHOICES = ("dt", "rf", "knn", "ada")
 class TrainOptions:
     algo: str = "rf"
     trees: int = 100
-    max_depth: int = 15
-    min_samples_split: int = 5
-    min_samples_leaf: int = 1
+    max_depth: int = TreeConfig.max_depth
+    min_samples_split: int = TreeConfig.min_samples_split
+    min_samples_leaf: int = TreeConfig.min_samples_leaf
     k: int = 5
     rounds: int = 50
     seed: int = 0
@@ -200,9 +201,9 @@ def train_model(rows: Sequence[LabeledSample], options: TrainOptions = TrainOpti
     if options.algo == "dt":
         model = DecisionTree.train(X, y, n_classes, tree_cfg)
     elif options.algo == "rf":
-        model = RandomForest.train(X, y, n_classes, tree_cfg, options.trees, seed=options.seed)
+        model = RandomForest.train(X, y, n_classes, tree_cfg, options.trees, options.seed)
     elif options.algo == "knn":
-        model = KnnClassifier(options.k).fit(X, y, n_classes)
+        model = KnnClassifier.train(X, y, n_classes, options.k)
     else:
         model = AdaBoost.train(X, y, n_classes, options.rounds)
     elapsed = time.perf_counter() - t0
@@ -218,8 +219,14 @@ def train(dataset_path: str | Path, model_path: str | Path, options: TrainOption
 
 
 def load_online_model(model_path: str | Path):
-    """(model, class list) from a model file, labels mapped back to traffic classes."""
+    """(model, class list) from a model file, labels mapped back to traffic classes.
+
+    The model must take the FEATURE_COUNT features of a measurement.
+    """
     loaded = load_model(model_path)
+    n_features = loaded.model.n_features
+    if n_features != FEATURE_COUNT:
+        raise ModelFormatError(f"{model_path}: model takes {n_features} features, not {FEATURE_COUNT}")
     _warm_model(loaded.model)
     return loaded.model, tuple(class_from_label(s) for s in loaded.class_labels)
 

@@ -228,11 +228,12 @@ _UE_KEY_RE = re.compile(r"^ue\.(\d+)\.(script|classes)$")
 _SCALAR_KEYS = ("bs_id", "seed", "duration_ms", "period_ms")
 
 
-def _parse_int(key: str, value: str, line_no: int) -> int:
+def parse_int(key: str, value: str, line_no: int, error: type[ValueError]) -> int:
+    """int(value), or error naming the line and key of a config file."""
     try:
         return int(value)
     except ValueError:
-        raise ScenarioError(f"line {line_no}: {key} must be an integer, got {value!r}") from None
+        raise error(f"line {line_no}: {key} must be an integer, got {value!r}") from None
 
 
 def _parse_script(value: str, line_no: int) -> tuple[ScriptSegment, ...] | None:
@@ -249,7 +250,7 @@ def _parse_script(value: str, line_no: int) -> tuple[ScriptSegment, ...] | None:
             cls = class_from_label(cls_label)
         except ValueError as exc:
             raise ScenarioError(f"line {line_no}: {exc}") from None
-        duration = _parse_int("segment duration", ms, line_no)
+        duration = parse_int("segment duration", ms, line_no, ScenarioError)
         if duration <= 0:
             raise ScenarioError(f"line {line_no}: segment duration must be > 0, got {duration}")
         segments.append(ScriptSegment(cls, duration))
@@ -294,7 +295,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     for key in _SCALAR_KEYS:
         if key in entries:
             line_no, value = entries.pop(key)
-            fields[key] = _parse_int(key, value, line_no)
+            fields[key] = parse_int(key, value, line_no, ScenarioError)
             scalar_lines[key] = line_no
     if "duration_ms" not in fields:
         raise ScenarioError("missing required key duration_ms")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .databus import DatabusFrame, now_us
 from .kpm import ATTACK_CLASSES, CLASS_ORDER, KpmSample, TrafficClass, feature_vector
-from .ransim import BaseStation, CommandAction, RicCommand, read_key_values
+from .ransim import BaseStation, CommandAction, RicCommand, parse_int, read_key_values
 from .records import define, record
 
 BUDGET_US = 1_000_000  # near-real-time control loop bound
@@ -241,10 +241,7 @@ def parse_policy(text: str) -> PolicyMap:
     class_by_label = {cls.value: cls for cls in ATTACK_CLASSES}
     for key, (line_no, value) in read_key_values(text, PolicyError).items():
         if key in knobs:
-            try:
-                knobs[key] = int(value)
-            except ValueError:
-                raise PolicyError(f"line {line_no}: {key} must be an integer, got {value!r}") from None
+            knobs[key] = parse_int(key, value, line_no, PolicyError)
         elif key in class_by_label:
             try:
                 actions[class_by_label[key]] = CommandAction(value)

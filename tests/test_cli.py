@@ -9,11 +9,13 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ranguard import cli, pipeline
 from ranguard.databus import Broker, BusClient, FrameKind, now_us
 from ranguard.kpm import ATTACK_CLASSES, CLASS_ORDER, read_dataset
+from ranguard.ml import DecisionTree, TreeConfig, save_model
 from ranguard.ransim import build_station
 from config_oracle import format_scenario
 
@@ -347,6 +349,30 @@ def test_xapp_serves_from_live_broker(trained, tmp_path, capsys):
     with log_path.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 120
+
+
+def test_xapp_refuses_a_model_that_does_not_take_the_feature_vector(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    model = DecisionTree.train(rng.normal(size=(40, 4)), rng.integers(0, 5, 40), 5, TreeConfig())
+    model_path = tmp_path / "narrow.json"
+    save_model(model, model_path, [c.value for c in CLASS_ORDER])
+    log_path = tmp_path / "live.csv"
+    with Broker(port=0) as broker:
+        host, port = broker.address
+        code = cli.main(
+            [
+                "xapp",
+                "--model", str(model_path),
+                "--host", host,
+                "--port", str(port),
+                "--log", str(log_path),
+                "--idle-timeout-s", "0.2",
+            ]
+        )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {model_path}: model takes 4 features, not 10\n"
+    assert not log_path.exists()
 
 
 def test_console_entry_point_runs():

@@ -140,7 +140,7 @@ def test_forest_batch_matches_single(blob_data):
 
 def test_forest_config_validation():
     with pytest.raises(ValueError, match="n_trees must be >= 1, got 0"):
-        RandomForest.train(np.zeros((2, 1)), np.array([0, 1]), 2, n_trees=0)
+        RandomForest.train(np.zeros((2, 1)), np.array([0, 1]), 2, TreeConfig(), n_trees=0, seed=0)
     with pytest.raises(ValueError):
         RandomForest([], 2, 3)
 
@@ -150,7 +150,7 @@ def test_forest_config_validation():
 def test_knn_memorizes_training_points():
     X = np.array([[0.0, 0.0], [5.0, 1.0], [9.0, 3.0]])
     y = np.array([2, 0, 1])
-    knn = KnnClassifier(1).fit(X, y, 3)
+    knn = KnnClassifier.train(X, y, 3, 1)
     for x, label in zip(X, y):
         assert knn.predict(x) == label
 
@@ -158,14 +158,14 @@ def test_knn_memorizes_training_points():
 def test_knn_k_equals_train_size_gives_global_majority():
     X = np.arange(10, dtype=float).reshape(-1, 1) * 3
     y = np.array([0, 1, 1, 1, 0, 1, 0, 1, 1, 0])  # six 1s, four 0s
-    knn = KnnClassifier(10).fit(X, y, 2)
+    knn = KnnClassifier.train(X, y, 2, 10)
     assert knn.predict([100.0]) == 1
 
 
 def test_knn_hand_vote():
     X = np.array([[0.0], [1.0], [10.0]])
     y = np.array([0, 0, 1])
-    knn = KnnClassifier(3).fit(X, y, 2)
+    knn = KnnClassifier.train(X, y, 2, 3)
     assert knn.predict([4.4]) == 0  # votes 2-1
 
 
@@ -173,14 +173,14 @@ def test_knn_scaling_changes_the_neighbourhood():
     # raw distance would pick label 1; min-max scaling picks label 0
     X = np.array([[0.0, 0.0], [1000.0, 1.0]])
     y = np.array([0, 1])
-    knn = KnnClassifier(1).fit(X, y, 2)
+    knn = KnnClassifier.train(X, y, 2, 1)
     assert knn.predict([900.0, 0.05]) == 0
 
 
 def test_knn_vote_tie_goes_to_lowest_class_index():
     X = np.array([[0.0], [10.0]])
     y = np.array([1, 0])
-    knn = KnnClassifier(2).fit(X, y, 2)
+    knn = KnnClassifier.train(X, y, 2, 2)
     assert knn.predict([5.0]) == 0
 
 
@@ -190,7 +190,7 @@ def test_knn_agrees_with_linear_scan():
     y = rng.integers(0, 5, size=400)
     queries = rng.uniform(0, 1, size=(500, 6)) * rng.uniform(1, 100, size=6)
     k = 5
-    knn = KnnClassifier(k).fit(X, y, 5)
+    knn = KnnClassifier.train(X, y, 5, k)
     mins = X.min(axis=0)
     ranges = X.max(axis=0) - mins
     Xs = (X - mins) / ranges
@@ -205,7 +205,7 @@ def test_knn_agrees_with_linear_scan():
 def test_knn_constant_feature_is_harmless():
     X = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
     y = np.array([0, 0, 1])
-    knn = KnnClassifier(1).fit(X, y, 2)
+    knn = KnnClassifier.train(X, y, 2, 1)
     assert knn.predict([2.9, 7.0]) == 1
 
 
@@ -214,14 +214,14 @@ def test_knn_batch_matches_single():
     X = rng.normal(size=(200, 4))
     y = rng.integers(0, 3, size=200)
     queries = rng.normal(size=(50, 4))
-    knn = KnnClassifier(7).fit(X, y, 3)
+    knn = KnnClassifier.train(X, y, 3, 7)
     assert knn.predict_batch(queries).tolist() == [knn.predict(q) for q in queries]
 
 
 def test_knn_batch_memory_is_bounded_by_the_chunk_budget():
     # 512-row chunks against 6000 training rows once peaked at about 100 MB
     rng = np.random.default_rng(3)
-    knn = KnnClassifier(5).fit(rng.normal(size=(6000, 10)), rng.integers(0, 5, 6000), 5)
+    knn = KnnClassifier.train(rng.normal(size=(6000, 10)), rng.integers(0, 5, 6000), 5, 5)
     queries = rng.normal(size=(24_000, 10))
     tracemalloc.start()
     try:
@@ -235,12 +235,10 @@ def test_knn_batch_memory_is_bounded_by_the_chunk_budget():
 
 
 def test_knn_validation():
-    with pytest.raises(ValueError, match="k must be"):
-        KnnClassifier(0)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        KnnClassifier.train(np.zeros((3, 2)), np.array([0, 1, 0]), 2, 0)
     with pytest.raises(ValueError, match="exceeds"):
-        KnnClassifier(5).fit(np.zeros((3, 2)), np.array([0, 1, 0]), 2)
-    with pytest.raises(ValueError, match="not fitted"):
-        KnnClassifier(1).predict([1.0])
+        KnnClassifier.train(np.zeros((3, 2)), np.array([0, 1, 0]), 2, 5)
 
 
 # --- AdaBoost ----------------------------------------------------------------------

@@ -19,7 +19,8 @@ from ranguard.ml import (
     load_model,
     save_model,
 )
-from file_oracle import save_model_whole, traced_peak
+from ranguard.pipeline import load_online_model
+from file_oracle import save_model_whole, traced_peak, whole_payload
 
 LABELS = ["web", "voip", "ddos_ripper", "dos_hulk", "slowloris"]
 
@@ -38,7 +39,7 @@ def models(dataset):
     return {
         "dt": DecisionTree.train(X, y, 5, TreeConfig(6, 4, 2)),
         "rf": RandomForest.train(X, y, 5, TreeConfig(max_depth=5), n_trees=5, seed=1),
-        "knn": KnnClassifier(3).fit(X, y, 5),
+        "knn": KnnClassifier.train(X, y, 5, 3),
         "ada": AdaBoost.train(X, y, 5, rounds=6),
     }
 
@@ -170,7 +171,7 @@ def test_saved_file_equals_one_dumps_of_the_envelope(tmp_path_factory, algo, tre
     elif algo == "ada":
         model = AdaBoost.train(X, y, 3, rounds=trees)
     else:
-        model = KnnClassifier(3).fit(X, y, 3)
+        model = KnnClassifier.train(X, y, 3, 3)
     folder = tmp_path_factory.mktemp("save")
     save_model(model, folder / "streamed.json", labels)
     save_model_whole(model, folder / "whole.json", labels)
@@ -226,6 +227,12 @@ def save_mutated(model, path, mutate) -> None:
         ("dt", lambda p: p["right"].__setitem__(0, 2**40)),  # does not fit the index arrays
         ("rf", lambda p: p["trees"][1].__setitem__("n_features", p["n_features"] + 1)),
         ("ada", lambda p: p["alphas"].__setitem__(0, float("inf"))),
+        ("knn", lambda p: p["y"].__setitem__(0, 7)),  # an IndexError when served
+        ("knn", lambda p: p.__setitem__("n_features", p["n_features"] + 1)),
+        ("knn", lambda p: p["mins"].pop()),
+        ("knn", lambda p: p["ranges"].__setitem__(0, 0.0)),
+        ("knn", lambda p: p["X_scaled"][0].__setitem__(0, None)),  # NaN
+        ("knn", lambda p: p.__setitem__("k", len(p["y"]) + 1)),
     ],
 )
 def test_structurally_broken_model_rejected_at_load(models, name, mutate, tmp_path):
@@ -252,3 +259,63 @@ def test_load_rejects_or_serves_any_index_corruption(tmp_path_factory, data):
         return
     x = data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2))
     assert 0 <= model.predict(x) < 3
+
+
+@pytest.fixture(scope="module")
+def served_models():
+    """A small model of each family on the 10 features of a measurement, with 5 classes."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(24, 10)) + rng.integers(0, 5, size=(24, 1))
+    y = rng.integers(0, 5, size=24)
+    return [
+        DecisionTree.train(X, y, 5, TreeConfig(3, 2, 1)),
+        RandomForest.train(X, y, 5, TreeConfig(3, 2, 1), n_trees=2, seed=0),
+        AdaBoost.train(X, y, 5, rounds=3),
+        KnnClassifier.train(X, y, 5, 3),
+    ]
+
+
+EDIT_VALUES = st.one_of(
+    st.integers(-3, 12),  # an index or a count near its range
+    st.just(2**63),  # past every index type
+    st.floats(),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.just({}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_served_model_file_with_one_edit_is_refused_or_predicts_in_range(
+    tmp_path_factory, served_models, data
+):
+    # one value of the payload replaced or deleted: the load fails cleanly, or every prediction is a class
+    model = data.draw(st.sampled_from(served_models))
+    keys, node = [], whole_payload(model)
+    while True:  # down from the payload, at each level to one key or element
+        keys.append(data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[keys[-1]]
+        if not isinstance(node, (dict, list)) or not node or data.draw(st.booleans()):
+            break
+    delete = data.draw(st.booleans())
+    value = None if delete else data.draw(EDIT_VALUES)
+
+    def edit(payload: dict) -> None:
+        for key in keys[:-1]:
+            payload = payload[key]
+        if delete:
+            del payload[keys[-1]]
+        else:
+            payload[keys[-1]] = value
+
+    path = tmp_path_factory.mktemp("edit") / "m.json"
+    save_mutated(model, path, edit)
+    try:
+        served, _ = load_online_model(path)
+    except ModelFormatError:
+        return
+    rows = np.random.default_rng(data.draw(st.integers(0, 2**16))).normal(size=(8, 10)) * 10.0
+    assert all(0 <= served.predict(row) < 5 for row in rows)

@@ -417,7 +417,7 @@ def test_rejects_labels_that_are_not_whole_numbers():
     with pytest.raises(ValueError, match="whole numbers"):
         DecisionTree.train(X, y, 2, SMALL)
     with pytest.raises(ValueError, match="whole numbers"):
-        KnnClassifier(1).fit(X, y, 2)
+        KnnClassifier.train(X, y, 2, 1)
     with pytest.raises(ValueError, match="whole numbers"):
         DecisionTree.train(X, np.array([0.0, 1.0, np.nan, 1.0]), 2, SMALL)
     whole = DecisionTree.train(X, np.array([0.0, 0.0, 1.0, 1.0]), 2, SMALL)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import stat
 import threading
 import time
@@ -27,7 +28,7 @@ from ranguard.kpm import (
     category_of,
     read_dataset,
 )
-from ranguard.ml import load_model, save_model
+from ranguard.ml import DecisionTree, ModelFormatError, TreeConfig, load_model, save_model
 from ranguard.ransim import CommandAction, TimeMode, build_station, labeled_stream, run_scenario
 from ranguard.xapp import PolicyMap
 from file_oracle import traced_peak, write_dataset_whole
@@ -277,6 +278,26 @@ def test_load_online_model_compiles_the_vote_before_the_first_frame(tmp_path, tr
     assert "_vote" not in load_model(model_path).model.__dict__  # built on first use
     served, _ = pipeline.load_online_model(model_path)
     assert "_vote" in served.__dict__
+
+
+def test_a_served_model_must_take_the_feature_vector_before_it_is_warmed(tmp_path, dt_model, monkeypatch):
+    def warm(model):
+        raise AssertionError("warmed a model that cannot take a measurement")
+
+    monkeypatch.setattr(pipeline, "_warm_model", warm)
+    labels = [c.value for c in CLASS_ORDER]
+    wide = tmp_path / "wide.json"  # a valid file with one edit: warming it builds a row of 4,000,000 zeros
+    save_model(dt_model, wide, labels)
+    doc = json.loads(wide.read_text())
+    doc["payload"]["n_features"] = 4_000_000
+    wide.write_text(json.dumps(doc))
+    narrow = tmp_path / "narrow.json"  # trained on 4 features: every frame would fail
+    rng = np.random.default_rng(4)
+    narrow_model = DecisionTree.train(rng.normal(size=(40, 4)), rng.integers(0, 5, 40), 5, TreeConfig())
+    save_model(narrow_model, narrow, labels)
+    for path, n in ((wide, 4_000_000), (narrow, 4)):
+        with pytest.raises(ModelFormatError, match=f"model takes {n} features, not 10"):
+            pipeline.load_online_model(path)
 
 
 # -- evaluation --
